@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet fmt race race-core soak chaos-soak bench bench-obs obs-bench bench-translate bench-ivm bench-shard bench-replica serve-bench bench-wire metrics-smoke clean
+.PHONY: all build test check vet fmt race race-core soak chaos-soak bench-check bench bench-obs obs-bench bench-translate bench-ivm bench-shard bench-replica serve-bench bench-wire metrics-smoke clean
 
 all: build
 
@@ -52,14 +52,15 @@ soak:
 # fsync, publish — restarted, and checked over the wire: every acked
 # commit survived, idempotent retries of ambiguous ops resolve without
 # double-applying, and the recovered state is byte-equivalent to a
-# fault-free replay. Part two is the same contract end-to-end: vuserved
+# fault-free replay; the same harness then sweeps a 4-shard engine,
+# adding the two-phase window: crashes landing after the prepare
+# records but before the decision must roll the in-doubt prepares back,
+# while acked cross-shard commits survive on every participant
+# (docs/SHARDING.md). Part two is the same contract end-to-end: vuserved
 # is kill -9'd mid-workload and restarted while vuload -chaos retries
 # keyed inserts through the outage, then verifies acks and dedup over
 # the wire and emits BENCH_chaos.json. Any lost ack, duplicate apply,
-# or dedup miss fails the target. The sharded soak adds the two-phase
-# window: crashes landing after the prepare records but before the
-# decision must roll the in-doubt prepares back, while acked
-# cross-shard commits survive on every participant (docs/SHARDING.md).
+# or dedup miss fails the target.
 chaos-soak:
 	$(GO) test ./internal/chaos -run 'TestChaosSoak|TestShardedChaosSoak' -count=1
 	$(GO) build -o /tmp/vuserved-chaos ./cmd/vuserved
@@ -87,10 +88,18 @@ chaos-soak:
 	cat BENCH_chaos.json; \
 	exit $$RC
 
+# bench-check compiles and tests the repo benchmark. bench/ is a nested
+# module (BENCHMARK.json's contract), so `./...` from the root never
+# sees it; without this target an internal/* signature change could
+# break the ledger silently.
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench ./...
+
 # The tier-1+ check: build, vet, formatting, the full test suite under
-# the race detector (which subsumes the plain `go test ./...`), and the
-# durability soak.
-check: build vet fmt race soak
+# the race detector (which subsumes the plain `go test ./...`), the
+# durability soak, and the benchmark module.
+check: build vet fmt race soak bench-check
 
 bench:
 	$(GO) test -bench . -run '^$$' .

@@ -178,9 +178,9 @@ CREATE JOIN VIEW J ROOT CXDV WITH CXDV (X) REFERENCES ABV;
 // newServeBenchEngine builds a memory-only engine, seeds nTuples per
 // relation through one group commit, and returns it with the AB
 // relation schema and its seeded keys.
-func newServeBenchEngine(b *testing.B, disableIVM bool, nTuples int) (*server.Engine, *schema.Relation, []int64) {
+func newServeBenchEngine(b *testing.B, nTuples int) (*server.Engine, *schema.Relation, []int64) {
 	b.Helper()
-	e, err := server.NewEngine(server.Config{MaxInFlight: 64, MaxBatch: 32, DisableIVM: disableIVM}, ivmServeScript)
+	e, err := server.NewEngine(server.Config{MaxInFlight: 64, MaxBatch: 32}, ivmServeScript)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -207,11 +207,14 @@ func newServeBenchEngine(b *testing.B, disableIVM bool, nTuples int) (*server.En
 // runServeBench is one serving mode: each iteration lands one non-root
 // payload replace through the commit pipeline, then serves a burst of
 // reads of every view through the cache. The reported rate is view
-// rows served per second.
-func runServeBench(b *testing.B, name string, disableIVM bool) {
+// rows served per second. invalidate is the baseline: an empty admin
+// script after each commit republishes at a bumped version that no
+// delta patch carries the cache to, so the first read of every view
+// rematerializes — invalidate-on-publish, what serving was before IVM.
+func runServeBench(b *testing.B, name string, invalidate bool) {
 	const nTuples = 1500
 	const readsPerCommit = 8
-	e, ab, keys := newServeBenchEngine(b, disableIVM, nTuples)
+	e, ab, keys := newServeBenchEngine(b, nTuples)
 	defer e.Close()
 	rng := rand.New(rand.NewSource(41))
 	probeFor := func(k int64) tuple.T {
@@ -234,6 +237,11 @@ func runServeBench(b *testing.B, name string, disableIVM bool) {
 		if _, err := e.Commit(context.Background(), tr, false, 0); err != nil {
 			b.Fatal(err)
 		}
+		if invalidate {
+			if _, err := e.ExecScript(""); err != nil {
+				b.Fatal(err)
+			}
+		}
 		for r := 0; r < readsPerCommit; r++ {
 			for _, vn := range []string{"J", "ABV"} {
 				set, _, err := e.ReadView(vn)
@@ -250,8 +258,8 @@ func runServeBench(b *testing.B, name string, disableIVM bool) {
 
 // BenchmarkIVMServe measures read-heavy serve churn: commits
 // interleaved with read bursts, with the view cache delta-patched on
-// publish ("ivm") against invalidate-on-publish ("noivm",
-// Config.DisableIVM).
+// publish ("ivm") against invalidate-on-publish ("noivm", see
+// runServeBench).
 func BenchmarkIVMServe(b *testing.B) {
 	b.Run("noivm", func(b *testing.B) { runServeBench(b, "IVMServe/noivm", true) })
 	b.Run("ivm", func(b *testing.B) { runServeBench(b, "IVMServe/ivm", false) })

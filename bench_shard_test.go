@@ -130,8 +130,7 @@ func benchShardN(b *testing.B, shards int) {
 		Dir: b.TempDir(), Shards: shards,
 		MaxInFlight: 256, MaxBatch: 1,
 		RequestTimeout: time.Minute,
-		WrapWAL:        func(f wal.File) wal.File { return slowMedia{f} },
-		WrapShardWAL:   func(_ int, f wal.File) wal.File { return slowMedia{f} },
+		WrapWAL:        func(_ int, f wal.File) wal.File { return slowMedia{f} },
 	}, shardBenchScript)
 	if err != nil {
 		b.Fatal(err)

@@ -68,7 +68,25 @@ type InclusionJSON struct {
 
 // Capture builds a Snapshot of db.
 func Capture(db *storage.Database) (*Snapshot, error) {
-	sch := db.Schema()
+	snap, err := CaptureSchema(db.Schema())
+	if err != nil {
+		return nil, err
+	}
+	for _, rj := range snap.Relations {
+		var rows [][]string
+		for _, t := range db.Tuples(rj.Name) {
+			rows = append(rows, EncodeRow(t))
+		}
+		snap.Tuples[rj.Name] = rows
+	}
+	return snap, nil
+}
+
+// CaptureSchema builds the schema section of a Snapshot — domains,
+// relations, inclusion dependencies — with no tuples. Callers that
+// split one database across several snapshots (the sharded store) fill
+// Tuples themselves, row by row, with EncodeRow.
+func CaptureSchema(sch *schema.Database) (*Snapshot, error) {
 	snap := &Snapshot{Format: FormatVersion, Tuples: map[string][][]string{}}
 
 	seenDom := map[string]*schema.Domain{}
@@ -88,16 +106,6 @@ func Capture(db *storage.Database) (*Snapshot, error) {
 			rj.Attrs = append(rj.Attrs, AttrJSON{Name: a.Name, Domain: a.Domain.Name()})
 		}
 		snap.Relations = append(snap.Relations, rj)
-
-		var rows [][]string
-		for _, t := range db.Tuples(rn) {
-			row := make([]string, 0, rel.Arity())
-			for _, v := range t.Values() {
-				row = append(row, v.Encode())
-			}
-			rows = append(rows, row)
-		}
-		snap.Tuples[rn] = rows
 	}
 	for _, dn := range domNames {
 		d := seenDom[dn]
@@ -115,12 +123,26 @@ func Capture(db *storage.Database) (*Snapshot, error) {
 	return snap, nil
 }
 
+// EncodeRow renders one tuple as a Snapshot row: the canonical
+// encodings of its values, in attribute order.
+func EncodeRow(t tuple.T) []string {
+	row := make([]string, 0, len(t.Values()))
+	for _, v := range t.Values() {
+		row = append(row, v.Encode())
+	}
+	return row
+}
+
 // Save writes db's snapshot as indented JSON.
 func Save(w io.Writer, db *storage.Database) error {
 	snap, err := Capture(db)
 	if err != nil {
 		return err
 	}
+	return encodeSnapshot(w, snap)
+}
+
+func encodeSnapshot(w io.Writer, snap *Snapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snap)
@@ -143,9 +165,7 @@ func WriteSnapshotFile(path string, snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
+	if err := encodeSnapshot(f, snap); err != nil {
 		f.Close()
 		return err
 	}

@@ -89,7 +89,7 @@ type Store struct {
 	mu   sync.Mutex
 	dir  string
 	db   *storage.Database
-	log  *wal.Log
+	log  *Journal
 	opts Options
 	seq  uint64
 	// committed is the highest sequence number with a durable commit
@@ -139,8 +139,8 @@ func CreateAt(dir string, db *storage.Database, seq uint64, opts Options) (*Stor
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	snapPath := filepath.Join(dir, SnapshotFile)
-	if _, err := os.Stat(snapPath); err == nil {
+	_, err := os.Stat(filepath.Join(dir, SnapshotFile))
+	if err == nil {
 		return nil, fmt.Errorf("persist: store already exists at %s", dir)
 	}
 	s := &Store{dir: dir, db: db, opts: opts, seq: seq, committed: seq,
@@ -148,7 +148,7 @@ func CreateAt(dir string, db *storage.Database, seq uint64, opts Options) (*Stor
 	if err := s.writeSnapshot(); err != nil {
 		return nil, err
 	}
-	if err := s.openLog(); err != nil {
+	if s.log, err = OpenJournal(dir, opts.Sync, opts.WrapWAL); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -173,26 +173,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("persist: loading snapshot: %w", err)
 	}
 
-	walPath := filepath.Join(dir, WALFile)
-	res, err := wal.ScanFile(walPath)
+	res, truncated, err := ScanJournal(dir)
 	if err != nil {
 		return nil, err
 	}
 	report := RecoveryReport{
-		TornAt: res.TornAt, TornReason: res.Reason,
+		TornAt: res.TornAt, TornReason: res.Reason, TruncatedBytes: truncated,
 		MaxSeq: res.MaxSeq(), SnapshotSeq: snap.Seq,
-	}
-	if res.Torn() {
-		st, err := os.Stat(walPath)
-		if err != nil {
-			return nil, fmt.Errorf("persist: %w", err)
-		}
-		report.TruncatedBytes = st.Size() - res.TornAt
-		if err := os.Truncate(walPath, res.TornAt); err != nil {
-			return nil, fmt.Errorf("persist: truncating torn WAL tail: %w", err)
-		}
-		obs.Inc("wal.recover.torn")
-		obs.Add("wal.recover.truncated_bytes", report.TruncatedBytes)
 	}
 
 	committed, discarded := res.Committed()
@@ -238,39 +225,14 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{dir: dir, db: db, opts: opts, seq: seq, committed: maxCommitted,
 		snapSeq: snap.Seq, report: report, recoveredKeys: keys}
-	if err := s.openLog(); err != nil {
+	if s.log, err = OpenJournal(dir, opts.Sync, opts.WrapWAL); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func (s *Store) openLog() error {
-	log, size, err := wal.OpenFile(filepath.Join(s.dir, WALFile), s.opts.Sync)
-	if err != nil {
-		return err
-	}
-	if s.opts.WrapWAL != nil {
-		// Rebuild the log around the wrapped media; keep the *os.File
-		// close semantics by closing through the original log.
-		f, ferr := os.OpenFile(filepath.Join(s.dir, WALFile), os.O_WRONLY|os.O_APPEND, 0o644)
-		if ferr != nil {
-			return fmt.Errorf("persist: %w", ferr)
-		}
-		log.Close()
-		s.log = wal.NewAt(s.opts.WrapWAL(f), s.opts.Sync, size)
-		return nil
-	}
-	s.log = log
-	return nil
-}
-
 // DB returns the store's live database.
 func (s *Store) DB() *storage.Database { return s.db }
-
-// Dir returns the store directory. The replication stream handler
-// scans the WAL file inside it to serve commits a follower's watermark
-// trails the in-memory backlog by.
-func (s *Store) Dir() string { return s.dir }
 
 // Seq returns the applied-sequence watermark, including burned
 // numbers (failed appends, uncommitted records found at recovery).
@@ -358,7 +320,7 @@ func (s *Store) Apply(tr *update.Translation) error {
 		return err
 	}
 	if err := s.log.Append(wal.CommitRecord(seq)); err != nil {
-		if uerr := s.db.Apply(invert(tr)); uerr != nil {
+		if uerr := s.db.Apply(Invert(tr)); uerr != nil {
 			s.broken = fmt.Errorf("persist: store broken: commit append failed (%v), rollback failed: %w (%w)",
 				err, uerr, vuerr.ErrCorrupt)
 			obs.Inc("persist.store.broken")
@@ -413,7 +375,7 @@ func (s *Store) ApplyAt(seq uint64, key string, tr *update.Translation) error {
 		return fmt.Errorf("persist: replicated seq %d does not apply: %w", seq, err)
 	}
 	if err := s.log.Append(wal.CommitRecord(seq)); err != nil {
-		if uerr := s.db.Apply(invert(tr)); uerr != nil {
+		if uerr := s.db.Apply(Invert(tr)); uerr != nil {
 			s.broken = fmt.Errorf("persist: store broken: commit append failed (%v), rollback failed: %w (%w)",
 				err, uerr, vuerr.ErrCorrupt)
 			obs.Inc("persist.store.broken")
@@ -448,7 +410,7 @@ func (s *Store) ApplyAt(seq uint64, key string, tr *update.Translation) error {
 // again matches the durable state; if that rollback fails the store is
 // broken (ErrCorrupt), exactly as in Apply.
 func (s *Store) ApplyBatch(trs []*update.Translation) []error {
-	errs, _ := s.ApplyBatchStats(trs)
+	errs, _ := s.ApplyBatchKeyed(trs, nil)
 	return errs
 }
 
@@ -468,17 +430,12 @@ type ApplyStats struct {
 	Synced bool
 }
 
-// ApplyBatchStats is ApplyBatch returning a timing breakdown — memory
-// apply, WAL write, fsync — that the serving layer threads into
-// per-request pipeline traces. See ApplyBatch for the commit semantics.
-func (s *Store) ApplyBatchStats(trs []*update.Translation) ([]error, ApplyStats) {
-	return s.ApplyBatchKeyed(trs, nil)
-}
-
-// ApplyBatchKeyed is ApplyBatchStats stamping each translation's WAL
-// record with its idempotency key (keys may be nil, or hold "" for
-// unkeyed commits; when non-nil it must be parallel to trs). Keys of
-// committed translations are recovered by Open and surfaced through
+// ApplyBatchKeyed is ApplyBatch stamping each translation's WAL record
+// with its idempotency key (keys may be nil, or hold "" for unkeyed
+// commits; when non-nil it must be parallel to trs) and returning a
+// timing breakdown — memory apply, WAL write, fsync — that the serving
+// layer threads into per-request pipeline traces. Keys of committed
+// translations are recovered by Open and surfaced through
 // RecoveredKeys.
 func (s *Store) ApplyBatchKeyed(trs []*update.Translation, keys []string) ([]error, ApplyStats) {
 	var stats ApplyStats
@@ -532,7 +489,7 @@ func (s *Store) ApplyBatchKeyed(trs []*update.Translation, keys []string) ([]err
 	}
 	if err != nil {
 		for j := len(landed) - 1; j >= 0; j-- {
-			if uerr := s.db.Apply(invert(landed[j].tr)); uerr != nil {
+			if uerr := s.db.Apply(Invert(landed[j].tr)); uerr != nil {
 				s.broken = fmt.Errorf("persist: store broken: batch append failed (%v), rollback failed: %w (%w)",
 					err, uerr, vuerr.ErrCorrupt)
 				obs.Inc("persist.store.broken")
@@ -578,22 +535,6 @@ func EncodeBatchRecordsKeyed(seq uint64, key string, tr *update.Translation) []w
 	return []wal.Record{wal.EncodeTranslationKeyed(seq, key, tr), wal.CommitRecord(seq)}
 }
 
-// invert returns the translation that undoes tr.
-func invert(tr *update.Translation) *update.Translation {
-	inv := update.NewTranslation()
-	for _, o := range tr.Ops() {
-		switch o.Kind {
-		case update.Insert:
-			inv.Add(update.NewDelete(o.Tuple))
-		case update.Delete:
-			inv.Add(update.NewInsert(o.Tuple))
-		case update.Replace:
-			inv.Add(update.NewReplace(o.New, o.Old))
-		}
-	}
-	return inv
-}
-
 // Checkpoint folds the WAL into a fresh snapshot: write the current
 // state as the snapshot (atomically, via rename) and reset the log.
 // Call it after schema changes — DDL is snapshot-persisted, not
@@ -614,51 +555,45 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 	// The snapshot now covers everything in the log; start a new one.
-	if err := s.log.Close(); err != nil {
-		return err
-	}
-	if err := os.Truncate(filepath.Join(s.dir, WALFile), 0); err != nil {
-		return fmt.Errorf("persist: resetting WAL: %w", err)
-	}
 	obs.Inc("persist.checkpoint")
-	return s.openLog()
+	return s.log.Reset()
 }
 
 // writeSnapshot atomically replaces the snapshot file with db's state,
-// stamped with the applied-sequence watermark. The temp file is fsynced
-// before the rename and the directory after it, so the swap survives
-// power loss.
+// stamped with the applied-sequence watermark.
 func (s *Store) writeSnapshot() error {
 	snap, err := Capture(s.db)
 	if err != nil {
 		return err
 	}
 	snap.Seq = s.seq
-	tmp := filepath.Join(s.dir, SnapshotFile+".tmp")
-	if err := WriteSnapshotFile(tmp, snap); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, SnapshotFile)); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := WriteSnapshot(s.dir, snap); err != nil {
 		return err
 	}
 	s.snapSeq = s.seq
 	return nil
 }
 
-// syncDir fsyncs a directory so renames inside it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// CommittedAfter returns the committed translation records with seq >
+// cursor from the WAL on disk, in commit order — the replication
+// stream's gap-fill for a follower whose resume point predates the
+// in-memory backlog. Scanning races live appends harmlessly: a record
+// whose commit marker has not reached media yet is simply not served.
+// Records at or below SnapshotSeq are folded away; callers refuse those
+// resume points first.
+func (s *Store) CommittedAfter(cursor uint64) ([]wal.Record, error) {
+	res, err := wal.ScanFile(filepath.Join(s.dir, WALFile))
 	if err != nil {
-		return fmt.Errorf("persist: %w", err)
+		return nil, err
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("persist: syncing %s: %w", dir, err)
+	committed, _ := res.Committed()
+	out := make([]wal.Record, 0, len(committed))
+	for _, rec := range committed {
+		if rec.Seq > cursor {
+			out = append(out, rec)
+		}
 	}
-	return nil
+	return out, nil
 }
 
 // Close syncs and closes the WAL. The store is unusable afterwards.

@@ -8,6 +8,7 @@ import (
 	"viewupdate/internal/faultinject"
 	"viewupdate/internal/obs"
 	"viewupdate/internal/persist"
+	"viewupdate/internal/shard"
 	"viewupdate/internal/update"
 	"viewupdate/internal/vuerr"
 	"viewupdate/internal/wal"
@@ -39,15 +40,18 @@ type commitReq struct {
 	baseVersion uint64
 	// key is the request's idempotency key ("" for none): written into
 	// the WAL translation frame and fulfilled/released in the dedup
-	// table by the committer.
+	// table by the pipeline.
 	key  string
 	done chan commitRes
 	// trace, when non-nil, is the submitting request's pipeline trace;
-	// the committer records the queue/commit/fsync/publish stages into
+	// the pipeline records the queue/commit/fsync/publish stages into
 	// it. enqueued is the submission time the queue stage is measured
 	// from (set only when trace is non-nil).
 	trace    *obs.Trace
 	enqueued time.Time
+	// route is the shard classification the pipelined discipline's land
+	// hands to its settle.
+	route *shard.Route
 }
 
 type commitRes struct {
@@ -55,14 +59,44 @@ type commitRes struct {
 	version uint64
 }
 
-// runCommitter is the single writer: it owns every mutation of the
-// live database that goes through the pipeline. It gathers queued
-// commits into batches through the adaptive batcher — everything
-// already waiting, up to MaxBatch, plus whatever a bounded wait-a-
-// little window accumulates under load — so that concurrent commits
-// share one WAL append and one fsync (see batch.go).
-func (e *Engine) runCommitter() {
+// A discipline is how admitted commits reach media — the one part of
+// the pipeline that depends on which store is attached. Two exist,
+// selected at boot by the shard count, because each wins on a workload
+// the benchmark has: synchronous append with clean rollback
+// (syncDiscipline: memory-only and single-store engines) and pipelined
+// per-shard lanes with two-phase commit (shardRuntime, shard.go).
+// commitBatch calls land and settle under stateMu, on the pipeline
+// goroutine.
+type discipline interface {
+	// start launches whatever goroutines the discipline needs; stop
+	// returns once they have settled every commit and exited.
+	start()
+	stop()
+	// land applies the admitted commits to the live database, in order,
+	// answering each one that fails and returning the ones that landed.
+	// The stats cover the batch (populated only while instrumentation is
+	// enabled).
+	land(admitted []*commitReq) ([]*commitReq, persist.ApplyStats)
+	// settle runs once the landed commits are published as versions
+	// base+1, base+2, …: it answers their waiters, or hands them to
+	// whatever answers them when they are durable. Either way no waiter
+	// is answered before its commit is readable.
+	settle(landed []*commitReq, base uint64, stats persist.ApplyStats, publishNS int64)
+	// quiesce blocks until no commit is in flight. Callers hold stateMu.
+	quiesce()
+	// health fills the discipline's part of the health report.
+	health(h *Healthz)
+}
+
+// runPipeline is the single writer: it owns every mutation of the live
+// database that goes through the pipeline. It gathers queued commits
+// into batches through the adaptive batcher — everything already
+// waiting, up to MaxBatch, plus whatever a bounded wait-a-little window
+// accumulates under load — so that concurrent commits share one trip
+// through commitBatch (see batch.go).
+func (e *Engine) runPipeline() {
 	defer close(e.drained)
+	defer e.disc.stop()
 	b := newBatcher(e.commitC, e.cfg.MaxBatch, e.cfg.batchDelay(), realClock{})
 	for {
 		batch, more := b.next()
@@ -75,14 +109,13 @@ func (e *Engine) runCommitter() {
 	}
 }
 
-// commitBatch lands one batch: recheck optimistic conflicts against the
-// live state, apply the survivors through the store's group commit,
-// bump the version by the number of commits that landed, publish a
-// fresh snapshot, and answer every waiter. Along the way it records the
-// pipeline stages — queue wait per request; commit, fsync and publish
-// per batch — into the stage histograms and into each request's trace
-// (the batch-shared stages with the same shared duration, since that is
-// what each request actually waited for).
+// commitBatch takes one batch through the pipeline: recheck optimistic
+// conflicts against the live state, land the survivors, bump the
+// version by the number of commits that landed, publish a fresh
+// snapshot, patch the view cache, and settle the waiters. Along the way
+// it records the pipeline stages — queue wait per request; commit,
+// fsync and publish per batch — into the stage histograms; the
+// discipline records them into each request's trace.
 func (e *Engine) commitBatch(batch []*commitReq) {
 	sp := obs.StartSpan("server.commit.batch")
 	defer sp.End()
@@ -115,7 +148,6 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 	}
 
 	oldSnap := e.snap.Load()
-	version := oldSnap.version
 
 	// Strict commits are validated against the version their state was
 	// staged from, ordered ahead of the op-validated commits so the
@@ -124,7 +156,7 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 	// the state it was staged from and cannot fail op-level validation.
 	var admitted []*commitReq
 	var rest []*commitReq
-	predicted := version
+	predicted := oldSnap.version
 	for _, r := range batch {
 		if !r.strict {
 			rest = append(rest, r)
@@ -145,84 +177,64 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 		return
 	}
 
-	trs := make([]*update.Translation, len(admitted))
-	keys := make([]string, len(admitted))
-	for i, r := range admitted {
-		trs[i] = r.tr
-		keys[i] = r.key
-	}
-	errs, stats := e.applyBatch(trs, keys)
-
-	// The commit stage is the batch's time applying in memory and
-	// writing the WAL, minus the durability barrier, which is its own
-	// stage. Both are batch-shared: every request in the batch waited
-	// for the whole batch to land.
-	commitNS := stats.ApplyNS + stats.WALNS - stats.FsyncNS
+	landed, stats := e.disc.land(admitted)
 	if timed {
-		obs.Observe(stageCommitNS, commitNS)
+		obs.Observe(stageCommitNS, commitStageNS(stats))
 		if stats.Synced {
 			obs.Observe(stageFsyncNS, stats.FsyncNS)
 		}
 	}
+	if len(landed) == 0 {
+		return
+	}
+	// The publish failpoint exists for chaos kill triggers: the batch
+	// has landed, so an injected error cannot unland it and is
+	// deliberately ignored.
+	if ferr := faultinject.Hit(faultinject.SiteServerPublish); ferr != nil {
+		e.logf("ignoring injected publish fault (batch already landed)", "err", ferr.Error())
+	}
+	var pubStart time.Time
+	if timed {
+		pubStart = time.Now()
+	}
+	trs := make([]*update.Translation, len(landed))
+	for i, r := range landed {
+		trs[i] = r.tr
+	}
+	e.publishSnapshot(oldSnap.version + uint64(len(landed)))
+	e.patchViewCache(oldSnap, e.snap.Load(), trs)
+	obs.Add("server.commit.committed", int64(len(landed)))
+	var publishNS int64
+	if timed {
+		publishNS = int64(time.Since(pubStart))
+		obs.Observe(stagePublishNS, publishNS)
+	}
+	// Settle only after publish, so a request that gets its commit
+	// acknowledged can immediately re-read the view at (at least) the
+	// version it landed at.
+	e.disc.settle(landed, oldSnap.version, stats, publishNS)
+}
 
-	landed := 0
-	var landedReqs []*commitReq
-	var landedTrs []*update.Translation
-	for i, r := range admitted {
-		if err := errs[i]; err != nil {
-			// A failed slot applied nothing: free its idempotency key so
-			// a retry re-executes, and feed the breaker — durability
-			// failures (not conflicts) push it toward brownout.
-			e.releaseKey(r)
-			e.brk.onFailure(err)
-			r.done <- commitRes{err: classifyApplyError(err)}
-			continue
-		}
-		landed++
-		landedReqs = append(landedReqs, r)
-		landedTrs = append(landedTrs, r.tr)
+// commitStageNS is the commit stage of a batch: its time applying in
+// memory and writing the WAL, minus the durability barrier, which is
+// its own stage. Both are batch-shared: every request in the batch
+// waited for the whole batch to land.
+func commitStageNS(stats persist.ApplyStats) int64 {
+	return stats.ApplyNS + stats.WALNS - stats.FsyncNS
+}
+
+// traceBatch records the batch-shared stages into the request's trace,
+// each with the whole batch's duration, since that is what the request
+// actually waited for.
+func (r *commitReq) traceBatch(stats persist.ApplyStats, publishNS int64) {
+	if r.trace == nil {
+		return
 	}
-	if landed > 0 {
-		e.brk.onSuccess()
-		// The publish failpoint exists for chaos kill triggers: the batch
-		// is already durable, so an injected error cannot unland it and
-		// is deliberately ignored.
-		if ferr := faultinject.Hit(faultinject.SiteServerPublish); ferr != nil {
-			e.logf("ignoring injected publish fault (batch already durable)", "err", ferr.Error())
-		}
-		var pubStart time.Time
-		if timed {
-			pubStart = time.Now()
-		}
-		version += uint64(landed)
-		e.publishSnapshot(version)
-		e.patchViewCache(oldSnap, e.snap.Load(), landedTrs)
-		obs.Add("server.commit.committed", int64(landed))
-		var publishNS int64
-		if timed {
-			publishNS = int64(time.Since(pubStart))
-			obs.Observe(stagePublishNS, publishNS)
-		}
-		// Answer the waiters only after publish, so a request that gets
-		// its commit acknowledged can immediately re-read the view at
-		// (at least) the version it landed at, and its trace covers the
-		// full pipeline.
-		v := version - uint64(landed)
-		for _, r := range landedReqs {
-			v++
-			if r.key != "" {
-				e.idem.fulfill(r.key, v)
-			}
-			if r.trace != nil {
-				r.trace.Stage("commit", time.Duration(commitNS))
-				if stats.Synced {
-					r.trace.Stage("fsync", time.Duration(stats.FsyncNS))
-				}
-				r.trace.Stage("publish", time.Duration(publishNS))
-			}
-			r.done <- commitRes{version: v}
-		}
+	r.trace.Stage("commit", time.Duration(commitStageNS(stats)))
+	if stats.Synced {
+		r.trace.Stage("fsync", time.Duration(stats.FsyncNS))
 	}
+	r.trace.Stage("publish", time.Duration(publishNS))
 }
 
 // releaseKey frees a request's idempotency reservation after a clean
@@ -233,15 +245,69 @@ func (e *Engine) releaseKey(r *commitReq) {
 	}
 }
 
-// applyBatch lands translations on the durable store when one is
-// attached, or directly on the in-memory database otherwise. keys are
-// the translations' idempotency keys, recorded in the WAL frames so
-// recovery can rebuild the dedup table. The returned stats are
-// populated only while instrumentation is enabled.
-func (e *Engine) applyBatch(trs []*update.Translation, keys []string) ([]error, persist.ApplyStats) {
-	if e.store != nil {
-		return e.store.ApplyBatchKeyed(trs, keys)
+// failCommit answers a commit that applied nothing: free its
+// idempotency key so a retry re-executes, and feed the breaker —
+// durability failures (not conflicts) push it toward brownout.
+func (e *Engine) failCommit(r *commitReq, err error) {
+	e.releaseKey(r)
+	e.brk.onFailure(err)
+	r.done <- commitRes{err: classifyApplyError(err)}
+}
+
+// syncDiscipline is the synchronous journaling discipline: land applies
+// the batch and appends it to the WAL in one write and one fsync —
+// rolling memory back cleanly if the append fails — so by the time it
+// returns the batch is durable and settle only has to answer.
+type syncDiscipline struct {
+	e *Engine
+	// apply lands translations on the attached persist.Store
+	// (ApplyBatchKeyed) or, memory-only, on the database alone. keys are
+	// the translations' idempotency keys, recorded in the WAL frames so
+	// recovery can rebuild the dedup table.
+	apply func(trs []*update.Translation, keys []string) ([]error, persist.ApplyStats)
+}
+
+func (*syncDiscipline) start()          {}
+func (*syncDiscipline) stop()           {}
+func (*syncDiscipline) quiesce()        {}
+func (*syncDiscipline) health(*Healthz) {}
+
+func (d *syncDiscipline) land(admitted []*commitReq) ([]*commitReq, persist.ApplyStats) {
+	trs := make([]*update.Translation, len(admitted))
+	keys := make([]string, len(admitted))
+	for i, r := range admitted {
+		trs[i] = r.tr
+		keys[i] = r.key
 	}
+	errs, stats := d.apply(trs, keys)
+	landed := admitted[:0]
+	for i, r := range admitted {
+		if errs[i] != nil {
+			d.e.failCommit(r, errs[i])
+			continue
+		}
+		landed = append(landed, r)
+	}
+	if len(landed) > 0 {
+		d.e.brk.onSuccess()
+	}
+	return landed, stats
+}
+
+func (d *syncDiscipline) settle(landed []*commitReq, base uint64, stats persist.ApplyStats, publishNS int64) {
+	for i, r := range landed {
+		v := base + uint64(i) + 1
+		if r.key != "" {
+			d.e.idem.fulfill(r.key, v)
+		}
+		r.traceBatch(stats, publishNS)
+		r.done <- commitRes{version: v}
+	}
+}
+
+// applyMemory is syncDiscipline.apply without a store: every
+// translation applies to the live database alone.
+func (e *Engine) applyMemory(trs []*update.Translation, _ []string) ([]error, persist.ApplyStats) {
 	var stats persist.ApplyStats
 	timed := obs.Enabled()
 	var start time.Time
@@ -256,6 +322,35 @@ func (e *Engine) applyBatch(trs []*update.Translation, keys []string) ([]error, 
 		stats.ApplyNS = int64(time.Since(start))
 	}
 	return errs, stats
+}
+
+// openStore opens (or creates) the single persist.Store at cfg.Dir and
+// attaches it.
+func (e *Engine) openStore() error {
+	opts := persist.Options{Sync: e.cfg.Sync}
+	if wrap := e.cfg.WrapWAL; wrap != nil {
+		opts.WrapWAL = func(f wal.File) wal.File { return wrap(0, f) }
+	}
+	st, err := persist.Open(e.cfg.Dir, opts)
+	switch {
+	case err == nil:
+		e.logf("recovered store", "dir", e.cfg.Dir, "report", st.Report().String())
+	case errors.Is(err, persist.ErrNoStore):
+		st, err = persist.Create(e.cfg.Dir, e.sess.DB(), opts)
+		if err != nil {
+			return err
+		}
+		e.logf("created store", "dir", e.cfg.Dir)
+	default:
+		return err
+	}
+	if err := e.sess.AttachStore(st); err != nil {
+		st.Close()
+		return err
+	}
+	e.dur = st
+	e.disc = &syncDiscipline{e: e, apply: st.ApplyBatchKeyed}
+	return nil
 }
 
 // classifyApplyError folds an apply-time failure into the serving

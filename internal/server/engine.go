@@ -2,8 +2,8 @@
 // engine: a stdlib-only concurrent HTTP server that exposes the sqlish
 // surface over the wire — view reads, single-shot view updates with
 // translator selection, and multi-statement transactions tied to a
-// session token — on top of the durable persist.Store from the
-// durability layer.
+// session token — on top of whichever durable store is attached: none,
+// one persist.Store, or a shard.Store of N journals.
 //
 // # Concurrency model
 //
@@ -11,15 +11,22 @@
 // the engine's published snapshot (an immutable storage.Database plus
 // its commit version), translates and stages against it in parallel
 // with every other request, and then submits the resulting translation
-// to a single-writer group-commit pipeline. The committer goroutine
-// gathers queued commits into batches, rechecks optimistic conflicts
-// against the live state at apply time, lands the batch through
-// persist.Store.ApplyBatch — one WAL write and one fsync for the whole
-// batch — and publishes a fresh snapshot. Admission control bounds the
-// commit queue: when it is full, submissions fail fast and the HTTP
-// layer answers 429 with a Retry-After hint.
+// to a single-writer group-commit pipeline. One goroutine gathers
+// queued commits into batches and runs every batch through the same
+// steps (commitBatch): recheck optimistic conflicts against the live
+// state, land the survivors, publish a fresh snapshot and patch the
+// view cache, then settle the waiters. Only land and settle depend on
+// the store — the journaling discipline, chosen once at boot from the
+// shard count: synchronous (one WAL append and one fsync for the whole
+// batch inside land, waiters answered in settle) or pipelined (memory
+// only in land; settle hands the journal work to per-shard lanes, and
+// an acker answers each waiter once its records are durable).
+// Admission control bounds the commit queue: when it is full,
+// submissions fail fast and the HTTP layer answers 429 with a
+// Retry-After hint.
 //
-// See docs/SERVING.md for the wire API and the group-commit protocol.
+// See docs/SERVING.md for the wire API and the group-commit protocol,
+// docs/SHARDING.md for the pipelined discipline.
 package server
 
 import (
@@ -36,7 +43,6 @@ import (
 	"viewupdate/internal/core"
 	"viewupdate/internal/faultinject"
 	"viewupdate/internal/obs"
-	"viewupdate/internal/persist"
 	"viewupdate/internal/replica"
 	"viewupdate/internal/shard"
 	"viewupdate/internal/sqlish"
@@ -93,23 +99,16 @@ type Config struct {
 	TxTTL time.Duration
 	// Logger receives structured serving logs; nil silences them.
 	Logger *slog.Logger
-	// WrapWAL is threaded to persist.Options.WrapWAL for fault
-	// injection in tests.
-	WrapWAL func(wal.File) wal.File
+	// WrapWAL wraps the WAL media of journal lane (shard i when sharded,
+	// 0 otherwise) before the log writes to it — the fault-injection
+	// hook of tests, benchmarks and the chaos harness.
+	WrapWAL func(lane int, f wal.File) wal.File
 	// Shards enables horizontal sharding (requires Dir): base relations
 	// are partitioned by root-key hash into Shards independent stores,
 	// each with its own WAL and fsync stream, coordinated by the
 	// two-phase cross-shard protocol of internal/shard. 0 or 1 keeps the
-	// single persist.Store pipeline. See docs/SHARDING.md.
+	// single persist.Store. See docs/SHARDING.md.
 	Shards int
-	// WrapShardWAL is the sharded twin of WrapWAL: it wraps shard i's
-	// WAL media for fault injection in tests.
-	WrapShardWAL func(shard int, f wal.File) wal.File
-	// DisableIVM turns off delta patching of the view cache on commit
-	// publish, restoring PR 4's invalidate-on-publish behavior (the
-	// first read after every commit rematerializes). Baseline knob for
-	// benchmarks; leave false in production.
-	DisableIVM bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// engine's handler. Off by default: profiling endpoints expose
 	// stacks and heap contents, so they are opt-in (vuserved -pprof).
@@ -181,16 +180,56 @@ type snapshot struct {
 	version uint64
 }
 
+// A durableStore is everything the engine asks of whichever store is
+// attached, outside the commit path itself: *persist.Store, the
+// sharded adapter shardedStore, or noStore for a memory-only engine.
+type durableStore interface {
+	// CommittedSeq is the replication watermark: the highest commit a
+	// newly attached follower could have been streamed.
+	CommittedSeq() uint64
+	// SnapshotSeq is the floor below which stream resumption is
+	// impossible: records at or below it are folded into a snapshot.
+	SnapshotSeq() uint64
+	// CommittedAfter reassembles the committed records with seq >
+	// cursor from the WAL(s) on disk, in commit order.
+	CommittedAfter(cursor uint64) ([]wal.Record, error)
+	// RecoveredKeys are the idempotency keys recovery found, in commit
+	// order.
+	RecoveredKeys() []string
+	// SetOnCommit points the store's durable-commit feed at fn: every
+	// commit's translation record, in commit order, once durable.
+	SetOnCommit(fn func(recs []wal.Record))
+	Err() error
+	Checkpoint() error
+	Close() error
+}
+
+// noStore is the durableStore of a memory-only engine.
+type noStore struct{}
+
+func (noStore) CommittedSeq() uint64                        { return 0 }
+func (noStore) SnapshotSeq() uint64                         { return 0 }
+func (noStore) CommittedAfter(uint64) ([]wal.Record, error) { return nil, nil }
+func (noStore) RecoveredKeys() []string                     { return nil }
+func (noStore) SetOnCommit(func([]wal.Record))              {}
+func (noStore) Err() error                                  { return nil }
+func (noStore) Checkpoint() error                           { return nil }
+func (noStore) Close() error                                { return nil }
+
 // An Engine owns the serving state: the session (schema, views,
 // policies), the durable store, the published snapshot, and the
 // group-commit pipeline.
 type Engine struct {
-	cfg   Config
-	sess  *sqlish.Session
-	store *persist.Store    // nil in memory-only and sharded modes
-	shst  *shard.Store      // non-nil in sharded mode (cfg.Shards > 1)
-	shr   *shardRuntime     // the sharded pipeline; set with shst
-	db    *storage.Database // live authoritative state
+	cfg  Config
+	sess *sqlish.Session
+	// dur is the attached durable store and disc the journaling
+	// discipline that lands commits on it (see commit.go); both are
+	// fixed at boot. shst is the shard store behind them when
+	// cfg.Shards > 1, kept only for ShardStore.
+	dur  durableStore
+	disc discipline
+	shst *shard.Store
+	db   *storage.Database // live authoritative state
 
 	sessMu sync.RWMutex // guards session view/policy lookups vs DDL
 
@@ -207,7 +246,6 @@ type Engine struct {
 	commitC  chan *commitReq
 	sendMu   sync.RWMutex // guards commitC sends against close
 	draining bool
-	killed   bool // true after Kill: skip checkpoint/close in Close
 	drained  chan struct{}
 
 	txs txTable
@@ -221,12 +259,10 @@ type Engine struct {
 
 	// Replication. repHub fans durable commits out to /wal/stream tails
 	// (non-nil exactly when the engine is durable — a replication
-	// source); repFeed reorders the sharded pipeline's out-of-order
-	// durability notifications for it; hbStop stops the heartbeat
-	// ticker. See walstream.go and docs/REPLICATION.md.
-	repHub  *replica.Hub
-	repFeed *walFeed
-	hbStop  chan struct{}
+	// source); hbStop stops the heartbeat ticker. See walstream.go and
+	// docs/REPLICATION.md.
+	repHub *replica.Hub
+	hbStop chan struct{}
 
 	// subs fans per-commit view deltas out to /subscribe streams; see
 	// subscribe.go. Zero value ready; closed after the pipeline drains.
@@ -253,11 +289,13 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		sess:    sqlish.NewSession(),
+		dur:     noStore{},
 		commitC: make(chan *commitReq, cfg.MaxInFlight),
 		drained: make(chan struct{}),
 		brk:     newBreaker(cfg.BreakerCooldown),
 		start:   time.Now(),
 	}
+	e.disc = &syncDiscipline{e: e, apply: e.applyMemory}
 	e.txs.ttl = cfg.TxTTL
 	e.idem.cap = cfg.IdemCapacity
 	if cfg.Shards > 1 && cfg.Dir == "" {
@@ -266,56 +304,17 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 	if cfg.Follow != "" && cfg.Shards > 1 {
 		return nil, fmt.Errorf("server: Follow is incompatible with Shards (follow each shard primary separately)")
 	}
-	if cfg.Follow != "" {
-		if err := e.openFollower(); err != nil {
-			return nil, err
-		}
-	} else if cfg.Shards > 1 {
-		sopts := shard.Options{Sync: cfg.Sync, WrapWAL: cfg.WrapShardWAL}
-		st, err := shard.Open(cfg.Dir, cfg.Shards, sopts)
-		switch {
-		case err == nil:
-			e.logf("recovered sharded store", "dir", cfg.Dir, "report", st.Report().String())
-			if aerr := e.sess.AdoptRecovered(st.DB()); aerr != nil {
-				st.Close()
-				return nil, aerr
-			}
-		case errors.Is(err, persist.ErrNoStore):
-			st, err = shard.Create(cfg.Dir, cfg.Shards, e.sess.DB(), sopts)
-			if err != nil {
-				return nil, err
-			}
-			e.logf("created sharded store", "dir", cfg.Dir, "shards", cfg.Shards)
-		default:
-			return nil, err
-		}
-		e.shst = st
-		// Script statements (init DDL, admin ExecScript, vupdate wire
-		// scripts outside the pipeline) journal synchronously through the
-		// store; DDL drains the pipelines and checkpoints so the manifest
-		// carries the new inclusion dependencies.
-		e.sess.SetApplier(e.applyShardDirect)
-		e.sess.SetSchemaChanged(e.shardSchemaChanged)
-	} else if cfg.Dir != "" {
-		opts := persist.Options{Sync: cfg.Sync, WrapWAL: cfg.WrapWAL}
-		st, err := persist.Open(cfg.Dir, opts)
-		switch {
-		case err == nil:
-			e.logf("recovered store", "dir", cfg.Dir, "report", st.Report().String())
-		case errors.Is(err, persist.ErrNoStore):
-			st, err = persist.Create(cfg.Dir, e.sess.DB(), opts)
-			if err != nil {
-				return nil, err
-			}
-			e.logf("created store", "dir", cfg.Dir)
-		default:
-			return nil, err
-		}
-		if err := e.sess.AttachStore(st); err != nil {
-			st.Close()
-			return nil, err
-		}
-		e.store = st
+	var err error
+	switch {
+	case cfg.Follow != "":
+		err = e.openFollower()
+	case cfg.Shards > 1:
+		err = e.openSharded()
+	case cfg.Dir != "":
+		err = e.openStore()
+	}
+	if err != nil {
+		return nil, err
 	}
 	e.db = e.sess.DB()
 	if initScript != "" {
@@ -324,9 +323,7 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 		// already holds the domains and tables.
 		_, skipped, err := e.sess.ExecScriptSkipExisting(initScript)
 		if err != nil {
-			if e.store != nil {
-				e.store.Close()
-			}
+			e.dur.Close()
 			return nil, fmt.Errorf("server: init script: %w", err)
 		}
 		if skipped > 0 {
@@ -334,83 +331,42 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 		}
 	}
 	e.publishSnapshot(0)
-	if e.shst != nil {
-		// Sharded twin of the WAL key replay below: each shard's log
-		// contributes its own keys, seeded under the (shard, key) scoped
-		// name with the raw key aliased to the same entry — so a retry
-		// after recovery is deduplicated no matter which form it resolves
-		// through (see idemTable.aliasFulfilled).
-		total := 0
-		for i, keys := range e.shst.KeysByShard() {
-			for _, k := range keys {
-				e.idem.seed(shardIdemKey(i, k), 0)
-				e.idem.aliasFulfilled(k, shardIdemKey(i, k))
-				total++
-			}
-		}
-		if total > 0 {
-			obs.Add("server.idem.replayed", int64(total))
-			e.logf("replayed idempotency keys", "keys", total)
-		}
-	}
-	if e.store != nil {
-		// Seed the dedup table with every request key recovery found in
-		// the WAL: a client retrying an ack the crash made ambiguous gets
-		// its original outcome back instead of a double apply. The window
-		// is exactly the WAL's — a checkpoint folds the log away and with
-		// it the keys — which covers the crash case, where no checkpoint
-		// ran (see docs/ROBUSTNESS.md).
-		keys := e.store.RecoveredKeys()
+	// Seed the dedup table with every request key recovery found in the
+	// WAL(s): a client retrying an ack the crash made ambiguous gets its
+	// original outcome back instead of a double apply. The window is
+	// exactly the WAL's — a checkpoint folds the log away and with it
+	// the keys — which covers the crash case, where no checkpoint ran
+	// (see docs/ROBUSTNESS.md).
+	if keys := e.dur.RecoveredKeys(); len(keys) > 0 {
 		for _, k := range keys {
 			e.idem.seed(k, 0)
 		}
-		if len(keys) > 0 {
-			obs.Add("server.idem.replayed", int64(len(keys)))
-			e.logf("replayed idempotency keys", "keys", len(keys))
-		}
+		obs.Add("server.idem.replayed", int64(len(keys)))
+		e.logf("replayed idempotency keys", "keys", len(keys))
 	}
-	if e.store != nil || e.shst != nil {
+	if cfg.Dir != "" {
 		// A durable engine is a replication source: durable commits feed
 		// the stream hub in commit order. The hub's watermark is seeded
 		// with the boot-time committed seq, so a follower resuming below
 		// it is served from the WAL on disk instead of silently skipped.
 		e.repHub = replica.NewHub(0)
 		e.hbStop = make(chan struct{})
-		if e.store != nil {
-			e.repHub.SeedWatermark(e.store.CommittedSeq())
-			e.store.SetOnCommit(func(recs []wal.Record) {
-				for _, rec := range recs {
-					e.repHub.Publish(rec)
-				}
-			})
-		} else {
-			boot := e.shst.Seq()
-			e.repFeed = newWalFeed(e.repHub, boot)
-			e.repHub.SeedWatermark(boot)
-			// The synchronous script path (DDL, admin writes) bypasses the
-			// acker; its commits are durable when Apply returns, so they
-			// register and resolve in one step. stateMu serializes them
-			// against the sequencer's registrations.
-			e.shst.SetOnCommit(func(seq uint64, key string, tr *update.Translation) {
-				e.repFeed.register(seq, key, tr)
-				e.repFeed.resolve(seq, true)
-			})
-		}
+		e.dur.SetOnCommit(func(recs []wal.Record) {
+			for _, rec := range recs {
+				e.repHub.Publish(rec)
+			}
+		})
+		e.repHub.SeedWatermark(e.dur.CommittedSeq())
 		go e.runHeartbeats()
 	}
 	e.preregisterMetrics()
-	switch {
-	case e.shst != nil:
-		e.shr = newShardRuntime(e, e.shst)
-		e.preregisterShardMetrics()
-		e.shr.start()
-		go e.runShardSequencer()
-	case e.fol != nil:
+	if e.fol != nil {
 		ctx, cancel := context.WithCancel(context.Background())
 		e.folCancel = cancel
 		go e.runReplicator(ctx)
-	default:
-		go e.runCommitter()
+	} else {
+		e.disc.start()
+		go e.runPipeline()
 	}
 	return e, nil
 }
@@ -504,9 +460,9 @@ func (e *Engine) publishSnapshot(v uint64) {
 // for one snapshot version at a time, keyed by view name. The commit
 // pipeline carries warm entries forward across publishes by patching
 // them with each landed batch's view delta (see patchViewCache);
-// versions the patcher skips — cold cache, DDL via ExecScript,
-// Config.DisableIVM — invalidate implicitly, and the first read at the
-// newer version resets the map and rematerializes.
+// versions the patcher skips — cold cache, DDL via ExecScript —
+// invalidate implicitly, and the first read at the newer version resets
+// the map and rematerializes.
 type viewCache struct {
 	mu      sync.Mutex
 	version uint64
@@ -793,10 +749,6 @@ func (e *Engine) QueueDepth() int { return len(e.commitC) }
 // Degraded reports whether the engine is in read-only brownout.
 func (e *Engine) Degraded() bool { return e.brk.degraded() }
 
-// Store exposes the durable store (nil in memory-only and sharded
-// modes).
-func (e *Engine) Store() *persist.Store { return e.store }
-
 // ShardStore exposes the sharded store (nil unless Config.Shards > 1).
 func (e *Engine) ShardStore() *shard.Store { return e.shst }
 
@@ -866,13 +818,7 @@ func (e *Engine) Ready() bool {
 		e.folMu.Unlock()
 		return fatal == nil && e.fol.Streaming() && e.db.Err() == nil
 	}
-	if e.store != nil && e.store.Err() != nil {
-		return false
-	}
-	if e.shst != nil && e.shst.BrokenAny() != nil {
-		return false
-	}
-	return e.db.Err() == nil
+	return e.dur.Err() == nil && e.db.Err() == nil
 }
 
 // Health reports the engine's current health. Status degrades to
@@ -887,7 +833,7 @@ func (e *Engine) Health() Healthz {
 		Queue:        e.QueueDepth(),
 		MaxQueue:     e.cfg.MaxInFlight,
 		OpenTxs:      e.txs.open(),
-		Durable:      e.store != nil || e.shst != nil,
+		Durable:      e.cfg.Dir != "",
 		Degraded:     e.brk.degraded(),
 		Breaker:      e.brk.stateName(),
 		IdemKeys:     e.idem.size(),
@@ -913,7 +859,7 @@ func (e *Engine) Health() Healthz {
 			AppliedSeq: applied,
 			SourceSeq:  source,
 			LagSeq:     lag,
-			Durable:    e.store != nil,
+			Durable:    e.cfg.Dir != "",
 			Streaming:  e.fol.Streaming(),
 		}
 		e.folMu.Lock()
@@ -931,21 +877,10 @@ func (e *Engine) Health() Healthz {
 		h.Status = "draining"
 	}
 	e.sendMu.RUnlock()
-	if e.store != nil {
-		if err := e.store.Err(); err != nil {
-			h.Status = "broken"
-			h.Error = err.Error()
-		}
-	}
-	if e.shst != nil {
-		h.Shards = e.shst.N()
-		if e.shr != nil {
-			h.ShardVersions = e.shr.DurableVersions()
-		}
-		if err := e.shst.BrokenAny(); err != nil {
-			h.Status = "broken"
-			h.Error = err.Error()
-		}
+	e.disc.health(&h)
+	if err := e.dur.Err(); err != nil {
+		h.Status = "broken"
+		h.Error = err.Error()
 	}
 	if err := e.db.Err(); err != nil {
 		h.Status = "broken"
@@ -954,17 +889,14 @@ func (e *Engine) Health() Healthz {
 	return h
 }
 
-// Kill stops the engine the way a crash would, minus the goroutine
-// leak: commits stop being accepted, already-queued batches run to
-// completion, and the store is closed WITHOUT a checkpoint — the WAL
-// keeps its tail, exactly as if the process had died. The chaos
-// harness uses this to "restart" an engine whose media a failpoint has
-// already crashed; a later Close is a no-op.
-func (e *Engine) Kill() {
+// drain stops the engine's moving parts: commits stop being accepted,
+// already-queued batches run to completion, the follower stream and the
+// replication source shut down. It reports whether this call was the
+// one that drained (false on every later call).
+func (e *Engine) drain() bool {
 	e.sendMu.Lock()
 	already := e.draining
 	e.draining = true
-	e.killed = true
 	if !already {
 		close(e.commitC)
 	}
@@ -977,56 +909,35 @@ func (e *Engine) Kill() {
 		e.stopReplication()
 		e.subs.close()
 	}
-	if !already && e.store != nil {
+	return !already
+}
+
+// Kill stops the engine the way a crash would, minus the goroutine
+// leak: the engine drains, and the store is closed WITHOUT a checkpoint
+// — the WAL keeps its tail, exactly as if the process had died. The
+// chaos harness uses this to "restart" an engine whose media a
+// failpoint has already crashed; a later Close is a no-op.
+func (e *Engine) Kill() {
+	if e.drain() {
 		// Crashed media makes close errors expected; the next Open
 		// recovers from whatever bytes survived.
-		_ = e.store.Close()
-	}
-	if !already && e.shst != nil {
-		_ = e.shst.Close()
+		_ = e.dur.Close()
 	}
 }
 
-// Close drains the engine: stop accepting commits, flush every queued
-// batch through the pipeline, checkpoint the store (folding the WAL
-// into a fresh snapshot), and close it. Safe to call more than once.
+// Close drains the engine, checkpoints the store (folding the WAL into
+// a fresh snapshot — the pipelines are drained, so every journal is
+// idle), and closes it. Safe to call more than once.
 func (e *Engine) Close() error {
-	e.sendMu.Lock()
-	already := e.draining
-	e.draining = true
-	if !already {
-		close(e.commitC)
-	}
-	e.sendMu.Unlock()
-	if !already && e.folCancel != nil {
-		e.folCancel()
-	}
-	<-e.drained
-	if !already {
-		e.stopReplication()
-		e.subs.close()
-	}
-	if already || (e.store == nil && e.shst == nil) {
+	if !e.drain() {
 		return nil
 	}
 	var errs []error
-	if e.store != nil {
-		if err := e.store.Checkpoint(); err != nil {
-			errs = append(errs, fmt.Errorf("server: drain checkpoint: %w", err))
-		}
-		if err := e.store.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("server: closing store: %w", err))
-		}
+	if err := e.dur.Checkpoint(); err != nil {
+		errs = append(errs, fmt.Errorf("server: drain checkpoint: %w", err))
 	}
-	if e.shst != nil {
-		// The pipelines are drained (e.drained), so the shard WALs are
-		// idle: fold them into fresh snapshots, then close.
-		if err := e.shst.Checkpoint(); err != nil {
-			errs = append(errs, fmt.Errorf("server: drain checkpoint: %w", err))
-		}
-		if err := e.shst.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("server: closing store: %w", err))
-		}
+	if err := e.dur.Close(); err != nil {
+		errs = append(errs, fmt.Errorf("server: closing store: %w", err))
 	}
 	e.logf("drained", "version", e.snap.Load().version)
 	return errors.Join(errs...)

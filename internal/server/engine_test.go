@@ -302,7 +302,7 @@ func TestCrashMidBatchRecovery(t *testing.T) {
 	dir := t.TempDir()
 	var crash *faultinject.CrashWriter
 	e := newTestEngine(t, dir, func(c *Config) {
-		c.WrapWAL = func(f wal.File) wal.File {
+		c.WrapWAL = func(_ int, f wal.File) wal.File {
 			crash = &faultinject.CrashWriter{W: f, Limit: 700}
 			return crash
 		}

@@ -47,10 +47,12 @@ func (e *Engine) openFollower() error {
 	e.sess.SetApplier(func(*update.Translation) error { return ErrReadOnly })
 	// A durable follower exposes its store as THE engine store: the
 	// idempotency replay, the replication-source hub (cascading), the
-	// drain checkpoint and Health all key off e.store and work
-	// unchanged. Memory-only followers leave it nil (and serve 404 on
+	// drain checkpoint and Health all go through e.dur and work
+	// unchanged. Memory-only followers keep noStore (and serve 404 on
 	// /wal/stream — nothing durable to resume from).
-	e.store = f.Store()
+	if st := f.Store(); st != nil {
+		e.dur = st
+	}
 	return nil
 }
 

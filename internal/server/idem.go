@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-
 	"sync"
 
 	"viewupdate/internal/obs"
@@ -83,29 +82,6 @@ func (t *idemTable) fulfill(key string, version uint64) {
 	t.evictLocked()
 	close(e.done)
 	t.mu.Unlock()
-}
-
-// aliasFulfilled registers alias as another name for key's fulfilled
-// entry; both names resolve to the same *idemEntry and the same
-// outcome. The sharded engine records every landed key under its raw
-// name (the pre-translation reserve path, where the home shard is not
-// yet known) AND its (shard, key) scoped name (what per-shard WAL
-// recovery can rebuild) — fixing the engine-global dedup blind spot
-// where a recovered scoped key would not match a raw-key retry. No-op
-// when key is unknown or not yet fulfilled, or alias is already taken.
-func (t *idemTable) aliasFulfilled(alias, key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.m[key]
-	if !ok || !e.ok {
-		return
-	}
-	if _, taken := t.m[alias]; taken {
-		return
-	}
-	t.m[alias] = e
-	t.fifo = append(t.fifo, alias)
-	t.evictLocked()
 }
 
 // release frees a reservation whose attempt failed cleanly (nothing

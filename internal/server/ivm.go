@@ -26,9 +26,8 @@ import (
 // translations that landed between them (in apply order), it patches
 // each warm cached set with the corresponding view delta, advances the
 // cache to the new version, and broadcasts each subscribed view's row
-// changes. If the cache is cold or stale — or IVM is disabled — the
-// cache invalidates implicitly as before (subscriptions still get
-// their deltas).
+// changes. If the cache is cold or stale it invalidates implicitly
+// (subscriptions still get their deltas).
 //
 // Called with stateMu held. Reading e.sess without sessMu is safe here:
 // DDL mutation (ExecScript) requires sessMu AND stateMu, and we hold
@@ -38,10 +37,6 @@ func (e *Engine) patchViewCache(old, new *snapshot, landed []*update.Translation
 		return
 	}
 	subbed := e.subs.active()
-	ivmOn := !e.cfg.DisableIVM
-	if !ivmOn && len(subbed) == 0 {
-		return
-	}
 	removed, added := netDelta(landed)
 
 	// Subscribed views compute their deltas first — a live subscription
@@ -70,9 +65,6 @@ func (e *Engine) patchViewCache(old, new *snapshot, landed []*update.Translation
 		}
 		deltas[name] = delta{rem: rem, add: add, ok: true}
 		e.subs.publish(name, v, new.version, rem, add)
-	}
-	if !ivmOn {
-		return
 	}
 
 	c := &e.views

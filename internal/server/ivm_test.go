@@ -192,32 +192,3 @@ func TestViewCacheDDLForcesRebuild(t *testing.T) {
 		t.Error("ExecScript should invalidate the cache and force rebuilds")
 	}
 }
-
-// TestViewCacheDisableIVM pins the baseline knob: with DisableIVM the
-// engine behaves like PR 4 — every commit invalidates, nothing is
-// patched, reads stay correct.
-func TestViewCacheDisableIVM(t *testing.T) {
-	sink := metricsSink(t)
-	e := newIVMEngine(t, func(c *Config) { c.DisableIVM = true })
-	rng := rand.New(rand.NewSource(9))
-
-	checkViewsFresh(t, e, "warmup")
-	committed := 0
-	for i := 0; i < 20 && committed < 5; i++ {
-		tr := randomBaseTranslation(e, rng)
-		if tr == nil {
-			continue
-		}
-		if _, err := e.Commit(context.Background(), tr, false, 0); err != nil {
-			continue
-		}
-		committed++
-		checkViewsFresh(t, e, "after commit (IVM disabled)")
-	}
-	if committed == 0 {
-		t.Fatal("no commit landed")
-	}
-	if n := sink.Metrics().Snapshot().Counters["server.ivm.patch"]; n != 0 {
-		t.Errorf("server.ivm.patch = %d with DisableIVM, want 0", n)
-	}
-}

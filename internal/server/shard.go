@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -13,20 +14,24 @@ import (
 	"viewupdate/internal/wal"
 )
 
-// The sharded commit pipeline. One sequencer goroutine owns every
-// memory mutation (validation, global + per-shard apply, sequence
-// allocation, snapshot publish) exactly like the unsharded committer —
-// but journaling fans out: each shard runs its own committer goroutine
-// draining a per-shard job queue into batched WAL appends, so N shards
-// sustain N concurrent fsync streams. A commit is acknowledged by the
-// acker goroutine only once every participant's records are durable,
-// the cross-shard decision (if any) is durable, and every fence shard's
-// durable watermark has caught up to the applied watermark observed at
-// validation — the acked-implies-durable contract of docs/SHARDING.md.
+// The pipelined journaling discipline of a sharded engine. The pipeline
+// goroutine owns every memory mutation (validation, apply, sequence
+// allocation, snapshot publish) exactly as in the unsharded engine —
+// commitBatch is shared — but journaling fans out: each shard runs its
+// own committer goroutine draining a per-shard job queue into batched
+// WAL appends, so N shards sustain N concurrent fsync streams. land
+// only applies to memory; settle, after the publish, allocates each
+// commit's global sequence number and enqueues its journal jobs. A
+// commit is acknowledged by the acker goroutine only once every
+// participant's records are durable, the cross-shard decision (if any)
+// is durable, and every fence shard's durable watermark has caught up
+// to the applied watermark observed at settle — the acked-implies-
+// durable contract of docs/SHARDING.md.
 //
-// Read semantics: the snapshot is published at apply time, before the
-// fsyncs land. Readers may observe state that is not yet durable; no
-// client is ever ACKED such state. See docs/SHARDING.md.
+// Read semantics: the snapshot is published before the journal jobs
+// exist, so an acknowledged commit is always readable. Readers may
+// observe state that is not yet durable; no client is ever ACKED such
+// state. See docs/SHARDING.md.
 
 // Job kinds on a shard's journal queue.
 const (
@@ -125,11 +130,15 @@ func (q *shardQueue) depth() int {
 	return len(q.jobs)
 }
 
-// shardRuntime is the engine's sharded pipeline state.
+// shardRuntime is the pipelined discipline's state.
 type shardRuntime struct {
 	e  *Engine
 	st *shard.Store
 	n  int
+
+	// feed restores global sequence order on the replication stream
+	// (see walstream.go).
+	feed *walFeed
 
 	queues []*shardQueue
 
@@ -140,7 +149,7 @@ type shardRuntime struct {
 	failed      []error  // journaling failure per shard (mirrors store broken state)
 	outstanding int      // enqueued jobs not yet durable (or failed)
 	acks        []*pendingAck
-	seqClosed   bool // sequencer has drained; no more commits will register
+	seqClosed   bool // the pipeline has drained; no more commits will register
 
 	ackerDone chan struct{}
 	wg        sync.WaitGroup
@@ -156,7 +165,7 @@ type shardRuntime struct {
 func newShardRuntime(e *Engine, st *shard.Store) *shardRuntime {
 	n := st.N()
 	sr := &shardRuntime{
-		e: e, st: st, n: n,
+		e: e, st: st, n: n, feed: &walFeed{},
 		queues:    make([]*shardQueue, n),
 		applied:   make([]uint64, n),
 		durable:   make([]uint64, n),
@@ -168,10 +177,7 @@ func newShardRuntime(e *Engine, st *shard.Store) *shardRuntime {
 		gInflight: "server.shard.inflight",
 	}
 	sr.cond = sync.NewCond(&sr.mu)
-	// Everything recovery replayed is durable by construction.
 	for i := 0; i < n; i++ {
-		sr.applied[i] = st.Seq()
-		sr.durable[i] = st.Seq()
 		sr.queues[i] = newShardQueue()
 		sr.gQueue[i] = fmt.Sprintf("server.shard.%d.queue_depth", i)
 		sr.gDurable[i] = fmt.Sprintf("server.shard.%d.version", i)
@@ -180,8 +186,14 @@ func newShardRuntime(e *Engine, st *shard.Store) *shardRuntime {
 	return sr
 }
 
-// start launches the per-shard committers and the acker.
+// start launches the per-shard committers and the acker. Everything
+// recovery and the init script landed is durable by construction.
 func (sr *shardRuntime) start() {
+	sr.preregisterMetrics()
+	for i := 0; i < sr.n; i++ {
+		sr.applied[i] = sr.st.Seq()
+		sr.durable[i] = sr.st.Seq()
+	}
 	for i := 0; i < sr.n; i++ {
 		sr.wg.Add(1)
 		go sr.runShardCommitter(i)
@@ -189,139 +201,69 @@ func (sr *shardRuntime) start() {
 	go sr.runAcker()
 }
 
-// runShardSequencer is the sharded twin of runCommitter: same batching
-// over the admission queue, but commits are journaled asynchronously
-// per shard instead of through one store append.
-func (e *Engine) runShardSequencer() {
-	sr := e.shr
-	defer func() {
-		// All commits are applied and their jobs enqueued; wait for the
-		// acker to see the fleet settle, then stop the committers.
-		sr.mu.Lock()
-		sr.seqClosed = true
-		sr.mu.Unlock()
-		sr.cond.Broadcast()
-		<-sr.ackerDone
-		for _, q := range sr.queues {
-			q.close()
-		}
-		sr.wg.Wait()
-		close(e.drained)
-	}()
-	b := newBatcher(e.commitC, e.cfg.MaxBatch, e.cfg.batchDelay(), realClock{})
-	for {
-		batch, more := b.next()
-		if len(batch) > 0 {
-			sr.commitBatch(batch)
-		}
-		if !more {
-			return
-		}
+// stop runs once the pipeline goroutine has settled its last batch: all
+// commits are applied and their jobs enqueued; wait for the acker to
+// see the fleet settle, then stop the committers.
+func (sr *shardRuntime) stop() {
+	sr.mu.Lock()
+	sr.seqClosed = true
+	sr.mu.Unlock()
+	sr.cond.Broadcast()
+	<-sr.ackerDone
+	for _, q := range sr.queues {
+		q.close()
 	}
+	sr.wg.Wait()
 }
 
-// commitBatch applies one batch to memory, publishes the snapshot, and
-// fans the journal work out to the shard committers. Waiters are NOT
-// answered here — the acker answers them when durability is reached.
-func (sr *shardRuntime) commitBatch(batch []*commitReq) {
+// land routes and applies each commit to memory; nothing is journaled
+// yet.
+func (sr *shardRuntime) land(admitted []*commitReq) ([]*commitReq, persist.ApplyStats) {
 	e := sr.e
-	sp := obs.StartSpan("server.commit.batch")
-	defer sp.End()
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	obs.Inc("server.commit.batches")
-	obs.Observe("server.commit.batch_size", int64(len(batch)))
-	obs.SetGauge("server.commit.queue_depth", int64(len(e.commitC)))
-
+	var stats persist.ApplyStats
 	timed := obs.Enabled()
+	var start time.Time
 	if timed {
-		now := time.Now()
-		for _, r := range batch {
-			if r.trace != nil {
-				wait := now.Sub(r.enqueued)
-				r.trace.Stage("queue", wait)
-				obs.Observe(stageQueueNS, int64(wait))
-			}
-		}
+		start = time.Now()
 	}
-
-	if ferr := faultinject.Hit(faultinject.SiteServerCommit); ferr != nil {
-		err := fmt.Errorf("server: commit pipeline: %w", ferr)
-		e.brk.onFailure(err)
-		for _, r := range batch {
-			e.releaseKey(r)
-			r.done <- commitRes{err: err}
-		}
-		return
-	}
-
-	oldSnap := e.snap.Load()
-	version := oldSnap.version
-
-	// Strict admission, identical to the unsharded pipeline.
-	var admitted []*commitReq
-	var rest []*commitReq
-	predicted := version
-	for _, r := range batch {
-		if !r.strict {
-			rest = append(rest, r)
-			continue
-		}
-		if r.baseVersion != predicted {
-			obs.Inc("server.commit.conflict")
-			e.releaseKey(r)
-			r.done <- commitRes{err: fmt.Errorf("%w: database moved from version %d to %d since BEGIN",
-				ErrConflict, r.baseVersion, predicted)}
-			continue
-		}
-		admitted = append(admitted, r)
-		predicted++
-	}
-	admitted = append(admitted, rest...)
-	if len(admitted) == 0 {
-		return
-	}
-
-	var commitStart time.Time
-	if timed {
-		commitStart = time.Now()
-	}
-	landed := 0
-	var landedTrs []*update.Translation
+	landed := admitted[:0]
 	for _, r := range admitted {
 		route, err := shard.Classify(sr.st.Map(), e.db.Schema(), r.tr)
 		if err == nil {
 			err = e.db.Apply(r.tr)
 		}
 		if err != nil {
-			e.releaseKey(r)
-			e.brk.onFailure(err)
-			r.done <- commitRes{err: classifyApplyError(err)}
+			e.failCommit(r, err)
 			continue
 		}
-		for _, p := range route.Participants {
-			if aerr := sr.st.ShardDB(p).Apply(route.Parts[p]); aerr != nil {
-				// Cannot happen once the global apply passed (the shard
-				// schema checks strictly less); record the divergence.
-				sr.st.MarkBroken(p, fmt.Errorf("shard %d: partition diverged: %w", p, aerr))
-			}
-		}
+		r.route = route
+		landed = append(landed, r)
+	}
+	if timed {
+		stats.ApplyNS = int64(time.Since(start))
+	}
+	return landed, stats
+}
+
+// settle gives each published commit its global sequence number and
+// fans its journal work out to the shard committers. Waiters are NOT
+// answered here — the acker answers them when durability is reached.
+func (sr *shardRuntime) settle(landed []*commitReq, base uint64, stats persist.ApplyStats, publishNS int64) {
+	timed := obs.Enabled()
+	for i, r := range landed {
+		route := r.route
 		seq := sr.st.NextSeq()
-		version++
-		landed++
-		landedTrs = append(landedTrs, r.tr)
-		if e.repFeed != nil {
-			// Register with the replication feed in allocation order
-			// (stateMu is held); the acker resolves publish-or-skip once
-			// the commit's durability verdict is in.
-			e.repFeed.register(seq, r.key, r.tr)
-		}
+		// Register with the replication feed in allocation order (stateMu
+		// is held); the acker resolves publish-or-skip once the commit's
+		// durability verdict is in.
+		sr.feed.register(seq, r.key, r.tr)
+		r.traceBatch(stats, publishNS)
 		// Everything the job loop below needs from the pooled request
 		// must be copied out before the ack is published: once it is in
 		// sr.acks the acker may answer it (e.g. a shard already failed)
 		// and the waiter recycles r immediately.
 		key := r.key
-		ack := &pendingAck{r: r, seq: seq, version: version,
+		ack := &pendingAck{r: r, seq: seq, version: base + uint64(i) + 1,
 			parts: route.Participants, fence: route.Fence}
 		if timed {
 			ack.start = time.Now()
@@ -358,26 +300,11 @@ func (sr *shardRuntime) commitBatch(batch []*commitReq) {
 			} else {
 				j.kind = jobCommit
 			}
-			if p == route.Participants[0] {
+			if p == route.Home() {
 				j.key = key // idempotency key rides the home shard's record
 			}
 			sr.queues[p].put(j)
 		}
-	}
-	if landed == 0 {
-		return
-	}
-	// Publish-before-durable: readers may see this state now; no waiter
-	// is answered until the fsyncs land. The publish failpoint stays for
-	// chaos kill triggers.
-	if ferr := faultinject.Hit(faultinject.SiteServerPublish); ferr != nil {
-		e.logf("ignoring injected publish fault (batch already applied)", "err", ferr.Error())
-	}
-	e.publishSnapshot(version)
-	e.patchViewCache(oldSnap, e.snap.Load(), landedTrs)
-	obs.Add("server.commit.committed", int64(landed))
-	if timed {
-		obs.Observe(stageCommitNS, int64(time.Since(commitStart)))
 	}
 	sr.cond.Broadcast()
 }
@@ -513,28 +440,22 @@ func (sr *shardRuntime) runAcker() {
 		for _, a := range sr.acks {
 			switch sr.ackStateLocked(a) {
 			case ackReady:
-				home := a.parts[0]
 				if a.r.key != "" {
 					e.idem.fulfill(a.r.key, a.version)
-					e.idem.aliasFulfilled(shardIdemKey(home, a.r.key), a.r.key)
 				}
 				if a.r.trace != nil {
 					a.r.trace.Stage("fsync", time.Since(a.start))
 				}
-				obs.Inc(sr.cCommit[home])
-				if e.repFeed != nil {
-					// Durable everywhere it matters: release the commit to
-					// the replication stream (the feed restores seq order).
-					e.repFeed.resolve(a.seq, true)
-				}
+				obs.Inc(sr.cCommit[a.parts[0]])
+				// Durable everywhere it matters: release the commit to the
+				// replication stream (the feed restores seq order).
+				sr.feed.resolve(a.seq, true)
 				a.r.done <- commitRes{version: a.version}
 			case ackFailed:
 				err := sr.ackErrLocked(a)
 				e.releaseKey(a.r)
-				if e.repFeed != nil {
-					// The seq is burned; unblock the feed without publishing.
-					e.repFeed.resolve(a.seq, false)
-				}
+				// The seq is burned; unblock the feed without publishing.
+				sr.feed.resolve(a.seq, false)
 				a.r.done <- commitRes{err: classifyApplyError(err)}
 			default:
 				kept = append(kept, a)
@@ -603,8 +524,9 @@ func (sr *shardRuntime) ackErrLocked(a *pendingAck) error {
 }
 
 // quiesce blocks until every enqueued journal job has settled and every
-// waiter is answered. Callers hold stateMu (blocking the sequencer), so
-// no new work can enter while waiting. Used by the DDL checkpoint hook.
+// waiter is answered. Callers hold stateMu (blocking the pipeline), so
+// no new work can enter while waiting. Used by the DDL checkpoint hook
+// and the bootstrap snapshot.
 func (sr *shardRuntime) quiesce() {
 	sr.mu.Lock()
 	for sr.outstanding > 0 || len(sr.acks) > 0 {
@@ -613,52 +535,79 @@ func (sr *shardRuntime) quiesce() {
 	sr.mu.Unlock()
 }
 
-// DurableVersions returns a snapshot of the per-shard durable
-// watermarks — the shard version vector exposed by /healthz.
-func (sr *shardRuntime) DurableVersions() []uint64 {
+// health reports the shard count and the per-shard durable watermarks —
+// the shard version vector exposed by /healthz.
+func (sr *shardRuntime) health(h *Healthz) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	out := make([]uint64, sr.n)
-	copy(out, sr.durable)
-	return out
+	h.Shards = sr.n
+	h.ShardVersions = append([]uint64(nil), sr.durable...)
 }
 
-// shardIdemKey is the shard-scoped form of an idempotency key: the
-// dedup table records each landed key under both its raw name (the
-// pre-translation fast path — handlers reserve before the home shard is
-// known) and this scoped alias (what per-shard WAL recovery can
-// rebuild). Both names share one entry.
-func shardIdemKey(shard int, key string) string {
-	return fmt.Sprintf("s%d\x00%s", shard, key)
+// shardedStore is the durableStore of a sharded engine: the shard store
+// plus the replication feed, which knows how far the fleet is durable
+// in global sequence order.
+type shardedStore struct {
+	*shard.Store
+	feed *walFeed
 }
 
-// shardSchemaChanged is the session's DDL hook in sharded mode: drain
-// the pipelines, absorb the new relation into every shard, and fold the
-// WALs into fresh snapshots + manifest (which now carries the new
-// inclusion dependencies). Runs with stateMu held by ExecScript — or
-// before the runtime exists, during the boot init script.
-func (e *Engine) shardSchemaChanged() error {
-	if e.shr != nil {
-		e.shr.quiesce()
-	}
-	if err := e.shst.SyncSchema(); err != nil {
+func (s shardedStore) CommittedSeq() uint64 { return s.feed.publishedSeq() }
+func (s shardedStore) Err() error           { return s.BrokenAny() }
+
+func (s shardedStore) SetOnCommit(fn func(recs []wal.Record)) {
+	s.feed.open(s.Seq(), fn)
+	// The synchronous script path (DDL, admin writes) bypasses the
+	// acker; its commits are durable when Apply returns, so they register
+	// and resolve in one step. stateMu serializes them against settle's
+	// registrations.
+	s.SetOnApply(func(seq uint64, key string, tr *update.Translation) {
+		s.feed.register(seq, key, tr)
+		s.feed.resolve(seq, true)
+	})
+}
+
+// openSharded opens (or creates) the shard store at cfg.Dir and attaches
+// it under the pipelined discipline.
+func (e *Engine) openSharded() error {
+	opts := shard.Options{Sync: e.cfg.Sync, WrapWAL: e.cfg.WrapWAL}
+	st, err := shard.Open(e.cfg.Dir, e.cfg.Shards, opts)
+	switch {
+	case err == nil:
+		e.logf("recovered sharded store", "dir", e.cfg.Dir, "report", st.Report().String())
+		if aerr := e.sess.AdoptRecovered(st.DB()); aerr != nil {
+			st.Close()
+			return aerr
+		}
+	case errors.Is(err, persist.ErrNoStore):
+		st, err = shard.Create(e.cfg.Dir, e.cfg.Shards, e.sess.DB(), opts)
+		if err != nil {
+			return err
+		}
+		e.logf("created sharded store", "dir", e.cfg.Dir, "shards", e.cfg.Shards)
+	default:
 		return err
 	}
-	return e.shst.Checkpoint()
+	sr := newShardRuntime(e, st)
+	e.shst, e.disc, e.dur = st, sr, shardedStore{Store: st, feed: sr.feed}
+	// Script statements (init DDL, admin ExecScript, vupdate wire scripts
+	// outside the pipeline) journal synchronously through the store,
+	// serialized by stateMu at the session boundary; DDL drains the lanes
+	// and checkpoints so the manifest carries the new inclusion
+	// dependencies.
+	e.sess.SetApplier(st.Apply)
+	e.sess.SetSchemaChanged(func() error {
+		sr.quiesce()
+		return st.Checkpoint()
+	})
+	return nil
 }
 
-// applyShardDirect is the session's durable applier in sharded mode:
-// the synchronous path for script statements (vupdate scripts, admin
-// ExecScript), serialized by stateMu at the session boundary.
-func (e *Engine) applyShardDirect(tr *update.Translation) error {
-	return e.shst.Apply(tr)
-}
-
-// preregisterShardMetrics extends the metric schema with the per-shard
-// and cross-shard families, so scrapes see them from the first poll.
-func (e *Engine) preregisterShardMetrics() {
+// preregisterMetrics extends the metric schema with the per-shard and
+// cross-shard families, so scrapes see them from the first poll.
+func (sr *shardRuntime) preregisterMetrics() {
 	s := obs.Active()
-	if s == nil || e.shr == nil {
+	if s == nil {
 		return
 	}
 	reg := s.Metrics()
@@ -670,10 +619,10 @@ func (e *Engine) preregisterShardMetrics() {
 	} {
 		reg.Counter(c)
 	}
-	reg.Gauge(e.shr.gInflight)
-	for i := 0; i < e.shr.n; i++ {
-		reg.Gauge(e.shr.gQueue[i])
-		reg.Gauge(e.shr.gDurable[i])
-		reg.Counter(e.shr.cCommit[i])
+	reg.Gauge(sr.gInflight)
+	for i := 0; i < sr.n; i++ {
+		reg.Gauge(sr.gQueue[i])
+		reg.Gauge(sr.gDurable[i])
+		reg.Counter(sr.cCommit[i])
 	}
 }

@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"viewupdate/internal/faultinject"
 	"viewupdate/internal/persist"
 	"viewupdate/internal/shard"
+	"viewupdate/internal/tuple"
 	"viewupdate/internal/update"
+	"viewupdate/internal/value"
 	"viewupdate/internal/wal"
 )
 
@@ -179,8 +182,7 @@ func TestShardedShardCountMismatch(t *testing.T) {
 
 // TestShardedIdemReplayAfterKill: a keyed commit survives a crash (Kill
 // skips the checkpoint), and the restarted engine seeds the dedup table
-// from the per-shard WALs under BOTH the raw key and its (shard, key)
-// scoped alias, resolving to one shared outcome.
+// from the per-shard WALs — one entry per key.
 func TestShardedIdemReplayAfterKill(t *testing.T) {
 	dir := t.TempDir()
 	e := newShardEngine(t, dir, 3, nil)
@@ -194,20 +196,8 @@ func TestShardedIdemReplayAfterKill(t *testing.T) {
 	if !dup || !ent.ok || !ent.replayed {
 		t.Fatalf("raw key after recovery: dup=%v entry=%+v, want replayed fulfilled", dup, ent)
 	}
-	// The scoped alias points at the same entry.
-	found := false
-	for i := 0; i < 3; i++ {
-		if scoped, sdup := e2.idem.reserve(shardIdemKey(i, "req-42")); sdup {
-			if scoped != ent {
-				t.Fatalf("scoped key on shard %d resolves to a different entry", i)
-			}
-			found = true
-		} else {
-			e2.idem.release(shardIdemKey(i, "req-42"))
-		}
-	}
-	if !found {
-		t.Fatal("no shard-scoped alias was seeded for the recovered key")
+	if n := e2.idem.size(); n != 1 {
+		t.Fatalf("dedup table holds %d entries for one recovered key, want 1", n)
 	}
 	// The commit itself is durable: the row survived the crash.
 	set, _, err := e2.ReadView("EV")
@@ -228,7 +218,7 @@ func TestShardedBrokenShardDegrades(t *testing.T) {
 	armed := map[int]*faultinject.ArmedCrashWriter{}
 	e := newShardEngine(t, dir, 2, func(c *Config) {
 		c.BreakerCooldown = time.Minute
-		c.WrapShardWAL = func(i int, f wal.File) wal.File {
+		c.WrapWAL = func(i int, f wal.File) wal.File {
 			w := &faultinject.ArmedCrashWriter{W: f}
 			mu.Lock()
 			armed[i] = w
@@ -315,5 +305,77 @@ INSERT INTO ANNEX VALUES (9, 70);
 	}
 	if len(st.DB().Schema().Inclusions()) != 2 {
 		t.Fatalf("recovered %d inclusions, want 2", len(st.DB().Schema().Inclusions()))
+	}
+}
+
+// TestShardedReadYourWrite: an acknowledged commit is readable. Over
+// fast media (no fsync) a shard lane makes a commit durable — and the
+// acker answers it — within microseconds of its journal jobs existing,
+// so the jobs must not exist before the snapshot is published.
+func TestShardedReadYourWrite(t *testing.T) {
+	e := newShardEngine(t, t.TempDir(), 4, func(c *Config) { c.Sync = wal.SyncNever })
+	const writers, perWriter = 4, 150
+	var stale atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				dno := w*perWriter + i + 1
+				if err := insertDept(e, dno); err != nil {
+					t.Errorf("insert %d: %v", dno, err)
+					return
+				}
+				snap, _ := e.Snapshot()
+				probe := tuple.MustNew(snap.Schema().Relation("DEPT"), value.NewInt(int64(dno)), value.NewInt(7))
+				if _, ok := snap.LookupKey(probe); !ok {
+					stale.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := stale.Load(); n > 0 {
+		t.Fatalf("%d of %d acknowledged commits were not readable right after their ack", n, writers*perWriter)
+	}
+}
+
+// TestShardedIdemCapacityAfterRestart: a sharded engine remembers as
+// many recovered keys as IdemCapacity allows — one table entry per key,
+// oldest evicted first — so with exactly IdemCapacity keyed commits in
+// the WALs the oldest key still deduplicates after a crash.
+func TestShardedIdemCapacityAfterRestart(t *testing.T) {
+	const capacity = 8
+	dir := t.TempDir()
+	small := func(c *Config) { c.IdemCapacity = capacity }
+	e := newShardEngine(t, dir, 3, small)
+	for i := 1; i <= capacity; i++ {
+		if err := insertED(e, i, 1000+i, fmt.Sprintf("req-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.idem.size(); n != capacity {
+		t.Fatalf("live dedup table holds %d entries for %d keys", n, capacity)
+	}
+	e.Kill()
+
+	e2 := newShardEngine(t, dir, 3, small)
+	for i := 1; i <= capacity; i++ {
+		key := fmt.Sprintf("req-%d", i)
+		if ent, dup := e2.idem.reserve(key); !dup || !ent.replayed {
+			t.Fatalf("%s (of %d recovered keys, capacity %d) was not deduplicated after restart", key, capacity, capacity)
+		}
+	}
+	// One more keyed commit evicts exactly the oldest key.
+	if err := insertED(e2, 99, 1099, "req-new"); err != nil {
+		t.Fatal(err)
+	}
+	if _, dup := e2.idem.reserve("req-1"); dup {
+		t.Fatal("oldest recovered key survived an eviction it should have lost")
+	}
+	e2.idem.release("req-1")
+	if _, dup := e2.idem.reserve("req-2"); !dup {
+		t.Fatal("second-oldest recovered key was evicted out of order")
 	}
 }

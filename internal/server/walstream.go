@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -22,18 +21,18 @@ import (
 // follower's resume point has aged off). /wal/snapshot serves the full
 // state for bootstrap. See docs/REPLICATION.md.
 //
-// Feeding the hub differs by pipeline:
+// The hub is fed through durableStore.SetOnCommit, whatever the store:
 //
-//   - Unsharded: persist.Store fires its onCommit hook under the store
-//     lock, post-fsync, in commit order — the hub is wired directly.
-//   - Sharded: commits become durable out of order (each shard fsyncs
+//   - persist.Store fires the hook under the store lock, post-fsync, in
+//     commit order.
+//   - Sharded, commits become durable out of order (each shard fsyncs
 //     independently), but the stream must carry them in sequence
 //     order, and only once durable (the sharded engine publishes
 //     snapshots before durability; streaming at publish time would
 //     replicate state a crash could still lose). The walFeed below
 //     registers every allocated seq in order (under stateMu) and the
 //     acker resolves each to publish-or-skip; the feed drains the
-//     resolved prefix to the hub, restoring order.
+//     resolved prefix to the hook, restoring order.
 
 // heartbeatInterval is how often an otherwise idle source streams its
 // watermark + wall clock, so followers can measure staleness and
@@ -63,7 +62,7 @@ const (
 	feedSkip
 )
 
-// A walFeed reorders the sharded pipeline's out-of-order durability
+// A walFeed reorders the sharded engine's out-of-order durability
 // notifications back into global sequence order for the hub. Every
 // allocated seq is registered exactly once (in order — the sequencer
 // holds stateMu across allocation and registration) and resolved
@@ -71,15 +70,18 @@ const (
 // true, skip when it failed (the seq is burned; followers never see
 // it, exactly like recovery).
 type walFeed struct {
-	hub *replica.Hub
-
 	mu        sync.Mutex
+	out       func(recs []wal.Record)
 	pending   []feedEntry
-	published uint64 // last seq offered to the hub (boot watermark at start)
+	published uint64 // last seq offered to out (boot watermark at start)
 }
 
-func newWalFeed(hub *replica.Hub, boot uint64) *walFeed {
-	return &walFeed{hub: hub, published: boot}
+// open points the feed at its consumer, starting from the boot
+// watermark. Called once, before the first register.
+func (f *walFeed) open(boot uint64, out func(recs []wal.Record)) {
+	f.mu.Lock()
+	f.out, f.published = out, boot
+	f.mu.Unlock()
 }
 
 // register appends seq to the feed. Callers serialize in sequence
@@ -92,8 +94,8 @@ func (f *walFeed) register(seq uint64, key string, tr *update.Translation) {
 }
 
 // resolve delivers seq's verdict and drains the resolved prefix to the
-// hub. Encoding happens here, off the sequencer's critical path, and
-// only for commits that actually publish.
+// consumer. Encoding happens here, off the pipeline's critical path,
+// and only for commits that actually publish.
 func (f *walFeed) resolve(seq uint64, publish bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -111,7 +113,7 @@ func (f *walFeed) resolve(seq uint64, publish bool) {
 		ent := f.pending[0]
 		f.pending = f.pending[1:]
 		if ent.state == feedPublish {
-			f.hub.Publish(wal.EncodeTranslationKeyed(ent.seq, ent.key, ent.tr))
+			f.out([]wal.Record{wal.EncodeTranslationKeyed(ent.seq, ent.key, ent.tr)})
 			f.published = ent.seq
 		}
 	}
@@ -120,57 +122,12 @@ func (f *walFeed) resolve(seq uint64, publish bool) {
 	}
 }
 
-// publishedSeq is the highest seq the feed has offered to the hub —
+// publishedSeq is the highest seq the feed has offered its consumer —
 // the sharded engine's durable replication watermark.
 func (f *walFeed) publishedSeq() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.published
-}
-
-// replicationSeq is the watermark heartbeats carry: the highest commit
-// a newly attached follower could have been streamed.
-func (e *Engine) replicationSeq() uint64 {
-	switch {
-	case e.store != nil:
-		return e.store.CommittedSeq()
-	case e.repFeed != nil:
-		return e.repFeed.publishedSeq()
-	}
-	return 0
-}
-
-// walSnapshotFloor is the seq below which stream resumption is
-// impossible: records at or below it are folded into a snapshot.
-func (e *Engine) walSnapshotFloor() uint64 {
-	switch {
-	case e.store != nil:
-		return e.store.SnapshotSeq()
-	case e.shst != nil:
-		return e.shst.SnapshotSeq()
-	}
-	return 0
-}
-
-// walCommittedAfter reassembles committed records with seq > cursor
-// from the WAL(s) on disk — the gap-fill path for followers whose
-// resume point predates the hub's in-memory backlog.
-func (e *Engine) walCommittedAfter(cursor uint64) ([]wal.Record, error) {
-	if e.shst != nil {
-		return e.shst.CommittedAfter(cursor)
-	}
-	res, err := wal.ScanFile(filepath.Join(e.store.Dir(), persist.WALFile))
-	if err != nil {
-		return nil, err
-	}
-	committed, _ := res.Committed()
-	out := make([]wal.Record, 0, len(committed))
-	for _, rec := range committed {
-		if rec.Seq > cursor {
-			out = append(out, rec)
-		}
-	}
-	return out, nil
 }
 
 // runHeartbeats periodically streams the durable watermark to attached
@@ -183,7 +140,7 @@ func (e *Engine) runHeartbeats() {
 		case <-e.hbStop:
 			return
 		case <-t.C:
-			e.repHub.Heartbeat(e.replicationSeq())
+			e.repHub.Heartbeat(e.dur.CommittedSeq())
 		}
 	}
 }
@@ -201,9 +158,10 @@ func (e *Engine) stopReplication() {
 }
 
 // handleWalSnapshot serves the full state for follower bootstrap,
-// stamped with the watermark the stream resumes from. The sharded
-// pipeline publishes before durability, so it is quiesced first: the
-// captured state is exactly the durable prefix, never ahead of it.
+// stamped with the watermark the stream resumes from. The pipelined
+// discipline publishes before durability, so the pipeline is quiesced
+// first: the captured state is exactly the durable prefix, never ahead
+// of it.
 func (e *Engine) handleWalSnapshot(w http.ResponseWriter, r *http.Request) {
 	if e.repHub == nil {
 		writeJSON(w, http.StatusNotFound, errorReply{
@@ -211,11 +169,9 @@ func (e *Engine) handleWalSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.stateMu.Lock()
-	if e.shr != nil {
-		e.shr.quiesce()
-	}
+	e.disc.quiesce()
 	db := e.db.CloneShared()
-	seq := e.replicationSeq()
+	seq := e.dur.CommittedSeq()
 	e.stateMu.Unlock()
 	snap, err := persist.Capture(db)
 	if err != nil {
@@ -248,7 +204,7 @@ func (e *Engine) handleWalStream(w http.ResponseWriter, r *http.Request) {
 		}
 		from = v
 	}
-	if floor := e.walSnapshotFloor(); from < floor {
+	if floor := e.dur.SnapshotSeq(); from < floor {
 		writeJSON(w, http.StatusGone, errorReply{
 			Error: fmt.Sprintf("server: resume point %d predates snapshot floor %d; bootstrap from /wal/snapshot", from, floor),
 			Code:  "snapshot_required"})
@@ -292,7 +248,7 @@ func (e *Engine) handleWalStream(w http.ResponseWriter, r *http.Request) {
 			// let the follower reconnect (it will see 410 and bootstrap).
 			return
 		}
-		recs, err := e.walCommittedAfter(cursor)
+		recs, err := e.dur.CommittedAfter(cursor)
 		if err != nil {
 			e.logf("walstream gap-fill failed", "err", err.Error())
 			return

@@ -3,6 +3,7 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,12 +92,12 @@ func (r RecoveryReport) String() string {
 		r.Shards, r.Replayed, r.Skipped, r.Discarded, r.PreparesCommitted, r.PreparesAborted, r.OrphansPruned, r.TornShards, r.MaxSeq)
 }
 
-// A Store is the durable side of an N-way sharded engine: one global
-// in-memory database (the authority for translation, validation and
-// reads) partitioned into N shard databases, each journaled by its own
-// WAL and snapshot under dir/shard-<i>/. Sequence numbers are global —
-// one counter spans all shards — so recovery can merge the per-shard
-// logs back into the exact memory order commits applied in.
+// A Store is the durable side of an N-way sharded engine: one in-memory
+// database (the authority for translation, validation and reads)
+// journaled by N lanes, each a WAL and a snapshot under dir/shard-<i>/
+// holding the tuples the Map assigns to shard i. Sequence numbers are
+// global — one counter spans all lanes — so recovery can merge the
+// per-shard logs back into the exact memory order commits applied in.
 //
 // The Store does not serialize memory application itself; the engine
 // holds its state lock across validation + memory apply + sequence
@@ -108,10 +109,8 @@ type Store struct {
 	m    *Map
 	opts Options
 
-	db    *storage.Database   // global authoritative state
-	shsch *schema.Database    // shard schema: same *Relation pointers, no inclusions
-	dbs   []*storage.Database // per-shard partitions of db
-	logs  []*wal.Log
+	db   *storage.Database // the one authoritative state
+	logs []*persist.Journal
 
 	seq atomic.Uint64 // global sequence counter
 
@@ -122,13 +121,13 @@ type Store struct {
 	// "snapshot required".
 	snapSeq atomic.Uint64
 
-	// onCommit, when set, receives every commit landed by the
-	// synchronous Apply path (script/session statements) right after it
-	// became durable: the global sequence number, the idempotency key
-	// (empty on this path) and the whole translation. The engine's
-	// pipelined commits feed the replication stream through the acker
-	// instead; this hook covers the one path the acker never sees.
-	onCommit func(seq uint64, key string, tr *update.Translation)
+	// onApply, when set, receives every commit landed by the synchronous
+	// Apply path (script/session statements) right after it became
+	// durable: the global sequence number, the idempotency key (empty on
+	// this path) and the whole translation. The engine's pipelined
+	// commits feed the replication stream through the acker instead;
+	// this hook covers the one path the acker never sees.
+	onApply func(seq uint64, key string, tr *update.Translation)
 
 	brokenMu sync.Mutex
 	broken   []error // per-shard: first journaling failure; memory may be ahead of media
@@ -136,7 +135,7 @@ type Store struct {
 	applyMu sync.Mutex // serializes the synchronous Apply path
 
 	report RecoveryReport
-	keys   [][]string // per-shard recovered idempotency keys, log order
+	keys   []string // recovered idempotency keys, commit order
 }
 
 func shardDir(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d", i)) }
@@ -155,26 +154,22 @@ func Create(dir string, n int, db *storage.Database, opts Options) (*Store, erro
 	if _, err := os.Stat(manPath); err == nil {
 		return nil, fmt.Errorf("shard: store already exists at %s", dir)
 	}
-	s := &Store{dir: dir, m: m, opts: opts, db: db, broken: make([]error, n), keys: make([][]string, n)}
-	if err := s.buildShardDBs(); err != nil {
-		return nil, err
-	}
+	s := &Store{dir: dir, m: m, opts: opts, db: db, broken: make([]error, n),
+		report: RecoveryReport{Shards: n}}
 	if err := s.writeManifest(); err != nil {
 		return nil, err
 	}
-	s.logs = make([]*wal.Log, n)
 	for i := 0; i < n; i++ {
 		if err := os.MkdirAll(shardDir(dir, i), 0o755); err != nil {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
-		if err := s.writeShardSnapshot(i, 0); err != nil {
-			return nil, err
-		}
-		if err := s.openLog(i); err != nil {
-			return nil, err
-		}
 	}
-	s.report = RecoveryReport{Shards: n}
+	if err := s.writeShardSnapshots(0); err != nil {
+		return nil, err
+	}
+	if err := s.openLogs(); err != nil {
+		return nil, err
+	}
 	obs.Inc("shard.store.created")
 	return s, nil
 }
@@ -196,8 +191,8 @@ func Open(dir string, want int, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("shard: manifest: %w", err)
 	}
 	n := man.Shards
-	s := &Store{dir: dir, m: m, opts: opts, broken: make([]error, n), keys: make([][]string, n)}
-	s.report = RecoveryReport{Shards: n}
+	s := &Store{dir: dir, m: m, opts: opts, broken: make([]error, n),
+		report: RecoveryReport{Shards: n}}
 
 	// Phase 1: load every shard snapshot and rebuild the global schema
 	// (sans inclusions) as the union of their declarations. The union
@@ -225,15 +220,11 @@ func Open(dir string, want int, opts Options) (*Store, error) {
 	// decision records, and resolve each shard's committed prefix.
 	results := make([]*wal.ScanResult, n)
 	for i := 0; i < n; i++ {
-		walPath := filepath.Join(shardDir(dir, i), persist.WALFile)
-		res, err := wal.ScanFile(walPath)
+		res, truncated, err := persist.ScanJournal(shardDir(dir, i))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		if res.Torn() {
-			if err := os.Truncate(walPath, res.TornAt); err != nil {
-				return nil, fmt.Errorf("shard %d: truncating torn WAL tail: %w", i, err)
-			}
+		if truncated > 0 {
 			s.report.TornShards++
 		}
 		results[i] = res
@@ -248,7 +239,7 @@ func Open(dir string, want int, opts Options) (*Store, error) {
 		shard int
 		rec   wal.Record
 	}
-	var all []shardRec
+	var all, keyed []shardRec
 	maxSeq := uint64(0)
 	for i, res := range results {
 		committed, discarded, inDoubt := res.CommittedWith(decisions)
@@ -265,7 +256,7 @@ func Open(dir string, want int, opts Options) (*Store, error) {
 				s.report.PreparesCommitted++
 			}
 			if rec.Key != "" {
-				s.keys[i] = append(s.keys[i], rec.Key)
+				keyed = append(keyed, shardRec{shard: i, rec: rec})
 			}
 			if rec.Seq <= snaps[i].Seq {
 				s.report.Skipped++
@@ -278,10 +269,18 @@ func Open(dir string, want int, opts Options) (*Store, error) {
 	// Phase 3: replay in global sequence order. Per-shard log order can
 	// diverge from the order memory applied in (each shard fsyncs
 	// independently), but global seqs — allocated under the engine's
-	// state lock — recover the true total order. Inclusions are not
+	// state lock — recover the true total order, for the replay and for
+	// the recovered idempotency keys alike. Inclusions are not
 	// registered yet, so replay never trips a dependency check that the
 	// original (globally validated) commit order satisfied.
-	sort.SliceStable(all, func(a, b int) bool { return all[a].rec.Seq < all[b].rec.Seq })
+	bySeq := func(recs []shardRec) {
+		sort.SliceStable(recs, func(a, b int) bool { return recs[a].rec.Seq < recs[b].rec.Seq })
+	}
+	bySeq(keyed)
+	for _, sr := range keyed {
+		s.keys = append(s.keys, sr.rec.Key)
+	}
+	bySeq(all)
 	for _, sr := range all {
 		tr, err := wal.DecodeTranslation(sch, sr.rec)
 		if err != nil {
@@ -325,16 +324,8 @@ func Open(dir string, want int, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("shard: recovered state inconsistent: %w", err)
 	}
 
-	// Phase 5: partition the recovered global state into the shard
-	// databases and reopen the logs.
-	if err := s.buildShardDBs(); err != nil {
+	if err := s.openLogs(); err != nil {
 		return nil, err
-	}
-	s.logs = make([]*wal.Log, n)
-	for i := 0; i < n; i++ {
-		if err := s.openLog(i); err != nil {
-			return nil, err
-		}
 	}
 	s.seq.Store(maxSeq)
 	s.report.MaxSeq = maxSeq
@@ -421,58 +412,21 @@ func pruneOrphans(db *storage.Database, deps []schema.InclusionDependency) (int,
 	return len(orphans), nil
 }
 
-// buildShardDBs (re)builds the per-shard databases as partitions of the
-// global database. The shard schema shares the global schema's
-// *Relation pointers (extensions match relations by identity) but
-// carries no inclusion dependencies: a shard's slice of a child
-// relation routinely references parents on other shards.
-func (s *Store) buildShardDBs() error {
-	sch := s.db.Schema()
-	shsch := schema.NewDatabase()
-	for _, name := range sch.RelationNames() {
-		if err := shsch.AddRelation(sch.Relation(name)); err != nil {
-			return fmt.Errorf("shard: %w", err)
+// openLogs opens every lane's journal for appending.
+func (s *Store) openLogs() error {
+	s.logs = make([]*persist.Journal, s.m.N())
+	for i := range s.logs {
+		var wrap func(wal.File) wal.File
+		if s.opts.WrapWAL != nil {
+			i := i
+			wrap = func(f wal.File) wal.File { return s.opts.WrapWAL(i, f) }
 		}
-	}
-	s.shsch = shsch
-	s.dbs = make([]*storage.Database, s.m.N())
-	parts := make([]*update.Translation, s.m.N())
-	for i := range parts {
-		s.dbs[i] = storage.Open(shsch)
-		parts[i] = update.NewTranslation()
-	}
-	for _, name := range sch.RelationNames() {
-		for _, t := range s.db.Tuples(name) {
-			parts[s.m.Of(t)].Add(update.NewInsert(t))
+		log, err := persist.OpenJournal(shardDir(s.dir, i), s.opts.Sync, wrap)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
+		s.logs[i] = log
 	}
-	for i, p := range parts {
-		if p.Len() == 0 {
-			continue
-		}
-		if err := s.dbs[i].Apply(p); err != nil {
-			return fmt.Errorf("shard %d: partitioning: %w", i, err)
-		}
-	}
-	return nil
-}
-
-func (s *Store) openLog(i int) error {
-	path := filepath.Join(shardDir(s.dir, i), persist.WALFile)
-	log, size, err := wal.OpenFile(path, s.opts.Sync)
-	if err != nil {
-		return err
-	}
-	if s.opts.WrapWAL != nil {
-		f, ferr := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if ferr != nil {
-			return fmt.Errorf("shard: %w", ferr)
-		}
-		log.Close()
-		s.logs[i] = wal.NewAt(s.opts.WrapWAL(i, f), s.opts.Sync, size)
-		return nil
-	}
-	s.logs[i] = log
 	return nil
 }
 
@@ -505,65 +459,49 @@ func (s *Store) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("shard: encoding manifest: %w", err)
 	}
-	path := filepath.Join(s.dir, ManifestFile)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("shard: syncing manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	return syncDir(s.dir)
+	return persist.ReplaceFile(filepath.Join(s.dir, ManifestFile), func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 }
 
-func (s *Store) writeShardSnapshot(i int, watermark uint64) error {
-	snap, err := persist.Capture(s.dbs[i])
-	if err != nil {
-		return fmt.Errorf("shard %d: %w", i, err)
-	}
-	snap.Seq = watermark
-	dir := shardDir(s.dir, i)
-	path := filepath.Join(dir, persist.SnapshotFile)
-	tmp := path + ".tmp"
-	if err := persist.WriteSnapshotFile(tmp, snap); err != nil {
-		return fmt.Errorf("shard %d: %w", i, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("shard %d: %w", i, err)
-	}
-	return syncDir(dir)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// writeShardSnapshots replaces every lane's snapshot with its slice of
+// the database — the tuples the Map assigns to it — stamped with
+// watermark. The slices are cut in one pass over the one database;
+// they carry the full schema but no inclusion dependencies (see
+// Manifest). The caller must have quiesced writers.
+func (s *Store) writeShardSnapshots(watermark uint64) error {
+	sch := s.db.Schema()
+	base, err := persist.CaptureSchema(sch)
 	if err != nil {
 		return fmt.Errorf("shard: %w", err)
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("shard: syncing %s: %w", dir, err)
+	base.Inclusions = nil
+	base.Seq = watermark
+	snaps := make([]persist.Snapshot, s.m.N())
+	for i := range snaps {
+		snaps[i] = *base
+		snaps[i].Tuples = make(map[string][][]string, len(base.Relations))
+	}
+	for _, name := range sch.RelationNames() {
+		for i := range snaps {
+			snaps[i].Tuples[name] = nil
+		}
+		for _, t := range s.db.Tuples(name) {
+			rows := snaps[s.m.Of(t)].Tuples
+			rows[name] = append(rows[name], persist.EncodeRow(t))
+		}
+	}
+	for i := range snaps {
+		if err := persist.WriteSnapshot(shardDir(s.dir, i), &snaps[i]); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
 	}
 	return nil
 }
 
-// DB returns the global authoritative database.
+// DB returns the authoritative database.
 func (s *Store) DB() *storage.Database { return s.db }
-
-// ShardDB returns shard i's partition (tests and the engine's
-// committers use it; all writes go through the engine's state lock).
-func (s *Store) ShardDB(i int) *storage.Database { return s.dbs[i] }
 
 // Map returns the partitioning function.
 func (s *Store) Map() *Map { return s.m }
@@ -574,9 +512,10 @@ func (s *Store) N() int { return s.m.N() }
 // Report returns the recovery report from Open (zero for Create).
 func (s *Store) Report() RecoveryReport { return s.report }
 
-// KeysByShard returns, per shard, the idempotency keys of the committed
-// records that shard's WAL held at Open, in log order.
-func (s *Store) KeysByShard() [][]string { return s.keys }
+// RecoveredKeys returns the idempotency keys of the committed records
+// the shard WALs held at Open, merged into commit (global sequence)
+// order; nil for a freshly created store.
+func (s *Store) RecoveredKeys() []string { return s.keys }
 
 // NextSeq allocates the next global sequence number. The engine calls
 // it under its state lock, so sequence order equals memory-apply order.
@@ -634,13 +573,13 @@ func (s *Store) AppendBatch(i int, recs []wal.Record) (wal.BatchStats, error) {
 	return stats, nil
 }
 
-// CommitCross runs the two-phase journal protocol for a cross-shard
+// commitCross runs the two-phase journal protocol for a cross-shard
 // commit whose memory application already happened: parallel prepare
 // records (each fsynced) on every participant, then the decision record
 // (fsynced) on the coordinator shard, then best-effort resolve markers.
-// decided reports whether the decision reached media — once true the
-// commit survives any crash; while false, recovery presumes abort.
-func (s *Store) CommitCross(xid uint64, key string, route *Route) (decided bool, err error) {
+// A nil return means the decision reached media — the commit survives
+// any crash; on an error, recovery presumes abort.
+func (s *Store) commitCross(xid uint64, route *Route) error {
 	coord := route.Home()
 	var wg sync.WaitGroup
 	errs := make([]error, len(route.Participants))
@@ -648,21 +587,13 @@ func (s *Store) CommitCross(xid uint64, key string, route *Route) (decided bool,
 		wg.Add(1)
 		go func(idx, p int) {
 			defer wg.Done()
-			if berr := s.Broken(p); berr != nil {
-				errs[idx] = berr
-				return
-			}
-			rec := wal.PrepareRecord(xid, key, coord, route.Parts[p])
-			if _, aerr := s.logs[p].AppendBatchStats([]wal.Record{rec}); aerr != nil {
-				s.MarkBroken(p, aerr)
-				errs[idx] = aerr
-			}
+			_, errs[idx] = s.AppendBatch(p, []wal.Record{wal.PrepareRecord(xid, "", coord, route.Parts[p])})
 		}(idx, p)
 	}
 	wg.Wait()
 	for _, perr := range errs {
 		if perr != nil {
-			return false, fmt.Errorf("shard: cross-shard prepare: %w", perr)
+			return fmt.Errorf("shard: cross-shard prepare: %w", perr)
 		}
 	}
 	obs.Inc("shard.cross.prepared")
@@ -670,14 +601,10 @@ func (s *Store) CommitCross(xid uint64, key string, route *Route) (decided bool,
 		// The crash window the chaos soak aims at: prepares durable,
 		// no decision. Recovery rolls the commit back (presumed abort);
 		// the client was never acknowledged.
-		return false, fmt.Errorf("shard: %w", ferr)
+		return fmt.Errorf("shard: %w", ferr)
 	}
-	if err := s.Broken(coord); err != nil {
-		return false, fmt.Errorf("shard: cross-shard decision: %w", err)
-	}
-	if _, derr := s.logs[coord].AppendBatchStats([]wal.Record{wal.DecisionRecord(xid)}); derr != nil {
-		s.MarkBroken(coord, derr)
-		return false, fmt.Errorf("shard: cross-shard decision: %w", derr)
+	if _, derr := s.AppendBatch(coord, []wal.Record{wal.DecisionRecord(xid)}); derr != nil {
+		return fmt.Errorf("shard: cross-shard decision: %w", derr)
 	}
 	obs.Inc("shard.cross.decided")
 	// Past the point of no return: the commit is durable everywhere it
@@ -693,33 +620,17 @@ func (s *Store) CommitCross(xid uint64, key string, route *Route) (decided bool,
 			}
 		}
 	}
-	return true, nil
-}
-
-// invert returns the translation undoing tr.
-func invert(tr *update.Translation) *update.Translation {
-	inv := update.NewTranslation()
-	for _, o := range tr.Ops() {
-		switch o.Kind {
-		case update.Insert:
-			inv.Add(update.NewDelete(o.Tuple))
-		case update.Delete:
-			inv.Add(update.NewInsert(o.Tuple))
-		case update.Replace:
-			inv.Add(update.NewReplace(o.New, o.Old))
-		}
-	}
-	return inv
+	return nil
 }
 
 // Apply is the synchronous durable commit used by the script/session
-// path (the engine's pipelined commits journal through AppendBatch and
-// CommitCross instead). It applies tr to the global database and the
-// participant shards, then journals — translation+commit on a single
-// participant, the full two-phase protocol across several. Callers
-// serialize Apply against the pipelined path (the engine holds its
-// state lock). On a journaling failure before the point of no return,
-// memory is rolled back and the commit reports persist.ErrNotDurable.
+// path (the engine's pipelined commits journal through AppendBatch
+// instead). It applies tr to the database, then journals —
+// translation+commit on a single participant, the full two-phase
+// protocol across several. Callers serialize Apply against the
+// pipelined path (the engine holds its state lock). On a journaling
+// failure before the point of no return, memory is rolled back and the
+// commit reports persist.ErrNotDurable.
 func (s *Store) Apply(tr *update.Translation) error {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
@@ -733,82 +644,36 @@ func (s *Store) Apply(tr *update.Translation) error {
 	if err := s.db.Apply(tr); err != nil {
 		return err
 	}
-	for _, p := range route.Participants {
-		if err := s.dbs[p].Apply(route.Parts[p]); err != nil {
-			// Cannot happen after the global apply succeeded (the shard
-			// schema checks strictly less); treat as corruption.
-			s.MarkBroken(p, err)
-			return fmt.Errorf("shard %d: partition diverged: %w", p, err)
-		}
-	}
-	rollback := func() error {
-		for _, p := range route.Participants {
-			if err := s.dbs[p].Apply(invert(route.Parts[p])); err != nil {
-				s.MarkBroken(p, err)
-				return err
-			}
-		}
-		return s.db.Apply(invert(tr))
-	}
 	xid := s.NextSeq()
-	if !route.Cross() {
-		p := route.Participants[0]
+	if route.Cross() {
+		err = s.commitCross(xid, route)
+	} else {
 		recs := []wal.Record{wal.EncodeTranslation(xid, tr), wal.CommitRecord(xid)}
-		if _, aerr := s.AppendBatch(p, recs); aerr != nil {
-			if rerr := rollback(); rerr != nil {
-				return fmt.Errorf("shard: memory diverged after failed append: %v (rollback: %w)", aerr, rerr)
-			}
-			return fmt.Errorf("%w: %w", persist.ErrNotDurable, aerr)
-		}
-		if s.onCommit != nil {
-			s.onCommit(xid, "", tr)
-		}
-		return nil
+		_, err = s.AppendBatch(route.Home(), recs)
 	}
-	decided, cerr := s.CommitCross(xid, "", route)
-	if !decided {
-		if rerr := rollback(); rerr != nil {
-			return fmt.Errorf("shard: memory diverged after failed 2pc: %v (rollback: %w)", cerr, rerr)
+	if err != nil {
+		if rerr := s.db.Apply(persist.Invert(tr)); rerr != nil {
+			return fmt.Errorf("shard: memory diverged after failed append: %v (rollback: %w)", err, rerr)
 		}
-		return fmt.Errorf("%w: %w", persist.ErrNotDurable, cerr)
+		return fmt.Errorf("%w: %w", persist.ErrNotDurable, err)
 	}
-	if s.onCommit != nil {
-		s.onCommit(xid, "", tr)
+	if s.onApply != nil {
+		s.onApply(xid, "", tr)
 	}
 	return nil
 }
 
-// SetOnCommit installs the synchronous-path commit hook (see the field
+// SetOnApply installs the synchronous-path commit hook (see the field
 // doc). Call before serving; delivery runs under applyMu and must not
 // call back into the store.
-func (s *Store) SetOnCommit(fn func(seq uint64, key string, tr *update.Translation)) {
-	s.onCommit = fn
+func (s *Store) SetOnApply(fn func(seq uint64, key string, tr *update.Translation)) {
+	s.onApply = fn
 }
 
 // SnapshotSeq reports the snapshot floor: the highest watermark any
 // shard's snapshot has been folded up to. Stream resumptions below it
 // cannot be served from the WALs.
 func (s *Store) SnapshotSeq() uint64 { return s.snapSeq.Load() }
-
-// SyncSchema absorbs global schema growth (new relations from DDL) into
-// the shard schema and every shard database. Inclusion dependencies
-// stay global-only by design.
-func (s *Store) SyncSchema() error {
-	sch := s.db.Schema()
-	for _, name := range sch.RelationNames() {
-		if s.shsch.Relation(name) == nil {
-			if err := s.shsch.AddRelation(sch.Relation(name)); err != nil {
-				return fmt.Errorf("shard: %w", err)
-			}
-		}
-	}
-	for i, db := range s.dbs {
-		if err := db.SyncSchema(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
 
 // Checkpoint folds every shard's WAL into a fresh snapshot stamped with
 // the current global sequence watermark and rewrites the manifest (DDL
@@ -836,20 +701,12 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 	w := s.seq.Load()
-	for i := range s.dbs {
-		if err := s.writeShardSnapshot(i, w); err != nil {
-			return err
-		}
+	if err := s.writeShardSnapshots(w); err != nil {
+		return err
 	}
-	for i := range s.logs {
-		if err := s.logs[i].Close(); err != nil {
+	for i, log := range s.logs {
+		if err := log.Reset(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if err := os.Truncate(filepath.Join(shardDir(s.dir, i), persist.WALFile), 0); err != nil {
-			return fmt.Errorf("shard %d: resetting WAL: %w", i, err)
-		}
-		if err := s.openLog(i); err != nil {
-			return err
 		}
 	}
 	s.snapSeq.Store(w)

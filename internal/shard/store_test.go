@@ -29,30 +29,40 @@ func render(db *storage.Database) string {
 	return strings.Join(lines, ";")
 }
 
-// checkPartition verifies the per-shard databases are exactly the
-// map-partition of the global database.
+// checkPartition checkpoints st and verifies the on-disk shard
+// snapshots are exactly the map-partition of its database: every row on
+// the lane that owns it, no inclusion dependencies on any lane, and the
+// lanes' union equal to the global state (so the lanes are disjoint).
 func checkPartition(t *testing.T, st *Store) {
 	t.Helper()
-	total := 0
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
 	for i := 0; i < st.N(); i++ {
-		for _, name := range st.ShardDB(i).Schema().RelationNames() {
-			for _, tp := range st.ShardDB(i).Tuples(name) {
-				total++
+		snap, err := persist.ReadSnapshotFile(filepath.Join(shardDir(st.dir, i), persist.SnapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Inclusions) != 0 {
+			t.Fatalf("shard %d snapshot carries inclusions %v; they belong to the manifest", i, snap.Inclusions)
+		}
+		db, err := persist.Restore(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range db.Schema().RelationNames() {
+			for _, tp := range db.Tuples(name) {
 				if st.Map().Of(tp) != i {
-					t.Fatalf("tuple %v on shard %d, owner %d", tp, i, st.Map().Of(tp))
+					t.Fatalf("tuple %v in shard %d's snapshot, owner %d", tp, i, st.Map().Of(tp))
 				}
-				if !st.DB().Contains(tp) {
-					t.Fatalf("shard %d holds %v, global db does not", i, tp)
-				}
+				lines = append(lines, tp.Encode())
 			}
 		}
 	}
-	global := 0
-	for _, name := range st.DB().Schema().RelationNames() {
-		global += len(st.DB().Tuples(name))
-	}
-	if total != global {
-		t.Fatalf("shards hold %d tuples, global db %d", total, global)
+	sort.Strings(lines)
+	if got, want := strings.Join(lines, ";"), render(st.DB()); got != want {
+		t.Fatalf("shard snapshots hold\n  %s\nglobal db\n  %s", got, want)
 	}
 }
 
@@ -100,7 +110,6 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := render(st.DB())
-	checkPartition(t, st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +371,6 @@ func TestCrashInsidePrepareWindow(t *testing.T) {
 	if got := render(st.DB()); got != baseline {
 		t.Fatalf("memory not rolled back: %s, want %s", got, baseline)
 	}
-	checkPartition(t, st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -449,9 +457,10 @@ func TestBrokenShardDegrades(t *testing.T) {
 	}
 }
 
-// TestKeysByShard checks idempotency-key recovery is per shard and in
-// log order, across both plain commits and resolved prepares.
-func TestKeysByShard(t *testing.T) {
+// TestRecoveredKeys checks idempotency-key recovery merges every lane's
+// keys into commit order, across both plain commits and resolved
+// prepares — even when the later commit sits on the lower lane.
+func TestRecoveredKeys(t *testing.T) {
 	dir := t.TempDir()
 	st := newTestStore(t, dir, 2, Options{})
 	p := st.DB().Schema().Relation("P")
@@ -467,21 +476,17 @@ func TestKeysByShard(t *testing.T) {
 		}
 	}
 	appendRecords(t, dir, 0,
-		wal.EncodeTranslationKeyed(1, "alpha", update.NewTranslation(update.NewInsert(pt(t, p, k0, "u")))),
-		wal.CommitRecord(1))
+		wal.EncodeTranslationKeyed(2, "beta", update.NewTranslation(update.NewInsert(pt(t, p, k0, "u")))),
+		wal.CommitRecord(2))
 	appendRecords(t, dir, 1,
-		wal.PrepareRecord(2, "beta", 1, update.NewTranslation(update.NewInsert(pt(t, p, k1, "u")))),
-		wal.ResolveRecord(2))
+		wal.PrepareRecord(1, "alpha", 1, update.NewTranslation(update.NewInsert(pt(t, p, k1, "u")))),
+		wal.ResolveRecord(1))
 	rec, err := Open(dir, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	keys := rec.KeysByShard()
-	if len(keys[0]) != 1 || keys[0][0] != "alpha" {
-		t.Fatalf("shard 0 keys = %v, want [alpha]", keys[0])
-	}
-	if len(keys[1]) != 1 || keys[1][0] != "beta" {
-		t.Fatalf("shard 1 keys = %v, want [beta]", keys[1])
+	if keys := rec.RecoveredKeys(); len(keys) != 2 || keys[0] != "alpha" || keys[1] != "beta" {
+		t.Fatalf("recovered keys = %v, want [alpha beta]", keys)
 	}
 }

@@ -7,25 +7,22 @@ import (
 	"viewupdate/internal/update"
 )
 
-// SetApplier installs an external durable applier. When set (and no
-// persist store is attached), every translation committed outside a
-// transaction — base-table statements, view updates, COMMIT diffs —
-// goes through fn instead of the session's in-memory database. The
-// sharded serving engine uses this to route script statements through
-// its shard store, so the session's database (the engine's global
-// authoritative state) and the per-shard journals stay in lockstep.
+// SetApplier installs the durable applier. When set, every translation
+// committed outside a transaction — base-table statements, view
+// updates, COMMIT diffs — goes through fn instead of the session's
+// in-memory database. AttachStore points it at a persist.Store; the
+// sharded serving engine at its shard store, so the session's database
+// (the engine's authoritative state) and the per-shard journals stay in
+// lockstep; a follower at a function that refuses every write.
 func (s *Session) SetApplier(fn func(*update.Translation) error) { s.applier = fn }
 
 // SetSchemaChanged installs a hook that runs after DDL grows the
 // schema (a CREATE TABLE has been added to the session schema and the
-// database's reference index was rebuilt). The sharded engine uses it
-// to absorb the new relation into every shard and checkpoint, mirroring
-// the persist store's checkpoint-on-DDL. Not called when a persist
-// store is attached (that path checkpoints directly).
+// database's reference index was rebuilt). Durable sessions checkpoint
+// in it — DDL is snapshot-persisted, not WAL-journaled.
 func (s *Session) SetSchemaChanged(fn func() error) { s.schemaChanged = fn }
 
-// AdoptRecovered adopts a recovered database as the session's own,
-// exactly like AttachStore does for a recovered persist store: the
+// AdoptRecovered adopts a recovered database as the session's own: the
 // session must be empty, and domains are re-registered from the
 // recovered relations so an -init script's CREATE DOMAIN statements
 // skip-exist. Views, policies and indexes are not durable — replay the

@@ -9,7 +9,6 @@ import (
 
 	"viewupdate/internal/algebra"
 	"viewupdate/internal/core"
-	"viewupdate/internal/persist"
 	"viewupdate/internal/report"
 	"viewupdate/internal/schema"
 	"viewupdate/internal/storage"
@@ -33,12 +32,12 @@ type Session struct {
 	custom    map[string]core.Policy            // view -> externally built policy
 	journal   []string                          // replayable statement texts
 	explain   bool                              // render explain traces for view updates
-	store     *persist.Store                    // durable store, when attached
 	tx        *txState                          // open transaction, when any
 
-	// External engine hooks (see hooks.go). applier replaces the
-	// non-transactional durable apply path; schemaChanged fires after
-	// DDL grows the schema. Both are nil in plain sessions.
+	// Durability hooks (see hooks.go). applier replaces the
+	// non-transactional apply path; schemaChanged fires after DDL grows
+	// the schema. Both are nil in plain in-memory sessions; AttachStore
+	// points them at a persist.Store, the sharded engine at its own.
 	applier       func(*update.Translation) error
 	schemaChanged func() error
 }
@@ -328,13 +327,10 @@ func (s *Session) execCreateTable(st CreateTable) (string, error) {
 	if err := s.db.SyncSchema(); err != nil {
 		return "", err
 	}
-	// Schema changes are persisted via the snapshot, not the WAL: fold
-	// the log into a fresh snapshot that includes the new table.
-	if s.store != nil {
-		if err := s.store.Checkpoint(); err != nil {
-			return "", err
-		}
-	} else if s.schemaChanged != nil {
+	// Schema changes are persisted via the snapshot, not the WAL: a
+	// durable session folds the log into a fresh snapshot that includes
+	// the new table.
+	if s.schemaChanged != nil {
 		if err := s.schemaChanged(); err != nil {
 			return "", err
 		}

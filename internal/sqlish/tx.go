@@ -29,15 +29,17 @@ func (s *Session) cur() *storage.Database {
 }
 
 // applyTr applies a translation at the right level: the staged clone
-// inside a transaction, the durable store (or an installed external
-// applier) otherwise, the plain in-memory database as the fallback.
+// inside a transaction, the live state otherwise.
 func (s *Session) applyTr(tr *update.Translation) error {
 	if s.tx != nil {
 		return s.tx.staged.Apply(tr)
 	}
-	if s.store != nil {
-		return s.store.Apply(tr)
-	}
+	return s.applyLive(tr)
+}
+
+// applyLive commits a translation to the live state: through the
+// installed durable applier, or on the plain in-memory database.
+func (s *Session) applyLive(tr *update.Translation) error {
 	if s.applier != nil {
 		return s.applier(tr)
 	}
@@ -47,35 +49,22 @@ func (s *Session) applyTr(tr *update.Translation) error {
 // InTx reports whether a transaction is open.
 func (s *Session) InTx() bool { return s.tx != nil }
 
-// Store returns the attached durable store, or nil.
-func (s *Session) Store() *persist.Store { return s.store }
-
-// AttachStore couples the session to a durable store. Two cases:
-//
-//   - the store was created from this session's database (fresh store):
-//     the session simply starts journaling through it;
-//   - the store was recovered from disk: the session adopts the
-//     recovered database and schema, which requires the session to be
-//     empty (no tables of its own yet). Domains are re-registered from
-//     the recovered relations; views, policies and secondary indexes
-//     are not durable — replay a saved script to rebuild them.
+// AttachStore couples the session to a durable store: translations
+// committed outside a transaction journal through it and DDL
+// checkpoints it. A store created from this session's database simply
+// starts journaling; one recovered from disk is adopted first (see
+// AdoptRecovered), which requires the session to be empty.
 func (s *Session) AttachStore(st *persist.Store) error {
 	if s.tx != nil {
 		return fmt.Errorf("sqlish: cannot attach a store inside a transaction")
 	}
 	if st.DB() != s.db {
-		if len(s.sch.RelationNames()) != 0 {
-			return fmt.Errorf("sqlish: cannot adopt a recovered store into a non-empty session")
-		}
-		s.db = st.DB()
-		s.sch = s.db.Schema()
-		for _, rn := range s.sch.RelationNames() {
-			for _, a := range s.sch.Relation(rn).Attributes() {
-				s.domains[a.Domain.Name()] = a.Domain
-			}
+		if err := s.AdoptRecovered(st.DB()); err != nil {
+			return err
 		}
 	}
-	s.store = st
+	s.applier = st.Apply
+	s.schemaChanged = st.Checkpoint
 	return nil
 }
 
@@ -109,14 +98,7 @@ func (s *Session) execCommit() (string, error) {
 		s.tx = nil
 		return "committed (no changes)", nil
 	}
-	if s.store != nil {
-		err = s.store.Apply(diff)
-	} else if s.applier != nil {
-		err = s.applier(diff)
-	} else {
-		err = s.db.Apply(diff)
-	}
-	if err != nil {
+	if err := s.applyLive(diff); err != nil {
 		// The staged state survives: a transient failure can be
 		// retried with another COMMIT, or abandoned with ROLLBACK.
 		return "", fmt.Errorf("sqlish: commit failed (transaction still open): %w", err)
