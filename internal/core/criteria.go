@@ -19,9 +19,7 @@ import (
 // tuples, key conflicts, constraint violations) and when the resulting
 // view differs from the requested one.
 //
-// Checking many translations for one request? Build one Verifier and
-// use its Valid method — this convenience re-materializes the view per
-// call.
+// It is shorthand for NewVerifier(db, v, r).Valid(tr).
 func Valid(db storage.Source, v view.View, r Request, tr *update.Translation) bool {
 	return NewVerifier(db, v, r).Valid(tr)
 }
@@ -30,7 +28,7 @@ func Valid(db storage.Source, v view.View, r Request, tr *update.Translation) bo
 // views, which "may have update translators with side effects in the
 // view": the requested tuples must change as asked (added tuples
 // present, removed tuples absent afterwards), while other view rows may
-// change. As with Valid, prefer a Verifier for repeated checks.
+// change.
 func ValidRequested(db storage.Source, v view.View, r Request, tr *update.Translation) bool {
 	return NewVerifier(db, v, r).ValidRequested(tr)
 }

@@ -39,8 +39,7 @@ func (e *Effects) String() string {
 // SideEffects applies tr to a copy-on-write overlay of db and reports
 // the view changes beyond those requested by r. The database itself is
 // not modified. An error is returned if the translation cannot be
-// applied. For repeated checks against one request, build a Verifier
-// and call its SideEffects method.
+// applied.
 func SideEffects(db storage.Source, v view.View, r Request, tr *update.Translation) (*Effects, error) {
 	return NewVerifier(db, v, r).SideEffects(tr)
 }

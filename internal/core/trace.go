@@ -138,6 +138,16 @@ func (t *Translator) TranslateTraced(db storage.Source, r Request) (Candidate, *
 	return TraceTranslate(db, t.View, t.Policy, r, TraceOptions{Probes: true})
 }
 
+// ValidFn returns the validity predicate matching the view class: exact
+// validity for SP views, requested-changes validity for join views (the
+// Exact field of the trace).
+func (vf *Verifier) ValidFn() func(*update.Translation) bool {
+	if _, isJoin := vf.v.(*view.Join); isJoin {
+		return vf.ValidRequested
+	}
+	return vf.Valid
+}
+
 // TraceTranslate runs the traced pipeline: enumerate, verify each
 // candidate against validity and the five criteria, synthesize and
 // judge probe alternatives, then let the policy choose. The database is
@@ -177,12 +187,10 @@ func TraceTranslate(db storage.Source, v view.View, p Policy, r Request, opts Tr
 		return Candidate{}, tr, enumErr
 	}
 
-	// One verifier for the whole request: the view and the requested
-	// view state are materialized once, candidates are judged against
-	// copy-on-write overlays. The verifier is immutable, so judging is
-	// safe to parallelize.
-	vf := NewVerifier(db, v, r)
-	validFn := vf.ValidFn()
+	// One verifier for the whole request: candidates are judged by row
+	// delta against copy-on-write overlays. The verifier is immutable,
+	// so judging is safe to parallelize.
+	validFn := NewVerifier(db, v, r).ValidFn()
 
 	judge := func(c Candidate, source string) TraceCandidate {
 		tc := TraceCandidate{

@@ -10,239 +10,130 @@ import (
 
 // A Verifier evaluates candidate translations for one (state, view,
 // request) triple: validity under both semantics, the five criteria,
-// and view side effects. It is the delta-first replacement for the
-// clone-per-candidate path — the base view is materialized once, the
-// requested view state is computed once, and every candidate is applied
-// to a copy-on-write storage.Overlay instead of a full database clone.
+// and view side effects. It judges a candidate by its row delta: the
+// candidate is applied to a copy-on-write storage.Overlay and
+// view.DeltaForChange names the rows that leave and enter the view.
+// V(DB′) = U(V(DB)) holds iff that delta is the request's own, so no
+// view extension is ever built; the few membership questions about
+// V(DB) itself are key lookups (view.Lookup). Cost is O(candidate),
+// independent of the size of the view.
 //
-// The after-state of the view is computed incrementally where the view
-// structure allows it:
-//
-//   - SP views: always. The base key is the view key, so the rows of
-//     the candidate's removed/added base tuples (via SP.RowFor) are
-//     exactly the view delta.
-//   - Join views, candidate touching only the root relation: the root
-//     has in-degree zero in the (tree or DAG) query graph, so
-//     references from and between the other nodes resolve identically
-//     before and after; the view delta is the rows of the touched root
-//     tuples (via Join.RowForRoot).
-//   - Join views, candidate touching non-root relations: the view
-//     delta is Join.DeltaForChange — a reverse-reference-index walk
-//     from the touched tuples to the affected root set, O(affected
-//     roots) instead of O(view).
-//   - Otherwise (non-SP, non-join views): full materialization over
-//     the overlay — still no clone, reads merge base + delta.
-//
-// A Verifier is immutable after construction and safe for concurrent
-// use: every evaluation works on its own overlay.
+// A Verifier is immutable and safe for concurrent use: every
+// evaluation works on its own overlay.
 type Verifier struct {
-	src     storage.Source
-	v       view.View
-	r       Request
-	before  *tuple.Set // V(DB), materialized once
-	want    *tuple.Set // U(V(DB)), the exact-validity target
-	wantErr error      // request not applicable to the view state
-
-	sp       *view.SP
-	join     *view.Join
-	rootRel  string
-	nodeRels map[string]bool // join node base relations other than the root
+	src storage.Source
+	v   view.View
+	r   Request
 }
 
-// NewVerifier materializes the view and the requested view state once
-// and returns a verifier for candidates of r against v over src.
+// NewVerifier returns a verifier for candidates of r against v over src.
 func NewVerifier(src storage.Source, v view.View, r Request) *Verifier {
-	return NewVerifierWithBefore(src, v, r, nil)
+	return &Verifier{src: src, v: v, r: r}
 }
 
-// NewVerifierWithBefore is NewVerifier taking a precomputed
-// materialization of v over src. Callers that already hold the view's
-// current state — the serving engine memoizes one per snapshot version
-// — pass it here to skip the per-verifier Materialize, which otherwise
-// dominates the verify cost. before must equal v.Materialize(src); it
-// is treated as shared and never mutated (every evaluation path copies
-// before editing). nil falls back to materializing.
-func NewVerifierWithBefore(src storage.Source, v view.View, r Request, before *tuple.Set) *Verifier {
-	vf := &Verifier{src: src, v: v, r: r}
-	if before == nil {
-		before = v.Materialize(src)
-	}
-	vf.before = before
-	vf.want, vf.wantErr = r.ApplyToViewSet(vf.before)
-	switch vv := v.(type) {
-	case *view.SP:
-		vf.sp = vv
-	case *view.Join:
-		vf.join = vv
-		vf.rootRel = vv.Root().SP.Base().Name()
-		vf.nodeRels = make(map[string]bool, len(vv.Nodes()))
-		for _, n := range vv.Nodes() {
-			if rel := n.SP.Base().Name(); rel != vf.rootRel {
-				vf.nodeRels[rel] = true
-			}
-		}
-	}
-	return vf
+// NewVerifierWithBefore is NewVerifier: its before argument, a
+// materialization of v over src, is unused — the verifier builds no
+// extension to save. It survives only until a benchmark PR can drop the
+// call in bench/trace.go.
+func NewVerifierWithBefore(src storage.Source, v view.View, r Request, _ *tuple.Set) *Verifier {
+	return NewVerifier(src, v, r)
 }
 
-// Before returns the view state the verifier was built on.
-func (vf *Verifier) Before() *tuple.Set { return vf.before }
-
-// afterView applies tr to a fresh overlay and returns the resulting
-// view state, delta-computed when the translation is local to the
-// view's key-carrying relation. The returned set may alias the memoized
-// before-state; callers must not mutate it.
-func (vf *Verifier) afterView(tr *update.Translation) (*tuple.Set, error) {
+// delta applies tr to a fresh overlay and returns the view rows it
+// removes and adds (disjoint; the caller owns both sets).
+func (vf *Verifier) delta(tr *update.Translation) (removedRows, addedRows *tuple.Set, err error) {
 	ov := storage.NewOverlay(vf.src)
 	if err := ov.Apply(tr); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	switch {
-	case vf.sp != nil:
-		obs.Inc("core.verify.delta")
-		return vf.deltaRows(tr, vf.sp.Base().Name(), func(_ storage.Source, t tuple.T) (tuple.T, bool) {
-			return vf.sp.RowFor(t)
-		}, ov), nil
-	case vf.join != nil:
-		for _, rel := range tr.RelationsTouched() {
-			if vf.nodeRels[rel] {
-				// A non-root node changed: reference resolution may shift
-				// for the root tuples that (transitively) reference the
-				// touched tuples. Walk the reverse reference index to
-				// exactly those roots instead of rematerializing.
-				obs.Inc("core.verify.ivm")
-				return vf.ivmRows(tr, ov), nil
-			}
+	obs.Inc("core.verify.delta")
+	var removed, added []tuple.T
+	for _, o := range tr.Ops() {
+		switch o.Kind {
+		case update.Insert:
+			added = append(added, o.Tuple)
+		case update.Delete:
+			removed = append(removed, o.Tuple)
+		case update.Replace:
+			removed, added = append(removed, o.Old), append(added, o.New)
 		}
-		obs.Inc("core.verify.delta")
-		return vf.deltaRows(tr, vf.rootRel, vf.join.RowForRoot, ov), nil
-	default:
-		obs.Inc("core.verify.materialize")
-		return vf.v.Materialize(ov), nil
 	}
+	removedRows, addedRows = vf.v.DeltaForChange(vf.src, ov, removed, added)
+	return removedRows, addedRows, nil
 }
 
-// ivmRows edits the memoized before-state by the join view's
-// incremental delta for tr: Join.DeltaForChange walks the reverse
-// reference index from the candidate's touched tuples to the affected
-// root set and recomputes only those rows against the base state and
-// the overlay. Copy-on-write: an empty delta returns the before-set as
-// is.
-func (vf *Verifier) ivmRows(tr *update.Translation, ov *storage.Overlay) *tuple.Set {
-	removedRows, addedRows := vf.join.DeltaForChange(vf.src, ov, tr.Removed().Slice(), tr.Added().Slice())
-	if removedRows.Len() == 0 && addedRows.Len() == 0 {
-		return vf.before
-	}
-	after := vf.before.Clone()
-	for _, row := range removedRows.Slice() {
-		after.Remove(row)
-	}
-	for _, row := range addedRows.Slice() {
-		after.Add(row)
-	}
-	return after
-}
-
-// deltaRows edits the memoized before-state by the rows of the
-// translation's removed/added tuples of relation rel, evaluated by
-// rowFor. Removed rows are computed against the base state, added rows
-// against the overlay (equivalent here — the candidate is local to rel,
-// which no row evaluation reads through a reference — but the overlay
-// is the honest final state). Copy-on-write: if no tuple of rel is
-// touched or no row changes, the before-set is returned as is.
-func (vf *Verifier) deltaRows(tr *update.Translation, rel string, rowFor func(storage.Source, tuple.T) (tuple.T, bool), ov *storage.Overlay) *tuple.Set {
-	after := vf.before
-	edit := func() *tuple.Set {
-		if after == vf.before {
-			after = vf.before.Clone()
-		}
-		return after
-	}
-	for _, t := range tr.Removed().Slice() {
-		if t.Relation().Name() != rel {
-			continue
-		}
-		if row, ok := rowFor(vf.src, t); ok {
-			edit().Remove(row)
-		}
-	}
-	for _, t := range tr.Added().Slice() {
-		if t.Relation().Name() != rel {
-			continue
-		}
-		if row, ok := rowFor(ov, t); ok {
-			edit().Add(row)
-		}
-	}
-	return after
+// inView reports whether t is a row of V(DB).
+func (vf *Verifier) inView(t tuple.T) bool {
+	row, ok := vf.v.Lookup(vf.src, t)
+	return ok && row.Equal(t)
 }
 
 // Valid implements the paper's exact validity — V(DB′) = U(V(DB)) — for
-// the verifier's request, against the candidate translation.
+// the verifier's request, against the candidate translation: the
+// candidate's row delta must be exactly what U does to V(DB), and U
+// must be defined there (Request.ApplyToViewSet is the executable
+// spec). A matching non-empty delta implies the latter — removed rows
+// are in V(DB), added rows are not — so only the degenerate replace of
+// a row by itself has to look.
 func (vf *Verifier) Valid(tr *update.Translation) bool {
-	if vf.wantErr != nil {
-		return false
-	}
-	after, err := vf.afterView(tr)
+	removedRows, addedRows, err := vf.delta(tr)
 	if err != nil {
 		return false
 	}
-	return after.Equal(vf.want)
+	switch r := vf.r; {
+	case r.Kind == update.Insert:
+		return removedRows.Len() == 0 && only(addedRows, r.Tuple)
+	case r.Kind == update.Delete:
+		return only(removedRows, r.Tuple) && addedRows.Len() == 0
+	case r.Kind == update.Replace && !r.Old.Equal(r.New):
+		return only(removedRows, r.Old) && only(addedRows, r.New)
+	case r.Kind == update.Replace:
+		return removedRows.Len() == 0 && addedRows.Len() == 0 && vf.inView(r.Old)
+	}
+	return false
 }
+
+// only reports whether s is exactly {t}.
+func only(s *tuple.Set, t tuple.T) bool { return s.Len() == 1 && s.Contains(t) }
 
 // ValidRequested implements the relaxed validity applicable to join
 // views: requested additions present, requested removals absent, other
 // rows free to change.
 func (vf *Verifier) ValidRequested(tr *update.Translation) bool {
-	after, err := vf.afterView(tr)
+	removedRows, addedRows, err := vf.delta(tr)
 	if err != nil {
 		return false
 	}
+	// A row is in V(DB′) if the candidate adds it, or it was in V(DB)
+	// and the candidate leaves it alone.
+	after := func(t tuple.T) bool {
+		return addedRows.Contains(t) || (!removedRows.Contains(t) && vf.inView(t))
+	}
 	for _, t := range vf.r.AddedTuples() {
-		if !after.Contains(t) {
+		if !after(t) {
 			return false
 		}
 	}
 	for _, t := range vf.r.RemovedTuples() {
-		if after.Contains(t) {
+		if after(t) {
 			return false
 		}
 	}
 	return true
 }
 
-// ValidFn returns the validity predicate matching the view class: exact
-// validity for SP views, requested-changes validity for join views —
-// the same choice TraceTranslate and CheckCandidates historically made.
-func (vf *Verifier) ValidFn() func(*update.Translation) bool {
-	if vf.join != nil {
-		return vf.ValidRequested
-	}
-	return vf.Valid
-}
-
 // SideEffects reports the view changes of tr beyond those requested. An
 // error is returned if the translation cannot be applied.
 func (vf *Verifier) SideEffects(tr *update.Translation) (*Effects, error) {
-	after, err := vf.afterView(tr)
+	removedRows, addedRows, err := vf.delta(tr)
 	if err != nil {
 		return nil, err
 	}
-	requestedAdd := tuple.NewSet(vf.r.AddedTuples()...)
-	requestedRemove := tuple.NewSet(vf.r.RemovedTuples()...)
-	eff := &Effects{ExtraAdded: tuple.NewSet(), ExtraRemoved: tuple.NewSet()}
-	if after == vf.before {
-		return eff, nil // delta path proved the view unchanged
+	for _, t := range vf.r.AddedTuples() {
+		addedRows.Remove(t)
 	}
-	for _, row := range after.Slice() {
-		if !vf.before.Contains(row) && !requestedAdd.Contains(row) {
-			eff.ExtraAdded.Add(row)
-		}
+	for _, t := range vf.r.RemovedTuples() {
+		removedRows.Remove(t)
 	}
-	for _, row := range vf.before.Slice() {
-		if !after.Contains(row) && !requestedRemove.Contains(row) {
-			eff.ExtraRemoved.Add(row)
-		}
-	}
-	return eff, nil
+	return &Effects{ExtraAdded: addedRows, ExtraRemoved: removedRows}, nil
 }

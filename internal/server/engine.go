@@ -583,8 +583,7 @@ func (e *Engine) bumpVersionLocked(delta uint64) {
 // Translate resolves the view, translates req against the published
 // snapshot, and returns the chosen candidate plus its side effects and
 // the snapshot version the translation is based on. It does not apply
-// anything. The translate and verify stages are recorded into the
-// request trace attached to ctx (if any) and into the stage histograms.
+// anything.
 func (e *Engine) Translate(ctx context.Context, viewName string, prefer []string, build func(view.View, storage.Source) (core.Request, error)) (core.Candidate, *core.Effects, core.Request, uint64, error) {
 	v, pol, err := e.lookupView(viewName, prefer)
 	if err != nil {
@@ -598,29 +597,36 @@ func (e *Engine) Translate(ctx context.Context, viewName string, prefer []string
 	if ferr := faultinject.Hit(faultinject.SiteServerTranslate); ferr != nil {
 		return core.Candidate{}, nil, req, 0, ferr
 	}
-	rt := obs.TraceFrom(ctx)
-	sp := obs.StartSpan("server.translate")
-	cand, err := core.NewTranslator(v, pol).Translate(snap, req)
-	d := sp.End()
-	rt.Stage("translate", d)
-	obs.Observe(stageTranslateNS, int64(d))
-	if err != nil {
-		return core.Candidate{}, nil, req, 0, err
-	}
-	vsp := obs.StartSpan("server.verify")
-	// Feed the verifier the memoized materialization for this snapshot
-	// version instead of letting it rematerialize per request; the
-	// cached set is copy-on-write on both sides (patchViewCache and the
-	// verifier clone before editing), so sharing it is safe.
-	eff, err := core.NewVerifierWithBefore(snap, v, req, e.materializeOn(v, snap)).
-		SideEffects(cand.Translation)
-	vd := vsp.End()
-	rt.Stage("verify", vd)
-	obs.Observe(stageVerifyNS, int64(vd))
+	cand, eff, err := translateOn(ctx, snap, v, pol, req)
 	if err != nil {
 		return core.Candidate{}, nil, req, 0, err
 	}
 	return cand, eff, req, version, nil
+}
+
+// translateOn runs the translate and verify stages of one view update
+// judged against src — the published snapshot for Translate, the staged
+// overlay for TxUpdate — recording both into the request trace attached
+// to ctx (if any) and into the stage histograms.
+func translateOn(ctx context.Context, src storage.Source, v view.View, pol core.Policy, req core.Request) (core.Candidate, *core.Effects, error) {
+	rt := obs.TraceFrom(ctx)
+	sp := obs.StartSpan("server.translate")
+	cand, err := core.NewTranslator(v, pol).Translate(src, req)
+	d := sp.End()
+	rt.Stage("translate", d)
+	obs.Observe(stageTranslateNS, int64(d))
+	if err != nil {
+		return core.Candidate{}, nil, err
+	}
+	vsp := obs.StartSpan("server.verify")
+	eff, err := core.SideEffects(src, v, req, cand.Translation)
+	vd := vsp.End()
+	rt.Stage("verify", vd)
+	obs.Observe(stageVerifyNS, int64(vd))
+	if err != nil {
+		return core.Candidate{}, nil, err
+	}
+	return cand, eff, nil
 }
 
 // Commit submits a translation to the group-commit pipeline and waits

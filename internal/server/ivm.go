@@ -38,14 +38,15 @@ func (e *Engine) patchViewCache(old, new *snapshot, landed []*update.Translation
 	}
 	subbed := e.subs.active()
 	removed, added := netDelta(landed)
+	type delta struct{ rem, add []tuple.T }
+	deltaOf := func(v view.View) delta {
+		rem, add := v.DeltaForChange(old.db, new.db, removed, added)
+		return delta{rem.Slice(), add.Slice()}
+	}
 
 	// Subscribed views compute their deltas first — a live subscription
 	// needs the row changes even when no reader has materialized the
 	// view — and the results are reused by the cache patch below.
-	type delta struct {
-		rem, add []tuple.T
-		ok       bool
-	}
 	var deltas map[string]delta
 	for _, name := range subbed {
 		v := e.sess.View(name)
@@ -55,16 +56,12 @@ func (e *Engine) patchViewCache(old, new *snapshot, landed []*update.Translation
 			e.subs.drop(name)
 			continue
 		}
-		rem, add, ok := viewDeltaFor(v, old, new, removed, added)
-		if !ok {
-			e.subs.drop(name)
-			continue
-		}
 		if deltas == nil {
 			deltas = make(map[string]delta, len(subbed))
 		}
-		deltas[name] = delta{rem: rem, add: add, ok: true}
-		e.subs.publish(name, v, new.version, rem, add)
+		d := deltaOf(v)
+		deltas[name] = d
+		e.subs.publish(name, v, new.version, d.rem, d.add)
 	}
 
 	c := &e.views
@@ -75,62 +72,23 @@ func (e *Engine) patchViewCache(old, new *snapshot, landed []*update.Translation
 		return
 	}
 	for name, set := range c.sets {
-		var rem, add []tuple.T
-		ok := false
-		if d, hit := deltas[name]; hit {
-			rem, add, ok = d.rem, d.add, d.ok
-		} else if v := e.sess.View(name); v != nil {
-			rem, add, ok = viewDeltaFor(v, old, new, removed, added)
+		d, hit := deltas[name]
+		if !hit {
+			v := e.sess.View(name)
+			if v == nil {
+				// View dropped: evict.
+				delete(c.sets, name)
+				obs.Inc("server.ivm.rebuild")
+				continue
+			}
+			d = deltaOf(v)
 		}
-		if !ok {
-			// View dropped, redefined, or of a shape we cannot patch:
-			// evict and let the next read rematerialize.
-			delete(c.sets, name)
-			obs.Inc("server.ivm.rebuild")
-			continue
-		}
-		c.sets[name] = patchSet(set, rem, add)
+		c.sets[name] = patchSet(set, d.rem, d.add)
 		obs.Inc("server.ivm.patch")
 	}
 	c.version = new.version
 	obs.SetGauge("server.viewcache.entries", int64(len(c.sets)))
 	obs.SetGauge("server.viewcache.version", int64(c.version))
-}
-
-// viewDeltaFor computes the view-row delta of v across a publish from
-// the net base delta. ok=false means v's shape cannot be maintained
-// incrementally (the set must be rematerialized, and subscriptions
-// cannot be served).
-func viewDeltaFor(v view.View, old, new *snapshot, removed, added []tuple.T) (remRows, addRows []tuple.T, ok bool) {
-	switch vv := v.(type) {
-	case *view.SP:
-		// The base key is the view key: removed/added base tuples map
-		// (through the selection) one-to-one onto removed/added rows.
-		base := vv.Base().Name()
-		rem, add := tuple.NewSet(), tuple.NewSet()
-		for _, t := range removed {
-			if t.Relation().Name() != base {
-				continue
-			}
-			if row, rok := vv.RowFor(t); rok {
-				rem.Add(row)
-			}
-		}
-		for _, t := range added {
-			if t.Relation().Name() != base {
-				continue
-			}
-			if row, rok := vv.RowFor(t); rok {
-				add.Add(row)
-			}
-		}
-		return rem.Slice(), add.Slice(), true
-	case *view.Join:
-		remSet, addSet := vv.DeltaForChange(old.db, new.db, removed, added)
-		return remSet.Slice(), addSet.Slice(), true
-	default:
-		return nil, nil, false
-	}
 }
 
 // patchSet applies a view-row delta copy-on-write: the input set is
@@ -154,7 +112,7 @@ func patchSet(set *tuple.Set, removedRows, addedRows []tuple.T) *tuple.Set {
 // base change between the pre-batch and post-batch states: a tuple
 // removed after being added earlier in the batch cancels out, and vice
 // versa, so the result is exactly Diff(old, new) restricted to the
-// touched relations — the contract Join.DeltaForChange expects.
+// touched relations — the input view.DeltaForChange expects.
 func netDelta(landed []*update.Translation) (removed, added []tuple.T) {
 	removedSet, addedSet := tuple.NewSet(), tuple.NewSet()
 	for _, tr := range landed {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -157,7 +156,7 @@ func (h *subHub) active() []string {
 }
 
 // drop sheds every subscriber of the named view (dropped or redefined
-// views, undeliverable deltas).
+// views).
 func (h *subHub) drop(name string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -239,16 +238,6 @@ func (h *subHub) close() {
 		h.dropLocked(name, entry)
 	}
 	h.views = nil
-}
-
-// subscribable reports whether v's shape supports incremental deltas —
-// the same shapes patchMaterialization maintains.
-func subscribable(v view.View) bool {
-	switch v.(type) {
-	case *view.SP, *view.Join:
-		return true
-	}
-	return false
 }
 
 // --- SSE encoding -----------------------------------------------------
@@ -365,12 +354,6 @@ func (e *Engine) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	v, _, err := e.lookupView(name, nil)
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	if !subscribable(v) {
-		writeJSON(w, http.StatusUnprocessableEntity, errorReply{
-			Error: fmt.Sprintf("server: view %s is not incrementally maintainable; live subscription unsupported", name),
-			Code:  "unsubscribable"})
 		return
 	}
 	sub := e.subs.attach(name, v)

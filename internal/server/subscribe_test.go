@@ -187,3 +187,62 @@ func TestSubscribeFanoutAllocs(t *testing.T) {
 		t.Fatalf("subscription fan-out allocates %.1f per event, want 0", allocs)
 	}
 }
+
+// TestSubscribeSkipsHiddenOnlyChange: a base replace that changes only
+// an attribute a view projects out leaves that view's rows untouched,
+// so its subscribers see nothing (not a remove-and-re-add of the same
+// row) and its cached set is carried across the commit as is (not
+// cloned for a no-op). The next real change is the first event.
+func TestSubscribeSkipsHiddenOnlyChange(t *testing.T) {
+	e, srv := newTestServer(t, nil)
+	if _, err := e.ExecScript(`
+CREATE DOMAIN NoteDom AS STRING ('a', 'b');
+CREATE TABLE STAFF (No KeyDom, Loc LocDom, Note NoteDom, PRIMARY KEY (No));
+CREATE VIEW Full AS SELECT * FROM STAFF;
+CREATE VIEW Brief AS SELECT No, Loc FROM STAFF;
+`); err != nil {
+		t.Fatal(err)
+	}
+	through := func(kind update.Kind, body updateBody) {
+		t.Helper()
+		cand, _, _, base, err := e.Translate(context.Background(), "Full", nil, e.buildRequest(kind, body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Commit(context.Background(), cand.Translation, false, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	through(update.Insert, updateBody{Values: []string{"1", "NY", "a"}})
+
+	resp, err := http.Get(srv.URL + "/subscribe/Brief")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if hello := readSSE(t, br, 1)[0]; hello.name != "hello" {
+		t.Fatalf("hello = %+v", hello)
+	}
+	before, _, err := e.ReadView("Brief") // warms the cache
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Note is invisible in Brief: no event, same cached set.
+	through(update.Replace, updateBody{Where: map[string]string{"No": "1"}, Set: map[string]string{"Note": "b"}})
+	after, _, err := e.ReadView("Brief")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Error("cached set of Brief was rebuilt by a commit that changed none of its rows")
+	}
+
+	// Loc is visible: this is the first change the subscriber hears of.
+	through(update.Replace, updateBody{Where: map[string]string{"No": "1"}, Set: map[string]string{"Loc": "SF"}})
+	ev := readSSE(t, br, 1)[0]
+	if ev.name != "change" || !strings.Contains(ev.data, `"removed":[["1","NY"]]`) || !strings.Contains(ev.data, `"added":[["1","SF"]]`) {
+		t.Fatalf("first event after a hidden-only change = %+v, want the Loc change", ev)
+	}
+}

@@ -121,8 +121,7 @@ func (e *Engine) BeginTx() (string, error) {
 
 // TxUpdate translates and applies one view update inside the
 // transaction's staged state. Nothing reaches the live database until
-// TxCommit. The translate and verify stages are recorded into the
-// request trace attached to ctx (if any) and into the stage histograms.
+// TxCommit.
 func (e *Engine) TxUpdate(ctx context.Context, token, viewName string, prefer []string, build func(view.View, storage.Source) (core.Request, error)) (core.Candidate, *core.Effects, error) {
 	tx, err := e.txs.get(token)
 	if err != nil {
@@ -139,20 +138,7 @@ func (e *Engine) TxUpdate(ctx context.Context, token, viewName string, prefer []
 	if err != nil {
 		return core.Candidate{}, nil, err
 	}
-	rt := obs.TraceFrom(ctx)
-	sp := obs.StartSpan("server.translate")
-	cand, err := core.NewTranslator(v, pol).Translate(tx.staged, req)
-	d := sp.End()
-	rt.Stage("translate", d)
-	obs.Observe(stageTranslateNS, int64(d))
-	if err != nil {
-		return core.Candidate{}, nil, err
-	}
-	vsp := obs.StartSpan("server.verify")
-	eff, err := core.SideEffects(tx.staged, v, req, cand.Translation)
-	vd := vsp.End()
-	rt.Stage("verify", vd)
-	obs.Observe(stageVerifyNS, int64(vd))
+	cand, eff, err := translateOn(ctx, tx.staged, v, pol, req)
 	if err != nil {
 		return core.Candidate{}, nil, err
 	}

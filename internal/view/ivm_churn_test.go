@@ -9,16 +9,18 @@ import (
 	"viewupdate/internal/tuple"
 	"viewupdate/internal/update"
 	"viewupdate/internal/value"
+	"viewupdate/internal/view"
 	"viewupdate/internal/workload"
 )
 
 // These churn property tests pin incremental view maintenance to full
-// rebuilds: a maintained set patched with Join.DeltaForChange (or, for
-// SP views, the per-tuple RowFor delta the server's cache patcher uses)
-// must stay byte-for-byte equal to Materialize after every commit of a
-// randomized base-update stream — payload replaces at every tree level,
-// foreign-key retargets, root and non-root inserts and deletes, and
-// multi-relation translations.
+// rebuilds, for both view classes through the one View.DeltaForChange
+// contract: a maintained set patched with each step's delta must stay
+// byte-for-byte equal to Materialize after every commit of a randomized
+// base-update stream — payload replaces at every tree level (including
+// ones only a projected-out attribute sees), foreign-key retargets,
+// root and non-root inserts and deletes, and multi-relation
+// translations.
 
 // sameRows compares two sets byte-for-byte via their canonical
 // encodings in deterministic order.
@@ -45,6 +47,36 @@ func patched(set, removedRows, addedRows *tuple.Set) *tuple.Set {
 		out.Add(r)
 	}
 	return out
+}
+
+// stepDelta checks v.DeltaForChange for the change tr makes between
+// before (whose extension is maintained) and after, and returns the
+// maintained set carried across it. The delta must be disjoint,
+// normalized (only rows of the before state leave, no row of the before
+// state enters — a row identical in both states is in neither set) and
+// exact (patching reproduces Materialize(after)).
+func stepDelta(t *testing.T, iter int, v view.View, before, after storage.Source, tr *update.Translation, maintained *tuple.Set) *tuple.Set {
+	t.Helper()
+	remRows, addRows := v.DeltaForChange(before, after, tr.Removed().Slice(), tr.Added().Slice())
+	for _, r := range remRows.Slice() {
+		if addRows.Contains(r) {
+			t.Fatalf("iter %d: row in both delta sets: %s", iter, r)
+		}
+		if !maintained.Contains(r) {
+			t.Fatalf("iter %d: removed row was not maintained: %s", iter, r)
+		}
+	}
+	for _, r := range addRows.Slice() {
+		if maintained.Contains(r) {
+			t.Fatalf("iter %d: added row was already maintained: %s", iter, r)
+		}
+	}
+	got := patched(maintained, remRows, addRows)
+	if want := v.Materialize(after); !sameRows(got, want) {
+		t.Fatalf("iter %d: IVM of %s diverges from rebuild after %s\n got %d rows, want %d",
+			iter, v.Name(), tr, got.Len(), want.Len())
+	}
+	return got
 }
 
 // treeChurn generates random base translations against a TreeWorkload.
@@ -210,21 +242,7 @@ func runTreeChurn(t *testing.T, cfg workload.TreeConfig, iters int) {
 		if err := ov.Apply(tr); err != nil {
 			continue // e.g. deleting a referenced non-root tuple
 		}
-		remRows, addRows := w.View.DeltaForChange(w.DB, ov, tr.Removed().Slice(), tr.Added().Slice())
-		for _, r := range remRows.Slice() {
-			if addRows.Contains(r) {
-				t.Fatalf("iter %d: row in both delta sets: %s", i, r)
-			}
-			if !maintained.Contains(r) {
-				t.Fatalf("iter %d: removed row was not maintained: %s", i, r)
-			}
-		}
-		got := patched(maintained, remRows, addRows)
-		want := w.View.Materialize(ov)
-		if !sameRows(got, want) {
-			t.Fatalf("iter %d: IVM diverges from rebuild after %s\n got %d rows, want %d",
-				i, tr, got.Len(), want.Len())
-		}
+		got := stepDelta(t, i, w.View, w.DB, ov, tr, maintained)
 		if err := w.DB.Apply(tr); err != nil {
 			t.Fatalf("iter %d: overlay accepted but database rejected: %v", i, err)
 		}
@@ -251,9 +269,9 @@ func TestIVMChurnTreeDepth3Fanout1(t *testing.T) {
 	}, 120)
 }
 
-// TestIVMChurnSP pins the SP patching math the server's cache patcher
-// uses: removed/added base tuples map through SP.RowFor onto the exact
-// view-row delta.
+// TestIVMChurnSP runs the same per-step contract check on an SP view
+// with a selecting and a hidden attribute: replaces toggle visibility,
+// or change only what the view projects out (an empty delta).
 func TestIVMChurnSP(t *testing.T) {
 	w := workload.MustNewSP(workload.SPConfig{
 		Keys: 64, Attrs: 3, DomainSize: 4, SelectingAttrs: 1, HiddenAttrs: 1,
@@ -302,22 +320,7 @@ func TestIVMChurnSP(t *testing.T) {
 		if err := ov.Apply(tr); err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
-		remRows, addRows := tuple.NewSet(), tuple.NewSet()
-		for _, u := range tr.Removed().Slice() {
-			if row, ok := w.View.RowFor(u); ok {
-				remRows.Add(row)
-			}
-		}
-		for _, u := range tr.Added().Slice() {
-			if row, ok := w.View.RowFor(u); ok {
-				addRows.Add(row)
-			}
-		}
-		got := patched(maintained, remRows, addRows)
-		want := w.View.Materialize(ov)
-		if !sameRows(got, want) {
-			t.Fatalf("iter %d: SP patch diverges from rebuild after %s", i, tr)
-		}
+		got := stepDelta(t, i, w.View, w.DB, ov, tr, maintained)
 		if err := w.DB.Apply(tr); err != nil {
 			t.Fatal(err)
 		}

@@ -367,8 +367,7 @@ func (j *Join) JoinConsistent(viewTuple tuple.T) error {
 	return nil
 }
 
-// Lookup returns the current view row whose (root) key matches probe's
-// key; ok is false if no such row.
+// Lookup implements View: the row of the root tuple with probe's key.
 func (j *Join) Lookup(db storage.Source, probe tuple.T) (tuple.T, bool) {
 	rootBase, ok := j.RootBaseForKey(db, probe)
 	if !ok {

@@ -2,6 +2,21 @@
 // views over a single BCNF relation, and select-project-join (SPJ)
 // views in SPJNF whose joins are reference connections forming a rooted
 // tree.
+//
+// Both classes key their rows by one base relation's key (the SP base,
+// the join root), so a base change moves only the rows of the keys it
+// reaches. DeltaForChange is that fact as an API, with one contract for
+// both classes: given the states before and after a base change and
+// the base tuples the change removed and added (a replace contributes
+// to both; tuples of relations the view does not read are ignored),
+//
+//	Materialize(after) == Materialize(before) - removedRows + addedRows
+//
+// with removedRows ⊆ Materialize(before), addedRows ∩
+// Materialize(before) = ∅ and removedRows ∩ addedRows = ∅: a row
+// identical in both states is in neither set. Rows are looked up in the
+// two states by key, so the result is exact even when removed and added
+// overlap, and costs O(touched keys), never O(view).
 package view
 
 import (
@@ -14,8 +29,9 @@ import (
 	"viewupdate/internal/value"
 )
 
-// A View is anything that can be materialized from a database state.
-// The two implementations are *SP and *Join.
+// A View is anything that can be materialized from a database state
+// and maintained by row delta. The two implementations are *SP and
+// *Join.
 type View interface {
 	// Name returns the view's name.
 	Name() string
@@ -23,6 +39,13 @@ type View interface {
 	Schema() *schema.Relation
 	// Materialize computes the view extension on db.
 	Materialize(db storage.Source) *tuple.Set
+	// Lookup returns the row of Materialize(db) whose key matches
+	// probe's key (probe is a tuple of the view schema); ok is false if
+	// there is no such row.
+	Lookup(db storage.Source, probe tuple.T) (row tuple.T, ok bool)
+	// DeltaForChange returns the exact row delta of a base change; see
+	// the package comment for the contract.
+	DeltaForChange(before, after storage.Source, removed, added []tuple.T) (removedRows, addedRows *tuple.Set)
 }
 
 // An SP view is a selection and projection of one base relation. The
@@ -129,14 +152,53 @@ func (v *SP) Materialize(db storage.Source) *tuple.Set {
 	return out
 }
 
-// Lookup returns the current view row whose key matches probe's key
-// (probe is a tuple of the view schema); ok is false if no such row.
+// Lookup implements View.
 func (v *SP) Lookup(db storage.Source, probe tuple.T) (tuple.T, bool) {
 	base, ok := v.BaseForKey(db, probe)
 	if !ok {
 		return tuple.T{}, false
 	}
 	return v.RowFor(base)
+}
+
+// DeltaForChange implements View. The base key is the view key, so the
+// rows that can differ are those of the touched base keys.
+func (v *SP) DeltaForChange(before, after storage.Source, removed, added []tuple.T) (removedRows, addedRows *tuple.Set) {
+	removedRows, addedRows = tuple.NewSet(), tuple.NewSet()
+	for _, ts := range [2][]tuple.T{removed, added} {
+		for _, t := range ts {
+			if t.Relation().Name() == v.base.Name() {
+				diffRow(before, after, t, v.rowOf, removedRows, addedRows)
+			}
+		}
+	}
+	return removedRows, addedRows
+}
+
+func (v *SP) rowOf(_ storage.Source, base tuple.T) (tuple.T, bool) { return v.RowFor(base) }
+
+// diffRow records how the row generated by the base tuple with probe's
+// key differs between two states: nothing if it is the same row (or
+// absent) in both, otherwise its before-row as removed and its
+// after-row as added.
+func diffRow(before, after storage.Source, probe tuple.T, rowOf func(storage.Source, tuple.T) (tuple.T, bool), removedRows, addedRows *tuple.Set) {
+	var rowB, rowA tuple.T
+	var okB, okA bool
+	if b, ok := before.LookupKey(probe); ok {
+		rowB, okB = rowOf(before, b)
+	}
+	if a, ok := after.LookupKey(probe); ok {
+		rowA, okA = rowOf(after, a)
+	}
+	if okB && okA && rowB.Equal(rowA) {
+		return
+	}
+	if okB {
+		removedRows.Add(rowB)
+	}
+	if okA {
+		addedRows.Add(rowA)
+	}
 }
 
 // BaseForKey returns the base tuple whose key matches probe's key
