@@ -152,7 +152,7 @@ bench-shard:
 # read speedup it reports the follower staleness quantiles
 # (publish→apply lag, ms), subscription fan-out events/sec, and the
 # steady-state view-cache rebuild delta (O(delta) maintenance keeps it
-# ≈ 0). CI asserts speedup_4f_reads_per_sec ≥ 3 and staleness_p99_ms
+# = 0). CI asserts speedup_4f_reads_per_sec ≥ 3 and staleness_p99_ms
 # ≤ 250 (see docs/REPLICATION.md).
 bench-replica:
 	$(GO) test -bench 'BenchmarkReplicaScale' -run '^$$' -benchtime 4000x -timeout 600s .

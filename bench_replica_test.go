@@ -27,7 +27,7 @@ package viewupdate
 //     streams (two per follower) during the measured window.
 //   - steady_rebuilds: the view-cache rebuild counter delta across the
 //     measured window — O(delta) maintenance means patches grow and
-//     rebuilds stay ≈ 0.
+//     rebuilds stay = 0 (a warm view's rows ride every publish).
 //
 // Results land in BENCH_replica.json. Run with:
 //

@@ -110,9 +110,9 @@ func (e *Engine) runPipeline() {
 }
 
 // commitBatch takes one batch through the pipeline: recheck optimistic
-// conflicts against the live state, land the survivors, bump the
-// version by the number of commits that landed, publish a fresh
-// snapshot, patch the view cache, and settle the waiters. Along the way
+// conflicts against the live state, land the survivors, publish the
+// next snapshot (one version per landed commit, warm view rows carried
+// forward — see publish), and settle the waiters. Along the way
 // it records the pipeline stages — queue wait per request; commit,
 // fsync and publish per batch — into the stage histograms; the
 // discipline records them into each request's trace.
@@ -147,7 +147,7 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 		return
 	}
 
-	oldSnap := e.snap.Load()
+	base := e.snap.Load().version
 
 	// Strict commits are validated against the version their state was
 	// staged from, ordered ahead of the op-validated commits so the
@@ -156,7 +156,7 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 	// the state it was staged from and cannot fail op-level validation.
 	var admitted []*commitReq
 	var rest []*commitReq
-	predicted := oldSnap.version
+	predicted := base
 	for _, r := range batch {
 		if !r.strict {
 			rest = append(rest, r)
@@ -201,8 +201,7 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 	for i, r := range landed {
 		trs[i] = r.tr
 	}
-	e.publishSnapshot(oldSnap.version + uint64(len(landed)))
-	e.patchViewCache(oldSnap, e.snap.Load(), trs)
+	e.publish(trs)
 	obs.Add("server.commit.committed", int64(len(landed)))
 	var publishNS int64
 	if timed {
@@ -212,7 +211,7 @@ func (e *Engine) commitBatch(batch []*commitReq) {
 	// Settle only after publish, so a request that gets its commit
 	// acknowledged can immediately re-read the view at (at least) the
 	// version it landed at.
-	e.disc.settle(landed, oldSnap.version, stats, publishNS)
+	e.disc.settle(landed, base, stats, publishNS)
 }
 
 // commitStageNS is the commit stage of a batch: its time applying in

@@ -7,22 +7,27 @@
 //
 // # Concurrency model
 //
-// Request handlers never touch the live database. Each handler reads
-// the engine's published snapshot (an immutable storage.Database plus
-// its commit version), translates and stages against it in parallel
-// with every other request, and then submits the resulting translation
-// to a single-writer group-commit pipeline. One goroutine gathers
-// queued commits into batches and runs every batch through the same
-// steps (commitBatch): recheck optimistic conflicts against the live
-// state, land the survivors, publish a fresh snapshot and patch the
-// view cache, then settle the waiters. Only land and settle depend on
-// the store — the journaling discipline, chosen once at boot from the
-// shard count: synchronous (one WAL append and one fsync for the whole
-// batch inside land, waiters answered in settle) or pipelined (memory
-// only in land; settle hands the journal work to per-shard lanes, and
-// an acker answers each waiter once its records are durable).
-// Admission control bounds the commit queue: when it is full,
-// submissions fail fast and the HTTP layer answers 429 with a
+// Request handlers never touch the live database. Each handler loads
+// the engine's one published value — a snapshot: a storage.Database,
+// its commit version and that state's own memo of materialized view
+// rows — translates, stages and reads against it in parallel with every
+// other request, and then submits the resulting translation to a
+// single-writer group-commit pipeline. A snapshot is built whole,
+// stored once, and never mutated except for memo fills; every writer
+// (the pipeline, the follower's replay, admin scripts, boot) reaches
+// the store through the one publish (ivm.go), which carries the
+// previous snapshot's warm rows forward by the step's view delta before
+// any reader can see the new database. One goroutine gathers queued
+// commits into batches and runs every batch through the same steps
+// (commitBatch): recheck optimistic conflicts against the live state,
+// land the survivors, publish, then settle the waiters. Only land and
+// settle depend on the store — the journaling discipline, chosen once
+// at boot from the shard count: synchronous (one WAL append and one
+// fsync for the whole batch inside land, waiters answered in settle) or
+// pipelined (memory only in land; settle hands the journal work to
+// per-shard lanes, and an acker answers each waiter once its records
+// are durable). Admission control bounds the commit queue: when it is
+// full, submissions fail fast and the HTTP layer answers 429 with a
 // Retry-After hint.
 //
 // See docs/SERVING.md for the wire API and the group-commit protocol,
@@ -173,11 +178,47 @@ func (c Config) batchDelay() time.Duration {
 	}
 }
 
-// A snapshot is one published immutable state: handlers translate
-// against Dolly (the clone), never the live database.
+// A snapshot is the engine's one published value: a database state,
+// its commit version, and that state's own memo of materialized view
+// rows. The invariant: built whole by publish, stored once, never
+// mutated except for memo fills — and a fill is a pure function of the
+// snapshot's own database, so the rows cannot disagree with it and are
+// never compared against anything. Handlers translate and read against
+// the snapshot they loaded, never the live database. Embedding the
+// database makes a snapshot a storage.Source, so a request builder
+// handed one resolves rows from that same snapshot's memo (rowsOn).
 type snapshot struct {
-	db      *storage.Database
+	*storage.Database
 	version uint64
+
+	mu sync.Mutex // guards views
+	// views is keyed by the view value, not its name: an entry answers
+	// for exactly the definition that filled it.
+	views map[view.View]*tuple.Set
+}
+
+// rows returns v's rows at this snapshot, materializing them on the
+// first ask — the only place the serving layer rematerializes, so
+// server.ivm.rebuild counts exactly these fills. The fill runs outside
+// the lock; cold readers racing each other store equal sets and the
+// last one stays. The returned set is shared and must not be mutated.
+func (s *snapshot) rows(v view.View) *tuple.Set {
+	s.mu.Lock()
+	set, ok := s.views[v]
+	s.mu.Unlock()
+	if ok {
+		obs.Inc("server.viewcache.hit")
+		return set
+	}
+	set = v.Materialize(s.Database)
+	obs.Inc("server.viewcache.miss")
+	obs.Inc("server.ivm.rebuild")
+	s.mu.Lock()
+	s.views[v] = set
+	n := len(s.views)
+	s.mu.Unlock()
+	obs.SetGauge("server.viewcache.entries", int64(n))
+	return set
 }
 
 // A durableStore is everything the engine asks of whichever store is
@@ -238,10 +279,6 @@ type Engine struct {
 	// stateMu serializes every mutation of the live database: committer
 	// batches and admin script execution.
 	stateMu sync.Mutex
-
-	// views memoizes view materializations of the published snapshot;
-	// see materializeOn.
-	views viewCache
 
 	commitC  chan *commitReq
 	sendMu   sync.RWMutex // guards commitC sends against close
@@ -330,7 +367,7 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 			e.logf("init script: skipped existing definitions", "skipped", skipped)
 		}
 	}
-	e.publishSnapshot(0)
+	e.publish(nil)
 	// Seed the dedup table with every request key recovery found in the
 	// WAL(s): a client retrying an ack the crash made ambiguous gets its
 	// original outcome back instead of a double apply. The window is
@@ -416,7 +453,7 @@ func (e *Engine) preregisterMetrics() {
 	}
 	for _, g := range []string{
 		"server.http.inflight", "server.commit.queue_depth",
-		"server.tx.open", "server.viewcache.entries", "server.viewcache.version",
+		"server.tx.open", "server.viewcache.entries",
 		"server.degraded", "server.breaker.state", "server.idem.entries",
 		"server.walstream.streams", "server.replica.subscribers",
 	} {
@@ -443,89 +480,19 @@ func (e *Engine) logf(msg string, args ...any) {
 // mutated.
 func (e *Engine) Snapshot() (*storage.Database, uint64) {
 	s := e.snap.Load()
-	return s.db, s.version
-}
-
-// publishSnapshot publishes the live state at version v as a
-// copy-on-write shared clone: extensions are shared with the live
-// database and cloned per relation on the live side's next write, so
-// publication costs O(relations), not O(tuples). The published snapshot
-// itself is never mutated. Callers must hold stateMu (or be the only
-// goroutine, during init).
-func (e *Engine) publishSnapshot(v uint64) {
-	e.snap.Store(&snapshot{db: e.db.CloneShared(), version: v})
-}
-
-// A viewCache memoizes view materializations of the published snapshot
-// for one snapshot version at a time, keyed by view name. The commit
-// pipeline carries warm entries forward across publishes by patching
-// them with each landed batch's view delta (see patchViewCache);
-// versions the patcher skips — cold cache, DDL via ExecScript —
-// invalidate implicitly, and the first read at the newer version resets
-// the map and rematerializes.
-type viewCache struct {
-	mu      sync.Mutex
-	version uint64
-	sets    map[string]*tuple.Set
-}
-
-// materializeOn returns the view's rows over src. When src is the
-// currently published snapshot, the materialization is memoized per
-// (snapshot version, view), so repeated reads of one view between
-// commits share one set. Any other source — a staged transaction
-// overlay, a stale snapshot — is materialized directly. The returned
-// set is shared and must not be mutated.
-func (e *Engine) materializeOn(v view.View, src storage.Source) *tuple.Set {
-	s := e.snap.Load()
-	if db, ok := src.(*storage.Database); !ok || db != s.db {
-		return v.Materialize(src)
-	}
-	return e.cachedView(v, s)
-}
-
-// cachedView looks v up in the view cache at snapshot s, materializing
-// and (if s is still current) storing on miss. Materialization runs
-// outside the lock; a publish racing the fill simply loses the entry.
-func (e *Engine) cachedView(v view.View, s *snapshot) *tuple.Set {
-	c := &e.views
-	c.mu.Lock()
-	if c.version == s.version && c.sets != nil {
-		if set, ok := c.sets[v.Name()]; ok {
-			c.mu.Unlock()
-			obs.Inc("server.viewcache.hit")
-			return set
-		}
-	}
-	c.mu.Unlock()
-	set := v.Materialize(s.db)
-	obs.Inc("server.viewcache.miss")
-	obs.Inc("server.ivm.rebuild")
-	c.mu.Lock()
-	if c.version < s.version || c.sets == nil {
-		if c.version <= s.version {
-			c.version = s.version
-			c.sets = make(map[string]*tuple.Set)
-		}
-	}
-	if c.version == s.version && c.sets != nil {
-		c.sets[v.Name()] = set
-	}
-	obs.SetGauge("server.viewcache.entries", int64(len(c.sets)))
-	obs.SetGauge("server.viewcache.version", int64(c.version))
-	c.mu.Unlock()
-	return set
+	return s.Database, s.version
 }
 
 // ReadView returns the named view's rows at the published snapshot,
-// served through the view cache, plus the snapshot version. The
-// returned set is shared and must not be mutated.
+// from that snapshot's memo, plus the snapshot version. The returned
+// set is shared and must not be mutated.
 func (e *Engine) ReadView(name string) (*tuple.Set, uint64, error) {
 	v, _, err := e.lookupView(name, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	db, version := e.Snapshot()
-	return e.materializeOn(v, db), version, nil
+	s := e.snap.Load()
+	return s.rows(v), s.version, nil
 }
 
 // lookupView resolves a view and its configured policy; prefer, when
@@ -569,15 +536,8 @@ func (e *Engine) ExecScript(script string) (string, error) {
 	out, err := e.sess.ExecScript(script)
 	// Even a failed script may have executed a statement prefix;
 	// republish unconditionally.
-	e.bumpVersionLocked(1)
+	e.publish(nil)
 	return out, err
-}
-
-// bumpVersionLocked advances the commit version by delta and republishes
-// the snapshot. Callers hold stateMu.
-func (e *Engine) bumpVersionLocked(delta uint64) {
-	v := e.snap.Load().version + delta
-	e.publishSnapshot(v)
 }
 
 // Translate resolves the view, translates req against the published
@@ -589,19 +549,22 @@ func (e *Engine) Translate(ctx context.Context, viewName string, prefer []string
 	if err != nil {
 		return core.Candidate{}, nil, core.Request{}, 0, err
 	}
-	snap, version := e.Snapshot()
-	req, err := build(v, snap)
+	// The builder is handed the snapshot itself, so whatever rows it
+	// needs come from the memo of the state the translation is judged
+	// against, however many commits land meanwhile.
+	s := e.snap.Load()
+	req, err := build(v, s)
 	if err != nil {
 		return core.Candidate{}, nil, core.Request{}, 0, err
 	}
 	if ferr := faultinject.Hit(faultinject.SiteServerTranslate); ferr != nil {
 		return core.Candidate{}, nil, req, 0, ferr
 	}
-	cand, eff, err := translateOn(ctx, snap, v, pol, req)
+	cand, eff, err := translateOn(ctx, s.Database, v, pol, req)
 	if err != nil {
 		return core.Candidate{}, nil, req, 0, err
 	}
-	return cand, eff, req, version, nil
+	return cand, eff, req, s.version, nil
 }
 
 // translateOn runs the translate and verify stages of one view update

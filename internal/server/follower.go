@@ -12,8 +12,8 @@ import (
 )
 
 // Follower mode (Config.Follow): the engine serves the same read API —
-// snapshot-isolated view reads through the same IVM-patched view
-// cache, /subscribe streams, /metrics — but its state is a replica of
+// snapshot-isolated view reads from the same delta-carried view rows,
+// /subscribe streams, /metrics — but its state is a replica of
 // a source engine's, replayed commit by commit from the source's WAL
 // stream. The write API answers ErrReadOnly; the group-commit pipeline
 // never starts. A durable follower (Config.Dir set) is itself a
@@ -75,21 +75,21 @@ func (e *Engine) runReplicator(ctx context.Context) {
 
 // applyReplicated lands one replicated commit under the same stateMu
 // discipline as commitBatch: apply (durably, when the follower is),
-// publish a fresh snapshot, and patch the warm view cache with the
-// commit's O(delta) view changes — a steady-state follower
+// then the same publish, which carries the warm view rows forward by
+// the commit's O(delta) view changes — a steady-state follower
 // rematerializes nothing. Lag gauges update on every commit; the
 // wall-clock histogram only for live-streamed records (TS is zero on
 // gap-fill replays, whose encode time was long ago).
 func (e *Engine) applyReplicated(c replica.Commit) error {
 	e.stateMu.Lock()
-	if err := e.fol.Apply(c); err != nil {
-		e.stateMu.Unlock()
+	err := e.fol.Apply(c)
+	if err == nil {
+		e.publish([]*update.Translation{c.Tr})
+	}
+	e.stateMu.Unlock()
+	if err != nil {
 		return err
 	}
-	oldSnap := e.snap.Load()
-	e.publishSnapshot(oldSnap.version + 1)
-	e.patchViewCache(oldSnap, e.snap.Load(), []*update.Translation{c.Tr})
-	e.stateMu.Unlock()
 	if c.Key != "" {
 		// Keep the dedup table current so a promotion (or a client that
 		// failed over mid-retry) still recognizes fulfilled keys.

@@ -13,6 +13,7 @@ import (
 	"viewupdate/internal/core"
 	"viewupdate/internal/obs"
 	"viewupdate/internal/persist"
+	"viewupdate/internal/storage"
 	"viewupdate/internal/update"
 	"viewupdate/internal/vuerr"
 	"viewupdate/internal/wal"
@@ -244,25 +245,36 @@ func (e *Engine) handleListViews(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Engine) handleReadView(w http.ResponseWriter, r *http.Request) {
+	s := e.snap.Load()
+	e.writeRows(w, r, s, s.version)
+}
+
+// writeRows answers a view read over src for both read routes: resolve
+// {name}, parse the query's Attr=val pairs as equality filters against
+// the view schema (a repeated parameter is a 400, not
+// first-value-wins), and render the matching rows (rowsOn) — asked for
+// only once the request is known to be well-formed.
+func (e *Engine) writeRows(w http.ResponseWriter, r *http.Request, src storage.Source, version uint64) {
 	name := r.PathValue("name")
 	v, _, err := e.lookupView(name, nil)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	db, version := e.Snapshot()
 	eq := map[string]string{}
 	for param, vals := range r.URL.Query() {
-		if len(vals) > 0 {
-			eq[param] = vals[0]
+		if len(vals) != 1 {
+			writeError(w, fmt.Errorf("server: filter %s given %d times; a read takes one value per attribute", param, len(vals)))
+			return
 		}
+		eq[param] = vals[0]
 	}
 	parsed, err := parseEq(v.Schema(), eq)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	rows, cols := renderRows(v, e.materializeOn(v, db), parsed)
+	rows, cols := renderRows(v, rowsOn(v, src), parsed)
 	writeJSON(w, http.StatusOK, rowsReply{
 		View: name, Columns: cols, Rows: rows, Count: len(rows), Version: version,
 	})
@@ -401,21 +413,12 @@ func (e *Engine) handleTxUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Engine) handleTxReadView(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	v, _, err := e.lookupView(name, nil)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	staged, err := e.TxView(r.PathValue("token"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	rows, cols := renderRows(v, v.Materialize(staged), nil)
-	writeJSON(w, http.StatusOK, rowsReply{
-		View: name, Columns: cols, Rows: rows, Count: len(rows),
-	})
+	e.writeRows(w, r, staged, 0)
 }
 
 func (e *Engine) handleTxCommit(w http.ResponseWriter, r *http.Request) {

@@ -201,6 +201,62 @@ func TestHTTPTransactionFlow(t *testing.T) {
 	}
 }
 
+// TestHTTPReadFilters: the live and the staged read route answer the
+// same query the same way — equality filters honoured, a repeated or
+// malformed parameter refused with 400 bad_request.
+func TestHTTPReadFilters(t *testing.T) {
+	_, srv := newTestServer(t, nil)
+	for _, k := range []string{"1", "2"} {
+		if code := doJSON(t, "POST", srv.URL+"/views/NY/insert",
+			map[string]any{"values": []string{k, "NY"}}, nil); code != http.StatusOK {
+			t.Fatalf("seed insert status %d", code)
+		}
+	}
+	var tx txReply
+	if code := doJSON(t, "POST", srv.URL+"/tx/begin", nil, &tx); code != http.StatusOK {
+		t.Fatalf("begin status %d", code)
+	}
+	if code := doJSON(t, "POST", srv.URL+"/tx/"+tx.Token+"/views/NY/insert",
+		map[string]any{"values": []string{"3", "NY"}}, nil); code != http.StatusOK {
+		t.Fatalf("stage status %d", code)
+	}
+
+	for _, route := range []struct {
+		name, path string
+		all        int
+	}{
+		{"live", "/views/NY", 2},
+		{"staged", "/tx/" + tx.Token + "/views/NY", 3},
+	} {
+		for _, tc := range []struct {
+			query  string
+			status int
+			count  int
+		}{
+			{"", http.StatusOK, route.all},
+			{"?EmpNo=2", http.StatusOK, 1},
+			{"?EmpNo=2&Location=NY", http.StatusOK, 1},
+			{"?EmpNo=9", http.StatusOK, 0},
+			{"?EmpNo=1&EmpNo=2", http.StatusBadRequest, 0},
+			{"?Nope=1", http.StatusBadRequest, 0},
+			{"?EmpNo=x", http.StatusBadRequest, 0},
+		} {
+			var reply struct {
+				rowsReply
+				errorReply
+			}
+			code := doJSON(t, "GET", srv.URL+route.path+tc.query, nil, &reply)
+			if code != tc.status || reply.Count != tc.count || len(reply.Rows) != tc.count {
+				t.Errorf("%s %q = %d with %d rows, want %d with %d (%s)",
+					route.name, tc.query, code, reply.Count, tc.status, tc.count, reply.Error)
+			}
+			if tc.status == http.StatusBadRequest && reply.Code != "bad_request" {
+				t.Errorf("%s %q: code %q, want bad_request", route.name, tc.query, reply.Code)
+			}
+		}
+	}
+}
+
 // TestHTTPHealthAndMetrics: healthz reflects state; metricsz serves the
 // obs snapshot shape (counters + histograms) and works without a sink.
 func TestHTTPHealthAndMetrics(t *testing.T) {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"maps"
+
 	"viewupdate/internal/obs"
 	"viewupdate/internal/tuple"
 	"viewupdate/internal/update"
@@ -9,86 +11,92 @@ import (
 
 // This file is the serving side of incremental view maintenance: the
 // commit pipeline knows exactly which base tuples each landed batch
-// removed and added, so instead of letting a publish invalidate the
-// view cache (making the next reader pay a full O(view)
-// rematerialization), it patches every warm cached set with the batch's
-// view delta. Readers share cached sets, so patching is copy-on-write:
-// a patched entry is a fresh set and sets already handed out are never
-// mutated.
+// removed and added, so instead of publishing a database whose view
+// rows the next reader must rematerialize in O(view), publish carries
+// every warm set of the previous snapshot into the next one by the
+// batch's view delta. Readers share the sets, so carrying is
+// copy-on-write: a patched entry is a fresh set and sets already handed
+// out are never mutated.
 //
 // The same per-view deltas drive live subscriptions (subscribe.go):
 // each commit's row changes fan out to /subscribe/{view} tails, for
-// subscribed views whether or not any reader has warmed the cache.
+// subscribed views whether or not any reader has warmed them.
 
-// patchViewCache carries the view cache across a publish and feeds the
-// subscription hub: given the snapshot that was current when
-// commitBatch started, the snapshot just published, and the
-// translations that landed between them (in apply order), it patches
-// each warm cached set with the corresponding view delta, advances the
-// cache to the new version, and broadcasts each subscribed view's row
-// changes. If the cache is cold or stale it invalidates implicitly
-// (subscriptions still get their deltas).
+// publish builds the next published state whole and stores it once: a
+// copy-on-write clone of the live database (extensions are shared and
+// cloned per relation on the live side's next write, so O(relations)),
+// the next version, and — when the step from the previous snapshot is a
+// known list of landed translations, in apply order — every warm entry
+// of the previous snapshot's memo patched by the step's view delta.
+// The memo is complete before the single Store, so no reader can hold a
+// database without its rows or rows without their database, and a warm
+// view stays warm for as long as commits are the only writers; the one
+// cold path left is a fill of the previous snapshot that lands after
+// its memo was copied here, which the next snapshot does not see.
 //
-// Called with stateMu held. Reading e.sess without sessMu is safe here:
-// DDL mutation (ExecScript) requires sessMu AND stateMu, and we hold
-// stateMu.
-func (e *Engine) patchViewCache(old, new *snapshot, landed []*update.Translation) {
-	if len(landed) == 0 {
-		return
+// An empty landed means the step is not a known delta — boot, or an
+// admin script that may have run DDL: the next snapshot takes one
+// version and starts with an empty memo, which is the invalidate-on-DDL
+// rule. Subscribers hear each subscribed view's delta after the store,
+// so an event never precedes the state it describes.
+//
+// Callers hold stateMu (or are the only goroutine, at boot). Reading
+// e.sess without sessMu is safe here: DDL mutation (ExecScript)
+// requires sessMu AND stateMu.
+func (e *Engine) publish(landed []*update.Translation) {
+	prev := e.snap.Load()
+	next := &snapshot{Database: e.db.CloneShared(), views: map[view.View]*tuple.Set{}}
+	type delta struct {
+		v        view.View
+		rem, add []tuple.T
 	}
-	subbed := e.subs.active()
-	removed, added := netDelta(landed)
-	type delta struct{ rem, add []tuple.T }
-	deltaOf := func(v view.View) delta {
-		rem, add := v.DeltaForChange(old.db, new.db, removed, added)
-		return delta{rem.Slice(), add.Slice()}
-	}
-
-	// Subscribed views compute their deltas first — a live subscription
-	// needs the row changes even when no reader has materialized the
-	// view — and the results are reused by the cache patch below.
-	var deltas map[string]delta
-	for _, name := range subbed {
-		v := e.sess.View(name)
-		if v == nil {
-			// View dropped since the subscribers attached; cut them loose
-			// so they notice and re-subscribe (or give up).
-			e.subs.drop(name)
-			continue
+	var fanout []delta
+	switch {
+	case prev == nil: // boot: version 0
+	case len(landed) == 0:
+		next.version = prev.version + 1
+	default:
+		next.version = prev.version + uint64(len(landed))
+		removed, added := netDelta(landed)
+		deltas := map[view.View]delta{}
+		deltaOf := func(v view.View) delta {
+			d, ok := deltas[v]
+			if !ok {
+				rem, add := v.DeltaForChange(prev.Database, next.Database, removed, added)
+				d = delta{v, rem.Slice(), add.Slice()}
+				deltas[v] = d
+			}
+			return d
 		}
-		if deltas == nil {
-			deltas = make(map[string]delta, len(subbed))
-		}
-		d := deltaOf(v)
-		deltas[name] = d
-		e.subs.publish(name, v, new.version, d.rem, d.add)
-	}
-
-	c := &e.views
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.version != old.version || c.sets == nil {
-		// Cold or already-stale cache: nothing warm to carry forward.
-		return
-	}
-	for name, set := range c.sets {
-		d, hit := deltas[name]
-		if !hit {
+		// A live subscription needs the row changes even when no reader
+		// has materialized the view; a warm view reuses them below.
+		for _, name := range e.subs.active() {
 			v := e.sess.View(name)
 			if v == nil {
-				// View dropped: evict.
-				delete(c.sets, name)
-				obs.Inc("server.ivm.rebuild")
+				// View dropped since the subscribers attached; cut them loose
+				// so they notice and re-subscribe (or give up).
+				e.subs.drop(name)
 				continue
 			}
-			d = deltaOf(v)
+			fanout = append(fanout, deltaOf(v))
 		}
-		c.sets[name] = patchSet(set, d.rem, d.add)
-		obs.Inc("server.ivm.patch")
+		prev.mu.Lock()
+		warm := maps.Clone(prev.views)
+		prev.mu.Unlock()
+		for v, set := range warm {
+			if e.sess.View(v.Name()) != v {
+				continue // dropped or rebound since it was filled: not carried
+			}
+			d := deltaOf(v)
+			next.views[v] = patchSet(set, d.rem, d.add)
+			obs.Inc("server.ivm.patch")
+		}
 	}
-	c.version = new.version
-	obs.SetGauge("server.viewcache.entries", int64(len(c.sets)))
-	obs.SetGauge("server.viewcache.version", int64(c.version))
+	obs.SetGauge("server.viewcache.entries", int64(len(next.views)))
+	e.snap.Store(next) // from here on readers may fill next.views
+	for _, d := range fanout {
+		e.subs.publish(d.v.Name(), d.v, next.version, d.rem, d.add)
+	}
 }
 
 // patchSet applies a view-row delta copy-on-write: the input set is

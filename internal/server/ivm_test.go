@@ -4,12 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"viewupdate/internal/core"
+	"viewupdate/internal/storage"
 	"viewupdate/internal/tuple"
 	"viewupdate/internal/update"
 	"viewupdate/internal/value"
+	"viewupdate/internal/view"
 )
 
 // ivmScript defines an SP view, a join view, and enough domain room for
@@ -47,22 +52,28 @@ func newIVMEngine(t *testing.T, mut func(*Config)) *Engine {
 	return e
 }
 
-// checkViewsFresh reads every view through the (possibly patched)
-// cache and pins it byte-for-byte to a fresh materialization of the
-// published snapshot.
+// checkViewsFresh loads the published snapshot, reads every view from
+// its (possibly carried-forward) memo and pins it byte-for-byte to a
+// fresh materialization of that same snapshot's database.
 func checkViewsFresh(t *testing.T, e *Engine, ctx string) {
 	t.Helper()
-	db, _ := e.Snapshot()
+	s := e.snap.Load()
 	for _, name := range e.ViewNames() {
 		v, _, err := e.lookupView(name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := e.materializeOn(v, db), v.Materialize(db)
-		if !got.Equal(want) {
-			t.Fatalf("%s: cached %s has %d rows, fresh materialization %d",
-				ctx, name, got.Len(), want.Len())
-		}
+		checkRowsFresh(t, v, s.rows(v), s.Database, ctx)
+	}
+}
+
+// checkRowsFresh is the IVM ≡ rebuild comparison: got must equal v
+// materialized over db.
+func checkRowsFresh(t *testing.T, v view.View, got *tuple.Set, db *storage.Database, ctx string) {
+	t.Helper()
+	if want := v.Materialize(db); !got.Equal(want) {
+		t.Fatalf("%s: served %s has %d rows, fresh materialization %d",
+			ctx, v.Name(), got.Len(), want.Len())
 	}
 }
 
@@ -129,47 +140,118 @@ func randomBaseTranslation(e *Engine, rng *rand.Rand) *update.Translation {
 }
 
 // TestViewCachePatchedAcrossCommits is the serving half of the IVM
-// churn property: after every commit of a random base-change stream,
-// the delta-patched cached sets must equal a fresh materialization of
-// the published snapshot — and after the warmup reads, no commit may
-// trigger a rematerialization (server.ivm.rebuild stays flat while
-// server.ivm.patch grows).
+// churn property, and the proof that publish is atomic: while a random
+// base-change stream commits, every (rows, version) any reader is
+// served equals a fresh materialization of the database published at
+// that version — and once the views are warm no commit may cost a
+// rematerialization, however many readers race the publishes
+// (server.ivm.rebuild stays flat while server.ivm.patch grows). The
+// committer itself re-reads every view after every commit, so zero
+// extra readers is the single-goroutine case.
 func TestViewCachePatchedAcrossCommits(t *testing.T) {
-	sink := metricsSink(t)
-	e := newIVMEngine(t, nil)
-	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		name             string
+		readers, commits int
+	}{
+		{"single goroutine", 0, 20},
+		{"concurrent readers", 4, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := metricsSink(t)
+			e := newIVMEngine(t, nil)
+			rng := rand.New(rand.NewSource(5))
+			names := e.ViewNames()
 
-	checkViewsFresh(t, e, "warmup")
-	warm := sink.Metrics().Snapshot()
-	if warm.Counters["server.ivm.rebuild"] == 0 {
-		t.Fatal("warmup reads should have rebuilt the cold cache")
-	}
+			checkViewsFresh(t, e, "warmup")
+			warm := sink.Metrics().Snapshot()
+			if warm.Counters["server.ivm.rebuild"] == 0 {
+				t.Fatal("warmup reads should have filled the cold memo")
+			}
 
-	committed := 0
-	for i := 0; i < 60; i++ {
-		tr := randomBaseTranslation(e, rng)
-		if tr == nil {
-			continue
-		}
-		if _, err := e.Commit(context.Background(), tr, false, 0); err != nil {
-			continue // randomly invalid against the current state
-		}
-		committed++
-		checkViewsFresh(t, e, fmt.Sprintf("after commit %d", i))
-	}
-	if committed < 20 {
-		t.Fatalf("only %d/60 random commits landed", committed)
-	}
+			// Readers keep the first rows they were served per (view,
+			// version); the committer keeps the database of every version.
+			type served struct {
+				view    string
+				version uint64
+			}
+			seen := make([]map[served]*tuple.Set, tc.readers)
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := range seen {
+				seen[r] = map[served]*tuple.Set{}
+				wg.Add(1)
+				go func(mine map[served]*tuple.Set) {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for _, name := range names {
+							set, version, err := e.ReadView(name)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if _, ok := mine[served{name, version}]; !ok {
+								mine[served{name, version}] = set
+							}
+						}
+					}
+				}(seen[r])
+			}
 
-	snap := sink.Metrics().Snapshot()
-	if got, want := snap.Counters["server.ivm.rebuild"], warm.Counters["server.ivm.rebuild"]; got != want {
-		t.Errorf("server.ivm.rebuild grew from %d to %d: commits invalidated warm entries", want, got)
-	}
-	if snap.Counters["server.ivm.patch"] == 0 {
-		t.Error("server.ivm.patch = 0: no cached set was delta-patched")
-	}
-	if snap.Counters["server.viewcache.hit"] == 0 {
-		t.Error("server.viewcache.hit = 0: patched entries were never served")
+			db, version := e.Snapshot()
+			dbs := map[uint64]*storage.Database{version: db}
+			committed := 0
+			for i := 0; committed < tc.commits && i < 10*tc.commits; i++ {
+				tr := randomBaseTranslation(e, rng)
+				if tr == nil {
+					continue
+				}
+				landedAt, err := e.Commit(context.Background(), tr, false, 0)
+				if err != nil {
+					continue // randomly invalid against the current state
+				}
+				committed++
+				if db, version = e.Snapshot(); version != landedAt {
+					t.Fatalf("published version %d after the only committer landed %d", version, landedAt)
+				}
+				dbs[version] = db
+				checkViewsFresh(t, e, fmt.Sprintf("after commit %d", i))
+			}
+			close(stop)
+			wg.Wait()
+			if committed < tc.commits {
+				t.Fatalf("only %d/%d random commits landed", committed, tc.commits)
+			}
+
+			for _, mine := range seen {
+				for at, set := range mine {
+					v, _, err := e.lookupView(at.view, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkRowsFresh(t, v, set, dbs[at.version], fmt.Sprintf("reader at version %d", at.version))
+				}
+			}
+
+			snap := sink.Metrics().Snapshot()
+			if got, want := snap.Counters["server.ivm.rebuild"], warm.Counters["server.ivm.rebuild"]; got != want {
+				t.Errorf("server.ivm.rebuild grew from %d to %d over %d commits: warm rows were thrown away", want, got, committed)
+			}
+			if snap.Counters["server.ivm.patch"] == 0 {
+				t.Error("server.ivm.patch = 0: no warm set was delta-patched")
+			}
+			if snap.Counters["server.viewcache.hit"] == 0 {
+				t.Error("server.viewcache.hit = 0: carried rows were never served")
+			}
+			if fills := snap.Counters["server.viewcache.miss"]; snap.Counters["server.ivm.rebuild"] != fills {
+				t.Errorf("server.ivm.rebuild = %d but %d memo fills: it must count rematerializations only",
+					snap.Counters["server.ivm.rebuild"], fills)
+			}
+		})
 	}
 }
 
@@ -190,5 +272,59 @@ func TestViewCacheDDLForcesRebuild(t *testing.T) {
 	after := sink.Metrics().Snapshot()
 	if after.Counters["server.ivm.rebuild"] <= before.Counters["server.ivm.rebuild"] {
 		t.Error("ExecScript should invalidate the cache and force rebuilds")
+	}
+}
+
+// TestRequestReadsTheSnapshotItTranslatedAgainst: a wire replace whose
+// Translate loaded version N resolves its where row from N's memo even
+// though commits N+1… land before its builder runs — no cold fill, and
+// no silent O(view) materialization either (the builder's allocations
+// do not scale with the view).
+func TestRequestReadsTheSnapshotItTranslatedAgainst(t *testing.T) {
+	sink := metricsSink(t)
+	e := newTestEngine(t, "", nil)
+	const rows = 400
+	var seed strings.Builder
+	for k := 1; k <= rows; k++ {
+		fmt.Fprintf(&seed, "INSERT INTO EMP VALUES (%d, 'NY');\n", k)
+	}
+	if _, err := e.ExecScript(seed.String()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.ReadView("NY"); err != nil { // warm
+		t.Fatal(err)
+	}
+	_, loaded := e.Snapshot()
+	warm := sink.Metrics().Snapshot()
+
+	inner := e.buildRequest(update.Replace, updateBody{
+		Where: map[string]string{"EmpNo": "1"}, Set: map[string]string{"EmpNo": "5000"}})
+	var allocs float64
+	build := func(v view.View, src storage.Source) (core.Request, error) {
+		for k := rows + 1; k <= rows+3; k++ {
+			if err := insertKey(e, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(10, func() {
+			if _, err := inner(v, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return inner(v, src)
+	}
+	_, _, _, base, err := e.Translate(context.Background(), "NY", nil, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, now := e.Snapshot(); base != loaded || now != loaded+3 {
+		t.Fatalf("translated against version %d with %d published; want %d and %d", base, now, loaded, loaded+3)
+	}
+	after := sink.Metrics().Snapshot()
+	if d := after.Counters["server.viewcache.miss"] - warm.Counters["server.viewcache.miss"]; d != 0 {
+		t.Errorf("%d cold fills while resolving a row of a warm view", d)
+	}
+	if allocs > rows/4 {
+		t.Errorf("resolving one row of a warm %d-row view allocates %.0f: the view was rematerialized", rows, allocs)
 	}
 }

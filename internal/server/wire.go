@@ -177,11 +177,20 @@ func uniqueRow(v view.View, rows *tuple.Set, eq map[string]value.Value) (tuple.T
 	}
 }
 
+// rowsOn returns v's rows over the state a read or a request builder
+// was handed: a published snapshot answers from its own memo, a
+// transaction's staged overlay has none and is materialized.
+func rowsOn(v view.View, src storage.Source) *tuple.Set {
+	if s, ok := src.(*snapshot); ok {
+		return s.rows(v)
+	}
+	return v.Materialize(src)
+}
+
 // buildRequest converts a wire update body of the given kind into a
 // core.Request builder, evaluated against whichever state (published
-// snapshot or staged transaction overlay) the caller supplies. Row
-// resolution for delete/replace goes through the engine's view cache
-// when the supplied state is the published snapshot.
+// snapshot or staged transaction overlay) the caller supplies; a delete
+// or replace resolves its where row over that same state (rowsOn).
 func (e *Engine) buildRequest(kind update.Kind, body updateBody) func(view.View, storage.Source) (core.Request, error) {
 	return func(v view.View, src storage.Source) (core.Request, error) {
 		switch kind {
@@ -196,7 +205,7 @@ func (e *Engine) buildRequest(kind update.Kind, body updateBody) func(view.View,
 			if err != nil {
 				return core.Request{}, err
 			}
-			row, err := uniqueRow(v, e.materializeOn(v, src), eq)
+			row, err := uniqueRow(v, rowsOn(v, src), eq)
 			if err != nil {
 				return core.Request{}, err
 			}
@@ -209,7 +218,7 @@ func (e *Engine) buildRequest(kind update.Kind, body updateBody) func(view.View,
 			if err != nil {
 				return core.Request{}, err
 			}
-			row, err := uniqueRow(v, e.materializeOn(v, src), eq)
+			row, err := uniqueRow(v, rowsOn(v, src), eq)
 			if err != nil {
 				return core.Request{}, err
 			}
