@@ -31,19 +31,27 @@ race:
 # detector — the overlay, the delta-driven verifier, the parallel
 # candidate judging, the IVM layer (reverse reference index, join
 # delta maintenance, view-cache patching; see docs/PERFORMANCE.md),
-# the sharded store (shard map, router, 2PC recovery) and the
-# replication layer (WAL streaming, follower replay, subscriptions).
+# the sharded store (shard map, router, 2PC recovery), the
+# replication layer (WAL streaming, follower replay, subscriptions) and
+# the sqlish session (its transactions stage on an overlay over a
+# snapshot shared copy-on-write with the live database).
 race-core:
-	$(GO) test -race ./internal/core/... ./internal/storage/... ./internal/view/... ./internal/server/... ./internal/shard/... ./internal/replica/...
+	$(GO) test -race ./internal/core/... ./internal/storage/... ./internal/view/... ./internal/server/... ./internal/shard/... ./internal/replica/... ./internal/sqlish/...
 
 # soak exercises the durability and fault-injection surface: the
 # crash-safety, recovery and churn tests under the race detector, plus
-# short smoke runs of the native fuzzers (torn-WAL scanning and the
-# snapshot loader).
+# short smoke runs of the native fuzzers: torn-WAL scanning, the
+# snapshot loader, and the two front doors that take network bytes (the
+# sqlish parser and the wire update body). The front-door targets bound
+# minimization: which of several bad attributes a body is refused for
+# follows map order, so coverage is not a function of the input and the
+# default minimizer would spend the whole window on one corpus entry.
 soak:
 	$(GO) test -race -run 'Crash|Recover|Churn|Torn|Fault|Broken' ./internal/wal/ ./internal/persist/ ./internal/workload/ ./internal/storage/ ./internal/server/
 	$(GO) test -fuzz FuzzScan -fuzztime 5s -run '^$$' ./internal/wal/
 	$(GO) test -fuzz FuzzLoad -fuzztime 5s -run '^$$' ./internal/persist/
+	$(GO) test -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 100x -run '^$$' ./internal/sqlish/
+	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime 5s -fuzzminimizetime 100x -run '^$$' ./internal/server/
 
 # chaos-soak is the crash-contract gate (see docs/ROBUSTNESS.md). Part
 # one runs the deterministic in-process kill-point matrix: a live engine

@@ -22,6 +22,7 @@ import (
 	"viewupdate/internal/storage"
 	"viewupdate/internal/tuple"
 	"viewupdate/internal/update"
+	"viewupdate/internal/value"
 	"viewupdate/internal/view"
 )
 
@@ -45,6 +46,49 @@ func DeleteRequest(t tuple.T) Request { return Request{Kind: update.Delete, Tupl
 // atomic action.
 func ReplaceRequest(old, new tuple.T) Request {
 	return Request{Kind: update.Replace, Old: old, New: new}
+}
+
+// BuildRequest turns a statement against v — an insert's positional
+// values, or a delete's or replace's where plus a replace's set — into
+// the single-tuple request it means over src. The where names its row
+// through view.Select over that same state, so every front door (the
+// wire, a wire transaction, sqlish) refuses a where that names no row
+// or several with the same verdict.
+func BuildRequest(v view.View, src storage.Source, kind update.Kind, values []value.Value, where, set []view.Eq) (Request, error) {
+	switch {
+	case kind == update.Insert:
+		t, err := tuple.New(v.Schema(), values...)
+		if err != nil {
+			return Request{}, err
+		}
+		return InsertRequest(t), nil
+	case kind != update.Delete && kind != update.Replace:
+		return Request{}, fmt.Errorf("core: unsupported update kind %v", kind)
+	case kind == update.Replace && len(set) == 0:
+		return Request{}, fmt.Errorf("core: replace needs a set clause")
+	case len(where) == 0:
+		return Request{}, fmt.Errorf("core: where clause required")
+	}
+	rows, err := view.Select(v, src, where)
+	if err != nil {
+		return Request{}, err
+	}
+	if len(rows) == 0 {
+		return Request{}, fmt.Errorf("core: no row of %s matches", v.Name())
+	}
+	if len(rows) > 1 {
+		return Request{}, fmt.Errorf("core: %d rows of %s match; requests are single-tuple — refine the where clause", len(rows), v.Name())
+	}
+	if kind == update.Delete {
+		return DeleteRequest(rows[0]), nil
+	}
+	newRow := rows[0]
+	for _, c := range set {
+		if newRow, err = newRow.With(c.Attr, c.Val); err != nil {
+			return Request{}, err
+		}
+	}
+	return ReplaceRequest(rows[0], newRow), nil
 }
 
 // AddedTuples returns the view tuples the request adds (insert tuple,

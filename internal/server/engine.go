@@ -186,7 +186,8 @@ func (c Config) batchDelay() time.Duration {
 // never compared against anything. Handlers translate and read against
 // the snapshot they loaded, never the live database. Embedding the
 // database makes a snapshot a storage.Source, so a request builder
-// handed one resolves rows from that same snapshot's memo (rowsOn).
+// handed one reads that same state: view.Select looks a keyed row up
+// in it and scans its memo (Materialized) for anything else.
 type snapshot struct {
 	*storage.Database
 	version uint64
@@ -220,6 +221,9 @@ func (s *snapshot) rows(v view.View) *tuple.Set {
 	obs.SetGauge("server.viewcache.entries", int64(n))
 	return set
 }
+
+// Materialized hands view.Select's scan this snapshot's memo.
+func (s *snapshot) Materialized(v view.View) *tuple.Set { return s.rows(v) }
 
 // A durableStore is everything the engine asks of whichever store is
 // attached, outside the commit path itself: *persist.Store, the

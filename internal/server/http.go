@@ -15,6 +15,7 @@ import (
 	"viewupdate/internal/persist"
 	"viewupdate/internal/storage"
 	"viewupdate/internal/update"
+	"viewupdate/internal/view"
 	"viewupdate/internal/vuerr"
 	"viewupdate/internal/wal"
 )
@@ -252,8 +253,9 @@ func (e *Engine) handleReadView(w http.ResponseWriter, r *http.Request) {
 // writeRows answers a view read over src for both read routes: resolve
 // {name}, parse the query's Attr=val pairs as equality filters against
 // the view schema (a repeated parameter is a 400, not
-// first-value-wins), and render the matching rows (rowsOn) — asked for
-// only once the request is known to be well-formed.
+// first-value-wins), and render the rows view.Select finds — by key in
+// src when the filters bind the view key, else by a scan of the rows
+// materialized over src (a published snapshot's memo).
 func (e *Engine) writeRows(w http.ResponseWriter, r *http.Request, src storage.Source, version uint64) {
 	name := r.PathValue("name")
 	v, _, err := e.lookupView(name, nil)
@@ -274,7 +276,12 @@ func (e *Engine) writeRows(w http.ResponseWriter, r *http.Request, src storage.S
 		writeError(w, err)
 		return
 	}
-	rows, cols := renderRows(v, rowsOn(v, src), parsed)
+	matched, err := view.Select(v, src, parsed)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	rows, cols := renderRows(v, matched)
 	writeJSON(w, http.StatusOK, rowsReply{
 		View: name, Columns: cols, Rows: rows, Count: len(rows), Version: version,
 	})

@@ -102,6 +102,16 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 			map[string]any{"valuez": []string{"1", "NY"}}, http.StatusBadRequest, "bad_request"},
 		{"missing row", "POST", "/views/NY/delete",
 			map[string]any{"where": map[string]string{"EmpNo": "5"}}, http.StatusBadRequest, "bad_request"},
+		{"where on an unknown attribute", "POST", "/views/NY/delete",
+			map[string]any{"where": map[string]string{"Nope": "1"}}, http.StatusBadRequest, "bad_request"},
+		{"where value of the wrong kind", "POST", "/views/NY/delete",
+			map[string]any{"where": map[string]string{"EmpNo": "x"}}, http.StatusBadRequest, "bad_request"},
+		{"where value outside the domain", "POST", "/views/NY/replace",
+			map[string]any{"where": map[string]string{"EmpNo": "99999"}, "set": map[string]string{"EmpNo": "2"}},
+			http.StatusBadRequest, "bad_request"},
+		{"delete without where", "POST", "/views/NY/delete", map[string]any{}, http.StatusBadRequest, "bad_request"},
+		{"replace without set", "POST", "/views/NY/replace",
+			map[string]any{"where": map[string]string{"EmpNo": "5"}}, http.StatusBadRequest, "bad_request"},
 		{"unknown token", "POST", "/tx/deadbeef/commit", nil, http.StatusNotFound, "not_found"},
 	} {
 		var er errorReply
@@ -237,6 +247,9 @@ func TestHTTPReadFilters(t *testing.T) {
 			{"?EmpNo=2", http.StatusOK, 1},
 			{"?EmpNo=2&Location=NY", http.StatusOK, 1},
 			{"?EmpNo=9", http.StatusOK, 0},
+			{"?EmpNo=2&Location=SF", http.StatusOK, 0},
+			{"?Location=NY", http.StatusOK, route.all},
+			{"?EmpNo=99999", http.StatusBadRequest, 0},
 			{"?EmpNo=1&EmpNo=2", http.StatusBadRequest, 0},
 			{"?Nope=1", http.StatusBadRequest, 0},
 			{"?EmpNo=x", http.StatusBadRequest, 0},

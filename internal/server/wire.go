@@ -80,54 +80,46 @@ type execReply struct {
 }
 
 // parseValue interprets a wire string as a value of the attribute's
-// domain: integers and booleans by their literal form, everything else
-// as a string. The parsed value must belong to the domain.
+// domain kind: integers and booleans by their literal form, everything
+// else as a string. Domain membership is checked where the value is
+// used (tuple.New, tuple.With, view.Select).
 func parseValue(attr schema.Attribute, s string) (value.Value, error) {
-	var v value.Value
 	switch attr.Domain.Kind() {
 	case value.Int:
 		i, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			return value.Value{}, fmt.Errorf("server: %s wants an integer, got %q", attr.Name, s)
 		}
-		v = value.NewInt(i)
+		return value.NewInt(i), nil
 	case value.Bool:
-		switch s {
-		case "true":
-			v = value.NewBool(true)
-		case "false":
-			v = value.NewBool(false)
-		default:
+		if s != "true" && s != "false" {
 			return value.Value{}, fmt.Errorf("server: %s wants true|false, got %q", attr.Name, s)
 		}
+		return value.NewBool(s == "true"), nil
 	default:
-		v = value.NewString(s)
+		return value.NewString(s), nil
 	}
-	if !attr.Domain.Contains(v) {
-		return value.Value{}, fmt.Errorf("server: %s outside domain %s of %s", s, attr.Domain.Name(), attr.Name)
-	}
-	return v, nil
 }
 
-// parseRow builds a view tuple from positional wire strings.
-func parseRow(rel *schema.Relation, vals []string) (tuple.T, error) {
+// parseRow parses an insert's positional wire strings.
+func parseRow(rel *schema.Relation, vals []string) ([]value.Value, error) {
 	if len(vals) != rel.Arity() {
-		return tuple.T{}, fmt.Errorf("server: %s takes %d values, got %d", rel.Name(), rel.Arity(), len(vals))
+		return nil, fmt.Errorf("server: %s takes %d values, got %d", rel.Name(), rel.Arity(), len(vals))
 	}
 	parsed := make([]value.Value, len(vals))
 	for i, a := range rel.Attributes() {
 		v, err := parseValue(a, vals[i])
 		if err != nil {
-			return tuple.T{}, err
+			return nil, err
 		}
 		parsed[i] = v
 	}
-	return tuple.New(rel, parsed...)
+	return parsed, nil
 }
 
 // parseEq parses a wire equality map against the view schema.
-func parseEq(rel *schema.Relation, m map[string]string) (map[string]value.Value, error) {
-	out := make(map[string]value.Value, len(m))
+func parseEq(rel *schema.Relation, m map[string]string) ([]view.Eq, error) {
+	out := make([]view.Eq, 0, len(m))
 	for name, s := range m {
 		a, ok := rel.Attribute(name)
 		if !ok {
@@ -137,106 +129,35 @@ func parseEq(rel *schema.Relation, m map[string]string) (map[string]value.Value,
 		if err != nil {
 			return nil, err
 		}
-		out[name] = v
+		out = append(out, view.Eq{Attr: name, Val: v})
 	}
 	return out, nil
 }
 
-// matchEq reports whether the row satisfies every equality.
-func matchEq(row tuple.T, eq map[string]value.Value) bool {
-	for name, want := range eq {
-		got, ok := row.Get(name)
-		if !ok || got != want {
-			return false
-		}
-	}
-	return true
-}
-
-// uniqueRow finds the single view row of rows matching the equalities,
-// mirroring the sqlish session's single-tuple request discipline.
-func uniqueRow(v view.View, rows *tuple.Set, eq map[string]value.Value) (tuple.T, error) {
-	if len(eq) == 0 {
-		return tuple.T{}, fmt.Errorf("server: where clause required")
-	}
-	var match tuple.T
-	n := 0
-	for _, row := range rows.Slice() {
-		if matchEq(row, eq) {
-			match = row
-			n++
-		}
-	}
-	switch n {
-	case 0:
-		return tuple.T{}, fmt.Errorf("server: no row of %s matches", v.Name())
-	case 1:
-		return match, nil
-	default:
-		return tuple.T{}, fmt.Errorf("server: %d rows of %s match; requests are single-tuple — refine the where clause", n, v.Name())
-	}
-}
-
-// rowsOn returns v's rows over the state a read or a request builder
-// was handed: a published snapshot answers from its own memo, a
-// transaction's staged overlay has none and is materialized.
-func rowsOn(v view.View, src storage.Source) *tuple.Set {
-	if s, ok := src.(*snapshot); ok {
-		return s.rows(v)
-	}
-	return v.Materialize(src)
-}
-
 // buildRequest converts a wire update body of the given kind into a
 // core.Request builder, evaluated against whichever state (published
-// snapshot or staged transaction overlay) the caller supplies; a delete
-// or replace resolves its where row over that same state (rowsOn).
+// snapshot or staged transaction overlay) the caller supplies: the
+// strings are parsed here, everything a statement means is
+// core.BuildRequest's.
 func (e *Engine) buildRequest(kind update.Kind, body updateBody) func(view.View, storage.Source) (core.Request, error) {
 	return func(v view.View, src storage.Source) (core.Request, error) {
-		switch kind {
-		case update.Insert:
-			t, err := parseRow(v.Schema(), body.Values)
+		rel := v.Schema()
+		if kind == update.Insert {
+			values, err := parseRow(rel, body.Values)
 			if err != nil {
 				return core.Request{}, err
 			}
-			return core.InsertRequest(t), nil
-		case update.Delete:
-			eq, err := parseEq(v.Schema(), body.Where)
-			if err != nil {
-				return core.Request{}, err
-			}
-			row, err := uniqueRow(v, rowsOn(v, src), eq)
-			if err != nil {
-				return core.Request{}, err
-			}
-			return core.DeleteRequest(row), nil
-		case update.Replace:
-			if len(body.Set) == 0 {
-				return core.Request{}, fmt.Errorf("server: replace needs a set clause")
-			}
-			eq, err := parseEq(v.Schema(), body.Where)
-			if err != nil {
-				return core.Request{}, err
-			}
-			row, err := uniqueRow(v, rowsOn(v, src), eq)
-			if err != nil {
-				return core.Request{}, err
-			}
-			sets, err := parseEq(v.Schema(), body.Set)
-			if err != nil {
-				return core.Request{}, err
-			}
-			newRow := row
-			for name, val := range sets {
-				newRow, err = newRow.With(name, val)
-				if err != nil {
-					return core.Request{}, err
-				}
-			}
-			return core.ReplaceRequest(row, newRow), nil
-		default:
-			return core.Request{}, fmt.Errorf("server: unsupported update kind %v", kind)
+			return core.BuildRequest(v, src, kind, values, nil, nil)
 		}
+		where, err := parseEq(rel, body.Where)
+		if err != nil {
+			return core.Request{}, err
+		}
+		set, err := parseEq(rel, body.Set)
+		if err != nil {
+			return core.Request{}, err
+		}
+		return core.BuildRequest(v, src, kind, nil, where, set)
 	}
 }
 
@@ -250,23 +171,18 @@ func renderOps(tr *update.Translation) []string {
 	return out
 }
 
-// renderRows renders a materialized view row set (optionally filtered
-// by equalities) into the wire row format.
-func renderRows(v view.View, set *tuple.Set, eq map[string]value.Value) ([][]string, []string) {
+// renderRows renders view rows into the wire row format.
+func renderRows(v view.View, rows []tuple.T) ([][]string, []string) {
 	cols := v.Schema().AttributeNames()
-	var rows [][]string
-	for _, row := range set.Slice() {
-		if len(eq) > 0 && !matchEq(row, eq) {
-			continue
-		}
+	var out [][]string
+	for _, row := range rows {
 		cells := make([]string, len(cols))
-		for i, c := range cols {
-			val, _ := row.Get(c)
-			cells[i] = wireString(val)
+		for i := range cols {
+			cells[i] = wireString(row.At(i))
 		}
-		rows = append(rows, cells)
+		out = append(out, cells)
 	}
-	return rows, cols
+	return out, cols
 }
 
 // wireString renders a value for the wire in the same plain form

@@ -2,6 +2,7 @@ package sqlish
 
 import (
 	"viewupdate/internal/value"
+	"viewupdate/internal/view"
 )
 
 // A Stmt is one parsed statement.
@@ -86,11 +87,9 @@ type CreateJoinView struct {
 
 func (CreateJoinView) stmt() {}
 
-// EqTerm is "attr = value".
-type EqTerm struct {
-	Attr string
-	Val  value.Value
-}
+// EqTerm is "attr = value", in the form view.Select and
+// core.BuildRequest take a WHERE or SET list.
+type EqTerm = view.Eq
 
 // CreateIndex is CREATE INDEX ON table (attr): builds a secondary
 // index used by selection scans.
@@ -182,9 +181,9 @@ type SetDefault struct {
 func (SetDefault) stmt() {}
 
 // Begin is BEGIN: it opens a multi-statement transaction. Data
-// statements until COMMIT run against a staged clone of the database;
-// COMMIT applies the accumulated difference atomically (and durably,
-// when a store is attached); ROLLBACK discards it.
+// statements until COMMIT run against an overlay staged over the
+// database; COMMIT applies the accumulated difference atomically (and
+// durably, when a store is attached); ROLLBACK discards it.
 type Begin struct{}
 
 func (Begin) stmt() {}

@@ -3,6 +3,14 @@
 // (INSERT / DELETE / UPDATE), SELECT for inspection, and translator
 // administration (policies, defaults, candidate listing). cmd/vupdate
 // wraps it in a REPL.
+//
+// A Session holds no row logic of its own: which row a WHERE means is
+// view.Select's answer and what a statement asks of a view is
+// core.BuildRequest's, the same two functions the wire uses. BEGIN
+// stages the way a wire transaction does — a storage.Overlay over a
+// copy-on-write snapshot of the live database — so statements inside a
+// transaction read "base + delta" and COMMIT applies the overlay's own
+// diff; nothing is cloned or scanned whole.
 package sqlish
 
 import (

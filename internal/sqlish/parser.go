@@ -607,34 +607,24 @@ func parseShow(c *cursor) (Stmt, error) {
 		return Show{What: "views"}, nil
 	case c.acceptKeyword("policies"):
 		return Show{What: "policies"}, nil
-	case c.acceptKeyword("candidates"):
+	case c.isKeyword("candidates"), c.isKeyword("effects"):
+		effects := c.isKeyword("effects")
+		c.next()
 		if err := c.expectKeyword("for"); err != nil {
 			return nil, err
+		}
+		// Checked before descending, so hostile input cannot nest SHOWs.
+		if !c.isKeyword("insert") && !c.isKeyword("delete") && !c.isKeyword("update") {
+			return nil, fmt.Errorf("sqlish: SHOW CANDIDATES|EFFECTS FOR takes INSERT, DELETE or UPDATE, got %s", c.peek())
 		}
 		inner, err := parseStmt(c)
 		if err != nil {
 			return nil, err
 		}
-		switch inner.(type) {
-		case Insert, Delete, Update:
-			return ShowCandidates{Inner: inner}, nil
-		default:
-			return nil, fmt.Errorf("sqlish: SHOW CANDIDATES FOR takes INSERT, DELETE or UPDATE")
-		}
-	case c.acceptKeyword("effects"):
-		if err := c.expectKeyword("for"); err != nil {
-			return nil, err
-		}
-		inner, err := parseStmt(c)
-		if err != nil {
-			return nil, err
-		}
-		switch inner.(type) {
-		case Insert, Delete, Update:
+		if effects {
 			return ShowEffects{Inner: inner}, nil
-		default:
-			return nil, fmt.Errorf("sqlish: SHOW EFFECTS FOR takes INSERT, DELETE or UPDATE")
 		}
+		return ShowCandidates{Inner: inner}, nil
 	default:
 		return nil, fmt.Errorf("sqlish: SHOW must be followed by TABLES, VIEWS, POLICIES, CANDIDATES or EFFECTS, got %s", c.peek())
 	}

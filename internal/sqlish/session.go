@@ -442,94 +442,34 @@ func (s *Session) policyFor(name string) core.Policy {
 }
 
 // buildRequest converts an Insert/Delete/Update statement on a view
-// into a core.Request.
+// into a core.Request over the session's current state.
 func (s *Session) buildRequest(stmt Stmt) (view.View, core.Request, error) {
+	var target string
+	var kind update.Kind
+	var values []value.Value
+	var where, set []EqTerm
 	switch st := stmt.(type) {
 	case Insert:
-		v := s.lookupView(st.Target)
-		if v == nil {
-			return nil, core.Request{}, fmt.Errorf("sqlish: unknown view %s", st.Target)
-		}
-		t, err := s.makeTuple(v.Schema(), st.Values)
-		if err != nil {
-			return nil, core.Request{}, err
-		}
-		return v, core.InsertRequest(t), nil
+		target, kind, values = st.Target, update.Insert, st.Values
 	case Delete:
-		v := s.lookupView(st.Target)
-		if v == nil {
-			return nil, core.Request{}, fmt.Errorf("sqlish: unknown view %s", st.Target)
-		}
-		row, err := s.uniqueRow(v, st.Where)
-		if err != nil {
-			return nil, core.Request{}, err
-		}
-		return v, core.DeleteRequest(row), nil
+		target, kind, where = st.Target, update.Delete, st.Where
 	case Update:
-		v := s.lookupView(st.Target)
-		if v == nil {
-			return nil, core.Request{}, fmt.Errorf("sqlish: unknown view %s", st.Target)
-		}
-		row, err := s.uniqueRow(v, st.Where)
-		if err != nil {
-			return nil, core.Request{}, err
-		}
-		newRow := row
-		for _, set := range st.Sets {
-			newRow, err = newRow.With(set.Attr, set.Val)
-			if err != nil {
-				return nil, core.Request{}, err
-			}
-		}
-		return v, core.ReplaceRequest(row, newRow), nil
+		target, kind, where, set = st.Target, update.Replace, st.Where, st.Sets
 	default:
 		return nil, core.Request{}, fmt.Errorf("sqlish: not an update statement: %T", stmt)
 	}
-}
-
-// makeTuple builds a tuple of rel from positional literals.
-func (s *Session) makeTuple(rel *schema.Relation, vals []value.Value) (tuple.T, error) {
-	if len(vals) != rel.Arity() {
-		return tuple.T{}, fmt.Errorf("sqlish: %s takes %d values, got %d", rel.Name(), rel.Arity(), len(vals))
+	v := s.lookupView(target)
+	if v == nil {
+		return nil, core.Request{}, fmt.Errorf("sqlish: unknown view %s", target)
 	}
-	return tuple.New(rel, vals...)
-}
-
-// uniqueRow finds the single current view row matching the conjunction.
-func (s *Session) uniqueRow(v view.View, where []EqTerm) (tuple.T, error) {
-	if len(where) == 0 {
-		return tuple.T{}, fmt.Errorf("sqlish: WHERE clause required")
-	}
-	var matches []tuple.T
-	for _, row := range v.Materialize(s.cur()).Slice() {
-		if matchesEq(row, where) {
-			matches = append(matches, row)
-		}
-	}
-	switch len(matches) {
-	case 0:
-		return tuple.T{}, fmt.Errorf("sqlish: no row of %s matches", v.Name())
-	case 1:
-		return matches[0], nil
-	default:
-		return tuple.T{}, fmt.Errorf("sqlish: %d rows of %s match; the paper's requests are single-tuple — refine the WHERE clause", len(matches), v.Name())
-	}
-}
-
-func matchesEq(row tuple.T, where []EqTerm) bool {
-	for _, w := range where {
-		v, ok := row.Get(w.Attr)
-		if !ok || v != w.Val {
-			return false
-		}
-	}
-	return true
+	req, err := core.BuildRequest(v, s.cur(), kind, values, where, set)
+	return v, req, err
 }
 
 // execInsert handles both base tables and views.
 func (s *Session) execInsert(st Insert) (string, error) {
 	if rel := s.sch.Relation(st.Target); rel != nil && !s.viewExists(st.Target) {
-		t, err := s.makeTuple(rel, st.Values)
+		t, err := tuple.New(rel, st.Values...)
 		if err != nil {
 			return "", err
 		}
@@ -538,11 +478,7 @@ func (s *Session) execInsert(st Insert) (string, error) {
 		}
 		return fmt.Sprintf("inserted %s", t), nil
 	}
-	v, req, err := s.buildRequest(st)
-	if err != nil {
-		return "", err
-	}
-	return s.applyViewRequest(v, req)
+	return s.applyViewRequest(st)
 }
 
 func (s *Session) execDelete(st Delete) (string, error) {
@@ -556,11 +492,7 @@ func (s *Session) execDelete(st Delete) (string, error) {
 		}
 		return fmt.Sprintf("deleted %s", t), nil
 	}
-	v, req, err := s.buildRequest(st)
-	if err != nil {
-		return "", err
-	}
-	return s.applyViewRequest(v, req)
+	return s.applyViewRequest(st)
 }
 
 func (s *Session) execUpdate(st Update) (string, error) {
@@ -581,11 +513,7 @@ func (s *Session) execUpdate(st Update) (string, error) {
 		}
 		return fmt.Sprintf("replaced %s -> %s", old, newT), nil
 	}
-	v, req, err := s.buildRequest(st)
-	if err != nil {
-		return "", err
-	}
-	return s.applyViewRequest(v, req)
+	return s.applyViewRequest(st)
 }
 
 // uniqueBaseRow finds the single base tuple matching the conjunction.
@@ -593,11 +521,9 @@ func (s *Session) uniqueBaseRow(rel *schema.Relation, where []EqTerm) (tuple.T, 
 	if len(where) == 0 {
 		return tuple.T{}, fmt.Errorf("sqlish: WHERE clause required")
 	}
-	var matches []tuple.T
-	for _, t := range s.cur().Tuples(rel.Name()) {
-		if matchesEq(t, where) {
-			matches = append(matches, t)
-		}
+	matches, err := view.Filter(rel, s.cur().Tuples(rel.Name()), where)
+	if err != nil {
+		return tuple.T{}, err
 	}
 	switch len(matches) {
 	case 0:
@@ -609,12 +535,16 @@ func (s *Session) uniqueBaseRow(rel *schema.Relation, where []EqTerm) (tuple.T, 
 	}
 }
 
-// applyViewRequest translates and applies a view update, reporting any
-// view side effects (join views may change rows beyond the request).
-func (s *Session) applyViewRequest(v view.View, req core.Request) (string, error) {
+// applyViewRequest translates and applies an Insert/Delete/Update on a
+// view, reporting any view side effects (join views may change rows
+// beyond the request).
+func (s *Session) applyViewRequest(stmt Stmt) (string, error) {
+	v, req, err := s.buildRequest(stmt)
+	if err != nil {
+		return "", err
+	}
 	tr := core.NewTranslator(v, s.policyFor(v.Name()))
 	var cand core.Candidate
-	var err error
 	var explainText string
 	if s.explain {
 		var trace *core.Trace
@@ -659,14 +589,18 @@ func renderOps(tr *update.Translation) string {
 func (s *Session) execSelect(st Select) (string, error) {
 	var rows []tuple.T
 	var header []string
+	var err error
 	if v := s.lookupView(st.Target); v != nil {
 		header = v.Schema().AttributeNames()
-		rows = v.Materialize(s.cur()).Slice()
+		rows, err = view.Select(v, s.cur(), st.Where)
 	} else if rel := s.sch.Relation(st.Target); rel != nil {
 		header = rel.AttributeNames()
-		rows = s.cur().Tuples(st.Target)
+		rows, err = view.Filter(rel, s.cur().Tuples(st.Target), st.Where)
 	} else {
 		return "", fmt.Errorf("sqlish: unknown table or view %s", st.Target)
+	}
+	if err != nil {
+		return "", err
 	}
 	cols := st.Cols
 	if cols == nil {
@@ -684,19 +618,14 @@ func (s *Session) execSelect(st Select) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", strings.Join(cols, " | "))
-	n := 0
 	for _, row := range rows {
-		if !matchesEq(row, st.Where) {
-			continue
-		}
-		n++
 		cells := make([]string, len(cols))
 		for i, c := range cols {
 			cells[i] = row.MustGet(c).String()
 		}
 		fmt.Fprintf(&b, "%s\n", strings.Join(cells, " | "))
 	}
-	fmt.Fprintf(&b, "(%d rows)", n)
+	fmt.Fprintf(&b, "(%d rows)", len(rows))
 	return b.String(), nil
 }
 

@@ -731,3 +731,63 @@ func TestSessionShowCandidatesUnknownView(t *testing.T) {
 		t.Fatal("unknown view should fail")
 	}
 }
+
+// TestWhereMisuse: a WHERE nobody could mean — an attribute the target
+// does not have, a value outside the attribute's domain, one attribute
+// given two different values — is an error naming the attribute, the
+// same 400-class answer the wire gives, for every statement that takes
+// a WHERE, on views and base tables, inside a transaction and out. None
+// of them may pass for "no row matches" or an empty SELECT.
+func TestWhereMisuse(t *testing.T) {
+	s := NewSession()
+	if _, err := s.ExecScript(empScript); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ stmt, attr string }{
+		{"DELETE FROM ViewP WHERE Nope = 1", "Nope"},
+		{"DELETE FROM ViewP WHERE EmpNo = 'x'", "EmpNo"},
+		{"DELETE FROM ViewP WHERE EmpNo = 99", "EmpNo"},
+		{"DELETE FROM ViewP WHERE EmpNo = 3 AND EmpNo = 17", "EmpNo"},
+		{"DELETE FROM ViewP WHERE EmpNo = 3 AND Nope = 1", "Nope"},
+		{"UPDATE ViewP SET Name = 'Bob' WHERE Nope = 1", "Nope"},
+		{"UPDATE ViewP SET Name = 'Bob' WHERE Name = 'Zed'", "Name"},
+		{"SELECT * FROM ViewP WHERE Nope = 1", "Nope"},
+		{"SELECT * FROM ViewP WHERE EmpNo = 'x'", "EmpNo"},
+		{"SELECT * FROM ViewP WHERE Name = 'Alice' AND Name = 'Bob'", "Name"},
+		{"SELECT * FROM EMP WHERE Nope = 1", "Nope"},
+		{"DELETE FROM EMP WHERE EmpNo = 'x'", "EmpNo"},
+		{"UPDATE EMP SET Name = 'Bob' WHERE EmpNo = 3 AND EmpNo = 17", "EmpNo"},
+		{"SHOW CANDIDATES FOR DELETE FROM ViewP WHERE Nope = 1", "Nope"},
+		{"SHOW EFFECTS FOR DELETE FROM ViewP WHERE EmpNo = 'x'", "EmpNo"},
+	}
+	check := func(ctx string) {
+		t.Helper()
+		for _, tc := range cases {
+			out, err := s.ExecLine(tc.stmt)
+			switch {
+			case err == nil:
+				t.Errorf("%s: %s answered %q, want an error naming %s", ctx, tc.stmt, out, tc.attr)
+			case !strings.Contains(err.Error(), tc.attr) || strings.Contains(err.Error(), "matches"):
+				t.Errorf("%s: %s: %v; want an error naming %s", ctx, tc.stmt, err, tc.attr)
+			}
+		}
+	}
+	check("live")
+	if _, err := s.ExecLine("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	check("in transaction")
+	// The well-formed neighbours still answer as before.
+	for stmt, want := range map[string]string{
+		"SELECT * FROM ViewP WHERE EmpNo = 3 AND EmpNo = 3": "(1 rows)",
+		"SELECT * FROM ViewP WHERE EmpNo = 14":              "(0 rows)", // in EMP, not in New York
+		"SELECT * FROM EMP WHERE Baseball = true":           "(2 rows)",
+	} {
+		if out, err := s.ExecLine(stmt); err != nil || !strings.Contains(out, want) {
+			t.Errorf("%s = %q, %v; want %s", stmt, out, err, want)
+		}
+	}
+	if _, err := s.ExecLine("DELETE FROM ViewP WHERE EmpNo = 14"); err == nil || !strings.Contains(err.Error(), "no row of ViewP matches") {
+		t.Errorf("a well-formed WHERE naming no row: %v", err)
+	}
+}

@@ -8,27 +8,29 @@ import (
 	"viewupdate/internal/update"
 )
 
-// txState holds an open transaction: the staged clone all statements
-// run against, the base snapshot taken at BEGIN (used for optimistic
-// conflict detection at COMMIT), plus the buffered journal texts
-// (appended to the session journal only on COMMIT, so SAVE TO scripts
-// replay exactly the committed statements).
+// txState holds an open transaction, staged the way a wire transaction
+// is: base is the copy-on-write snapshot taken at BEGIN (nothing is
+// copied until the live side next writes; it is what COMMIT's
+// optimistic conflict check compares against), staged the overlay over
+// it that every statement reads and writes, stmts the buffered journal
+// texts (appended to the session journal only on COMMIT, so SAVE TO
+// scripts replay exactly the committed statements).
 type txState struct {
 	base   *storage.Database
-	staged *storage.Database
+	staged *storage.Overlay
 	stmts  []string
 }
 
-// cur returns the database statements should read and write: the
-// staged clone inside a transaction, the live database otherwise.
-func (s *Session) cur() *storage.Database {
+// cur returns the state statements should read: the staged overlay
+// inside a transaction, the live database otherwise.
+func (s *Session) cur() storage.Source {
 	if s.tx != nil {
 		return s.tx.staged
 	}
 	return s.db
 }
 
-// applyTr applies a translation at the right level: the staged clone
+// applyTr applies a translation at the right level: the staged overlay
 // inside a transaction, the live state otherwise.
 func (s *Session) applyTr(tr *update.Translation) error {
 	if s.tx != nil {
@@ -75,7 +77,8 @@ func (s *Session) execBegin() (string, error) {
 	if err := s.db.Err(); err != nil {
 		return "", err
 	}
-	s.tx = &txState{base: s.db.Clone(), staged: s.db.Clone()}
+	base := s.db.CloneShared()
+	s.tx = &txState{base: base, staged: storage.NewOverlay(base)}
 	return "transaction started", nil
 }
 
@@ -83,17 +86,14 @@ func (s *Session) execCommit() (string, error) {
 	if s.tx == nil {
 		return "", fmt.Errorf("sqlish: no open transaction")
 	}
-	// Optimistic concurrency: the diff below is only meaningful
+	// Optimistic concurrency: the staged delta is only meaningful
 	// relative to the state the transaction started from. If the live
 	// database moved in the meantime, applying it would silently
 	// clobber the concurrent changes.
 	if !s.db.Equal(s.tx.base) {
 		return "", fmt.Errorf("sqlish: commit conflict: database changed since BEGIN (transaction still open)")
 	}
-	diff, err := storage.Diff(s.db, s.tx.staged)
-	if err != nil {
-		return "", err
-	}
+	diff := s.tx.staged.Diff()
 	if diff.Len() == 0 {
 		s.tx = nil
 		return "committed (no changes)", nil
@@ -120,7 +120,7 @@ func (s *Session) execRollback() (string, error) {
 
 // txAllowed reports whether stmt may run inside a transaction: data
 // statements and reads only. DDL, policy configuration and file I/O
-// change session state that the staged clone cannot isolate, so they
+// change session state that the staged overlay cannot isolate, so they
 // must happen outside.
 func txAllowed(stmt Stmt) bool {
 	switch stmt.(type) {

@@ -1,6 +1,7 @@
 package sqlish
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -282,5 +283,47 @@ func TestSessionAdoptsRecoveredStore(t *testing.T) {
 	s3 := newEmpSession(t)
 	if err := s3.AttachStore(rec); err == nil {
 		t.Fatal("non-empty session adopted a recovered store")
+	}
+}
+
+// txDeleteAllocs seeds rows New York employees, opens a transaction and
+// returns the allocations of one DELETE FROM NY WHERE EmpNo = k staged
+// in it (a fresh k per run, so every run resolves, translates and
+// stages a real delete).
+func txDeleteAllocs(t *testing.T, rows int) float64 {
+	t.Helper()
+	s := NewSession()
+	var script strings.Builder
+	script.WriteString(`
+		CREATE DOMAIN NoDom AS INT RANGE 1 TO 20000;
+		CREATE DOMAIN LocDom AS STRING ('New York', 'San Francisco');
+		CREATE TABLE EMP (EmpNo NoDom, Location LocDom, PRIMARY KEY (EmpNo));
+		CREATE VIEW NY AS SELECT * FROM EMP WHERE Location = 'New York';`)
+	for k := 1; k <= rows; k++ {
+		fmt.Fprintf(&script, "INSERT INTO EMP VALUES (%d, 'New York');\n", k)
+	}
+	script.WriteString("BEGIN; INSERT INTO NY VALUES (20000, 'New York');")
+	if _, err := s.ExecScript(script.String()); err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	return testing.AllocsPerRun(20, func() {
+		k++
+		if _, err := s.ExecLine(fmt.Sprintf("DELETE FROM NY WHERE EmpNo = %d", k)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTransactionKeyedDeleteCostIndependentOfViewSize is the sqlish
+// door of server's TestResolvingARowCostsTheSameAtAnyViewSize: inside
+// BEGIN a keyed DELETE on a view looks its row up in the staged overlay
+// and stages the translation there; nothing materializes, copies or
+// scans the view or the database, so 100 rows cost what 10,000 do.
+func TestTransactionKeyedDeleteCostIndependentOfViewSize(t *testing.T) {
+	small, large := txDeleteAllocs(t, 100), txDeleteAllocs(t, 10000)
+	t.Logf("allocs per in-transaction keyed DELETE: %.0f over 100 rows, %.0f over 10000", small, large)
+	if large > small+2 {
+		t.Fatalf("a keyed DELETE in a transaction allocates %.0f over 10000 rows vs %.0f over 100: cost scales with the view", large, small)
 	}
 }

@@ -259,7 +259,8 @@ func (db *Database) writableRefs() []map[string]map[string]tuple.T {
 }
 
 // Equal reports whether two instances of the same schema hold the same
-// tuples in every relation.
+// tuples in every relation. An extension the two still share
+// (CloneShared, no write since) is equal without being read.
 func (db *Database) Equal(o *Database) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -270,7 +271,7 @@ func (db *Database) Equal(o *Database) bool {
 	}
 	for n, e := range db.exts {
 		oe, ok := o.exts[n]
-		if !ok || !e.Equal(oe) {
+		if !ok || (e != oe && !e.Equal(oe)) {
 			return false
 		}
 	}

@@ -7,12 +7,11 @@ import (
 	"viewupdate/internal/update"
 )
 
-// Diff computes the translation that transforms the state of from into
-// the state of to: a delete for every tuple present in from but not in
-// to, and an insert for every tuple present in to but not in from. Both
-// databases must share the same schema object. Applying the result to
-// from (or any instance equal to it) atomically yields to's state —
-// this is how staged transactions commit.
+// Diff is the full-scan reference Overlay.Diff is tested against: the
+// translation that transforms the state of from into the state of to —
+// a delete for every tuple present in from but not in to, an insert for
+// every tuple present in to but not in from. Both databases must share
+// the same schema object.
 func Diff(from, to *Database) (*update.Translation, error) {
 	if from.sch != to.sch {
 		return nil, fmt.Errorf("storage: diff across distinct schemas")

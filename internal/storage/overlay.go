@@ -554,8 +554,9 @@ func (o *Overlay) Apply(tr *update.Translation) error {
 // Diff returns the translation transforming the base state into the
 // overlay's state: a delete for every removed tuple and an insert for
 // every added tuple, skipping keys whose removed and added entries are
-// equal. It matches the shape of storage.Diff (deletes + inserts, no
-// replaces) but costs O(delta) instead of a full scan.
+// equal — deletes and inserts, no replaces, at O(delta). Applying it to
+// a state equal to the base yields the overlay's state, which is how
+// staged transactions (wire and sqlish) commit.
 func (o *Overlay) Diff() *update.Translation {
 	tr := update.NewTranslation()
 	for _, d := range o.deltas {

@@ -269,6 +269,43 @@ func TestIVMChurnTreeDepth3Fanout1(t *testing.T) {
 	}, 120)
 }
 
+// randomSPOp draws one operation on the SP workload's (non-empty) base
+// relation: a replace of a random attribute (may toggle visibility), a
+// delete, or an insert under a fresh key; ok is false for a draw that
+// would change nothing.
+func randomSPOp(w *workload.SPWorkload, rng *rand.Rand) (update.Op, bool) {
+	ts := w.DB.Tuples(w.Rel.Name())
+	switch rng.Intn(3) {
+	case 0:
+		old := ts[rng.Intn(len(ts))]
+		a := w.Rel.Attributes()[1+rng.Intn(w.Rel.Arity()-1)]
+		nv := a.Domain.Values()[rng.Intn(a.Domain.Size())]
+		if nv == old.MustGet(a.Name) {
+			return update.Op{}, false
+		}
+		return update.NewReplace(old, old.MustWith(a.Name, nv)), true
+	case 1:
+		return update.NewDelete(ts[rng.Intn(len(ts))]), true
+	default:
+		used := make(map[int64]bool)
+		for _, t := range ts {
+			used[t.At(0).Int()] = true
+		}
+		keyDom := w.Rel.Attributes()[0].Domain
+		kv := keyDom.Values()[rng.Intn(keyDom.Size())]
+		if used[kv.Int()] {
+			return update.Op{}, false
+		}
+		vals := make([]value.Value, w.Rel.Arity())
+		vals[0] = kv
+		for ai := 1; ai < w.Rel.Arity(); ai++ {
+			d := w.Rel.Attributes()[ai].Domain
+			vals[ai] = d.Values()[rng.Intn(d.Size())]
+		}
+		return update.NewInsert(tuple.MustNew(w.Rel, vals...)), true
+	}
+}
+
 // TestIVMChurnSP runs the same per-step contract check on an SP view
 // with a selecting and a hidden attribute: replaces toggle visibility,
 // or change only what the view projects out (an empty delta).
@@ -282,40 +319,14 @@ func TestIVMChurnSP(t *testing.T) {
 
 	applied := 0
 	for i := 0; i < 150; i++ {
-		ts := w.DB.Tuples(w.Rel.Name())
-		if len(ts) == 0 {
+		if w.DB.Len(w.Rel.Name()) == 0 {
 			break
 		}
-		tr := update.NewTranslation()
-		switch rng.Intn(3) {
-		case 0: // replace a random attribute (may toggle visibility)
-			old := ts[rng.Intn(len(ts))]
-			a := w.Rel.Attributes()[1+rng.Intn(w.Rel.Arity()-1)]
-			nv := a.Domain.Values()[rng.Intn(a.Domain.Size())]
-			if nv == old.MustGet(a.Name) {
-				continue
-			}
-			tr.Add(update.NewReplace(old, old.MustWith(a.Name, nv)))
-		case 1: // delete
-			tr.Add(update.NewDelete(ts[rng.Intn(len(ts))]))
-		default: // insert under a fresh key
-			used := make(map[int64]bool)
-			for _, t := range ts {
-				used[t.At(0).Int()] = true
-			}
-			keyDom := w.Rel.Attributes()[0].Domain
-			kv := keyDom.Values()[rng.Intn(keyDom.Size())]
-			if used[kv.Int()] {
-				continue
-			}
-			vals := make([]value.Value, w.Rel.Arity())
-			vals[0] = kv
-			for ai := 1; ai < w.Rel.Arity(); ai++ {
-				d := w.Rel.Attributes()[ai].Domain
-				vals[ai] = d.Values()[rng.Intn(d.Size())]
-			}
-			tr.Add(update.NewInsert(tuple.MustNew(w.Rel, vals...)))
+		op, ok := randomSPOp(w, rng)
+		if !ok {
+			continue
 		}
+		tr := update.NewTranslation(op)
 		ov := storage.NewOverlay(w.DB)
 		if err := ov.Apply(tr); err != nil {
 			t.Fatalf("iter %d: %v", i, err)

@@ -379,5 +379,8 @@ func (j *Join) Lookup(db storage.Source, probe tuple.T) (tuple.T, bool) {
 // RootBaseForKey returns the root base tuple whose key matches probe's
 // key (probe is of the view schema).
 func (j *Join) RootBaseForKey(db storage.Source, probe tuple.T) (tuple.T, bool) {
-	return db.LookupKey(keyProbe(j.root.SP.Base(), probe))
+	if p, ok := keyProbe(j.root.SP.Base(), probe.Get); ok {
+		return db.LookupKey(p)
+	}
+	return tuple.T{}, false
 }

@@ -205,21 +205,27 @@ func diffRow(before, after storage.Source, probe tuple.T, rowOf func(storage.Sou
 // (probe is of the view schema — the view and base keys coincide),
 // whether or not it satisfies the selection.
 func (v *SP) BaseForKey(db storage.Source, probe tuple.T) (tuple.T, bool) {
-	return db.LookupKey(keyProbe(v.base, probe))
+	if p, ok := keyProbe(v.base, probe.Get); ok {
+		return db.LookupKey(p)
+	}
+	return tuple.T{}, false
 }
 
-// keyProbe builds a base-schema tuple carrying probe's key values under
-// the shared key attribute names; non-key attributes take an arbitrary
-// domain value. The result is only used for key-index lookups.
-func keyProbe(base *schema.Relation, probe tuple.T) tuple.T {
-	attrs := base.Attributes()
+// keyProbe builds a tuple of rel whose key attributes take the values
+// key reports for their names (ok is false if it lacks one); non-key
+// attributes take an arbitrary domain value. The result is only good
+// for key lookups.
+func keyProbe(rel *schema.Relation, key func(attr string) (value.Value, bool)) (tuple.T, bool) {
+	attrs := rel.Attributes()
 	vals := make([]value.Value, len(attrs))
 	for i, a := range attrs {
-		if base.IsKey(a.Name) {
-			vals[i] = probe.MustGet(a.Name)
-		} else {
-			vals[i] = a.Domain.At(0)
+		vals[i] = a.Domain.At(0)
+		if rel.IsKey(a.Name) {
+			var ok bool
+			if vals[i], ok = key(a.Name); !ok {
+				return tuple.T{}, false
+			}
 		}
 	}
-	return tuple.MustNew(base, vals...)
+	return tuple.MustNew(rel, vals...), true
 }
