@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet fmt race race-core soak chaos-soak bench-check bench bench-obs obs-bench bench-translate bench-ivm bench-shard bench-replica serve-bench bench-wire metrics-smoke clean
+.PHONY: all build test check vet fmt race race-core soak chaos-soak bench-check ledger-pairs bench bench-obs obs-bench bench-translate bench-ivm bench-shard bench-replica serve-bench bench-wire metrics-smoke clean
 
 all: build
 
@@ -103,6 +103,15 @@ chaos-soak:
 bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench ./...
+
+# ledger-pairs answers "is this change within bound": the ledger's
+# end-to-end metrics on PARENT and on the working tree in alternating
+# pairs, per workload and metric both medians, the ratio, pairs won and
+# worse / within / better against BENCHMARK.json's bounds; exit 1 on a
+# failed op or a metric worse beyond its bound (scripts/ledger-pairs.sh).
+#   make ledger-pairs PARENT=<rev> [WORKLOADS="a b"] [PAIRS=3] [SECONDS=25]
+ledger-pairs:
+	bash scripts/ledger-pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SECONDS)"
 
 # The tier-1+ check: build, vet, formatting, the full test suite under
 # the race detector (which subsumes the plain `go test ./...`), the

@@ -6,7 +6,9 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"viewupdate/internal/faultinject"
 	"viewupdate/internal/obs"
@@ -32,28 +34,54 @@ type Database struct {
 	// tuples themselves back Referencers — the edge walk incremental
 	// view maintenance uses to find the root tuples affected by a
 	// non-root change.
-	refs []map[string]map[string]tuple.T
+	refs []*refEdge
+	// epoch makes refs copy-on-write at the granularity it is written
+	// at: this instance owns the edges and sets stamped with its epoch;
+	// any other may be visible to a CloneShared snapshot and is copied —
+	// one edge's outer map, one parent key's set — before it is written.
+	epoch uint64
 	// poisoned is non-nil once an in-memory rollback has failed: the
 	// state is no longer trustworthy, so every later mutation returns
 	// this error (which wraps ErrPoisoned and vuerr.ErrCorrupt).
 	poisoned error
 	// sharedExts marks extensions shared with a CloneShared snapshot;
 	// the next mutation of a marked relation clones its extension first
-	// (copy-on-write at relation granularity). sharedRefs does the same
-	// for the inclusion reference index.
+	// (copy-on-write at relation granularity; the reference index is
+	// finer, see epoch).
 	sharedExts map[string]bool
-	sharedRefs bool
 }
+
+// A refEdge is the reverse reference index of one inclusion dependency:
+// the encoding of a referenced parent key → its referencer set.
+type refEdge struct {
+	epoch    uint64
+	byParent map[string]*refSet
+}
+
+// A refSet holds the child tuples referencing one parent key, keyed by
+// the child tuple's Key().
+type refSet struct {
+	epoch   uint64
+	byChild map[string]tuple.T
+}
+
+// lastEpoch hands out the ownership stamps of the reference index.
+// Open, Clone and both sides of a CloneShared take a fresh one, so an
+// edge or set carries its holder's epoch only if that instance built
+// or copied it since it last shared the index — and is then reachable
+// from no other instance. Whatever carries another epoch is never
+// written in place.
+var lastEpoch atomic.Uint64
 
 // Open returns an empty database instance for the schema.
 func Open(sch *schema.Database) *Database {
-	db := &Database{sch: sch, exts: make(map[string]*relation.Extension)}
+	db := &Database{sch: sch, exts: make(map[string]*relation.Extension), epoch: lastEpoch.Add(1)}
 	for _, name := range sch.RelationNames() {
 		db.exts[name] = relation.NewExtension(sch.Relation(name))
 	}
-	db.refs = make([]map[string]map[string]tuple.T, len(sch.Inclusions()))
+	db.refs = make([]*refEdge, len(sch.Inclusions()))
 	for i := range db.refs {
-		db.refs[i] = make(map[string]map[string]tuple.T)
+		db.refs[i] = &refEdge{epoch: db.epoch, byParent: make(map[string]*refSet)}
 	}
 	return db
 }
@@ -175,39 +203,43 @@ func (db *Database) LookupKey(probe tuple.T) (tuple.T, bool) {
 func (db *Database) Clone() *Database {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := &Database{sch: db.sch, exts: make(map[string]*relation.Extension, len(db.exts))}
+	out := &Database{sch: db.sch, exts: make(map[string]*relation.Extension, len(db.exts)), epoch: lastEpoch.Add(1)}
 	for n, e := range db.exts {
 		out.exts[n] = e.Clone()
 	}
-	out.refs = cloneRefs(db.refs)
+	out.refs = cloneRefs(db.refs, out.epoch)
 	out.poisoned = db.poisoned
 	return out
 }
 
-// cloneRefs deep-copies a reverse reference index (tuples are immutable
-// and shared).
-func cloneRefs(refs []map[string]map[string]tuple.T) []map[string]map[string]tuple.T {
-	out := make([]map[string]map[string]tuple.T, len(refs))
-	for i, m := range refs {
-		cp := make(map[string]map[string]tuple.T, len(m))
-		for k, set := range m {
-			s := make(map[string]tuple.T, len(set))
-			for ck, ct := range set {
-				s[ck] = ct
-			}
-			cp[k] = s
+// cloneRefs deep-copies a reverse reference index for the instance
+// whose epoch is given (tuples are immutable and shared).
+func cloneRefs(refs []*refEdge, epoch uint64) []*refEdge {
+	out := make([]*refEdge, len(refs))
+	for i, e := range refs {
+		cp := &refEdge{epoch: epoch, byParent: make(map[string]*refSet, len(e.byParent))}
+		for k, set := range e.byParent {
+			cp.byParent[k] = set.clone(epoch)
 		}
 		out[i] = cp
 	}
 	return out
 }
 
+// clone copies one referencer set for the instance whose epoch is
+// given.
+func (s *refSet) clone(epoch uint64) *refSet {
+	return &refSet{epoch: epoch, byChild: maps.Clone(s.byChild)}
+}
+
 // CloneShared returns a snapshot that shares every extension and the
 // reference index with the receiver, turning both sides copy-on-write:
 // whichever side mutates a relation next clones that relation's
-// extension first, so the other side never observes the write.
-// Publishing a read snapshot this way costs O(relations), not
-// O(tuples) — the win the server's snapshot publication relies on.
+// extension first, and whichever side next writes under a dependency
+// copies that edge's outer map and the one referencer set it touches,
+// so the other side never observes the write. Publishing a read
+// snapshot this way costs O(relations + dependencies), not O(tuples) —
+// the win the server's snapshot publication relies on.
 func (db *Database) CloneShared() *Database {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -221,9 +253,11 @@ func (db *Database) CloneShared() *Database {
 		db.sharedExts[n] = true
 		out.sharedExts[n] = true
 	}
-	out.refs = db.refs
-	db.sharedRefs = true
-	out.sharedRefs = true
+	// Neither side owns anything in the index any more: both move to an
+	// epoch no edge or set carries.
+	out.refs = append([]*refEdge(nil), db.refs...)
+	db.epoch = lastEpoch.Add(1)
+	out.epoch = lastEpoch.Add(1)
 	out.poisoned = db.poisoned
 	return out
 }
@@ -245,17 +279,6 @@ func (db *Database) writableExt(name string) *relation.Extension {
 		delete(db.sharedExts, name)
 	}
 	return e
-}
-
-// writableRefs returns the reference index for mutation, deep-copying
-// it first if it is shared with a snapshot. Callers hold db.mu for
-// writing.
-func (db *Database) writableRefs() []map[string]map[string]tuple.T {
-	if db.sharedRefs {
-		db.refs = cloneRefs(db.refs)
-		db.sharedRefs = false
-	}
-	return db.refs
 }
 
 // Equal reports whether two instances of the same schema hold the same
@@ -442,23 +465,60 @@ func (db *Database) refAdjust(t tuple.T, delta int) {
 		if d.Child != rel {
 			continue
 		}
-		refs := db.writableRefs()
+		edge := db.writableEdge(i)
 		k := childRefKey(d, t)
-		ck := t.Key()
-		set := refs[i][k]
+		set := edge.writableSet(k)
 		if delta > 0 {
-			if set == nil {
-				set = make(map[string]tuple.T, 1)
-				refs[i][k] = set
-			}
-			set[ck] = t
-		} else if set != nil {
-			delete(set, ck)
-			if len(set) == 0 {
-				delete(refs[i], k)
-			}
+			set.byChild[t.Key()] = t
+			continue
+		}
+		delete(set.byChild, t.Key())
+		if len(set.byChild) == 0 {
+			delete(edge.byParent, k)
 		}
 	}
+}
+
+// writableEdge returns dependency dep's edge for mutation, copying its
+// outer map first (one pointer per parent key; the sets stay shared) if
+// another instance may see it. Callers hold db.mu for writing.
+func (db *Database) writableEdge(dep int) *refEdge {
+	edge := db.refs[dep]
+	if edge.epoch != db.epoch {
+		edge = &refEdge{epoch: db.epoch, byParent: maps.Clone(edge.byParent)}
+		db.refs[dep] = edge
+	}
+	return edge
+}
+
+// writableSet returns parent key k's referencer set for mutation by the
+// instance owning e, copying it first if another instance may see it
+// and creating it if the key has none.
+func (e *refEdge) writableSet(k string) *refSet {
+	set := e.byParent[k]
+	switch {
+	case set == nil:
+		set = &refSet{epoch: e.epoch, byChild: make(map[string]tuple.T, 1)}
+	case set.epoch != e.epoch:
+		set = set.clone(e.epoch)
+	default:
+		return set
+	}
+	e.byParent[k] = set
+	return set
+}
+
+// referencers returns the child tuples referencing the parent key
+// under dependency dep, nil when there are none or dep is out of
+// range. Callers hold db.mu and only read the result.
+func (db *Database) referencers(dep int, keyEnc string) map[string]tuple.T {
+	if dep < 0 || dep >= len(db.refs) {
+		return nil
+	}
+	if set := db.refs[dep].byParent[keyEnc]; set != nil {
+		return set.byChild
+	}
+	return nil
 }
 
 // checkInclusionDeltas verifies inclusion dependencies affected by the
@@ -488,7 +548,7 @@ func (db *Database) checkInclusionDeltas(removed, added []tuple.T) error {
 			if db.parentKeyExists(d.Parent, k) {
 				continue // key survived (replacement kept it)
 			}
-			if n := len(db.refs[i][k]); n > 0 {
+			if n := len(db.referencers(i, k)); n > 0 {
 				return fmt.Errorf("%w %s violated: removing %s leaves %d dangling references", ErrInclusion, d, t, n)
 			}
 		}
@@ -555,9 +615,10 @@ func (db *Database) SyncSchema() error {
 		}
 	}
 	deps := db.sch.Inclusions()
-	refs := make([]map[string]map[string]tuple.T, len(deps))
+	refs := make([]*refEdge, len(deps))
 	for i, d := range deps {
-		refs[i] = make(map[string]map[string]tuple.T)
+		edge := &refEdge{epoch: db.epoch, byParent: make(map[string]*refSet)}
+		refs[i] = edge
 		child := db.exts[d.Child]
 		if child == nil {
 			return fmt.Errorf("storage: inclusion %s references unknown relation", d)
@@ -565,10 +626,7 @@ func (db *Database) SyncSchema() error {
 		var err error
 		child.Each(func(t tuple.T) bool {
 			k := childRefKey(d, t)
-			if refs[i][k] == nil {
-				refs[i][k] = make(map[string]tuple.T, 1)
-			}
-			refs[i][k][t.Key()] = t
+			edge.writableSet(k).byChild[t.Key()] = t
 			probe := d.Parent
 			if k != "" {
 				probe += "\n" + k
@@ -585,7 +643,6 @@ func (db *Database) SyncSchema() error {
 		}
 	}
 	db.refs = refs
-	db.sharedRefs = false
 	return nil
 }
 

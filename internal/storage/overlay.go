@@ -309,7 +309,7 @@ func (i overlayInternals) eachReferencer(dep int, keyEnc string, fn func(tuple.T
 // under dependency dep, merged with the overlay's reference delta, in
 // deterministic order.
 func (o *Overlay) Referencers(dep int, parent tuple.T) []tuple.T {
-	return sortedReferencers(o.internal(), dep, parent)
+	return sortedReferencers(o, dep, parent)
 }
 
 func (i overlayInternals) containsKeyEncoding(rel, enc string) bool {

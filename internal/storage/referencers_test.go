@@ -112,3 +112,52 @@ func TestReferencersStackedOverlay(t *testing.T) {
 	wantKeys(t, refKeys(ov1, 0, pt(t, p, 1, "u")), ct(t, c, 1, 1).Key(), ct(t, c, 2, 1).Key())
 	wantKeys(t, refKeys(ov2, 0, pt(t, p, 1, "u")), ct(t, c, 2, 1).Key())
 }
+
+// TestReferencersOnlyForTheParentRelation pins "tuples of other
+// relations have no referencers": a child or unrelated tuple whose key
+// happens to encode like a parent key must not be answered for it.
+func TestReferencersOnlyForTheParentRelation(t *testing.T) {
+	ch := chainSchema(t, 3, 3, 3)
+	db := ch.open(t, 3, 3, func(k int64) int64 { return 1 })
+	ov := NewOverlay(db)
+	if err := ov.Apply(update.NewTranslation(update.NewReplace(ch.C(3, 1), ch.C(3, 2)))); err != nil {
+		t.Fatal(err)
+	}
+	stacked := NewOverlay(ov)
+	if err := stacked.Apply(update.NewTranslation(update.NewDelete(ch.C(2, 1)))); err != nil {
+		t.Fatal(err)
+	}
+	sources := []struct {
+		name string
+		src  Source
+		want []string // the referencers of P[1] under depCP
+	}{
+		{"database", db, []string{ch.C(1, 1).Key(), ch.C(2, 1).Key(), ch.C(3, 1).Key()}},
+		{"overlay", ov, []string{ch.C(1, 1).Key(), ch.C(2, 1).Key()}},
+		{"stacked overlay", stacked, []string{ch.C(1, 1).Key()}},
+	}
+	cases := []struct {
+		name   string
+		dep    int
+		parent tuple.T
+		empty  bool
+	}{
+		{"parent tuple", depCP, ch.P(1, 1, "u"), false},
+		{"child tuple on its own edge", depCP, ch.C(1, 1), true},
+		{"unrelated relation", depCP, ch.G(1, "u"), true},
+		{"parent of the other edge", depPG, ch.P(1, 1, "u"), true},
+		{"dep below range", -1, ch.P(1, 1, "u"), true},
+		{"dep above range", 2, ch.P(1, 1, "u"), true},
+	}
+	for _, s := range sources {
+		for _, c := range cases {
+			t.Run(s.name+"/"+c.name, func(t *testing.T) {
+				if c.empty {
+					wantKeys(t, refKeys(s.src, c.dep, c.parent))
+				} else {
+					wantKeys(t, refKeys(s.src, c.dep, c.parent), s.want...)
+				}
+			})
+		}
+	}
+}

@@ -83,19 +83,13 @@ type dbInternals struct{ db *Database }
 func (i dbInternals) refCount(dep int, keyEnc string) int {
 	i.db.mu.RLock()
 	defer i.db.mu.RUnlock()
-	if dep < 0 || dep >= len(i.db.refs) {
-		return 0
-	}
-	return len(i.db.refs[dep][keyEnc])
+	return len(i.db.referencers(dep, keyEnc))
 }
 
 func (i dbInternals) eachReferencer(dep int, keyEnc string, fn func(tuple.T) bool) {
 	i.db.mu.RLock()
 	defer i.db.mu.RUnlock()
-	if dep < 0 || dep >= len(i.db.refs) {
-		return
-	}
-	for _, t := range i.db.refs[dep][keyEnc] {
+	for _, t := range i.db.referencers(dep, keyEnc) {
 		if !fn(t) {
 			return
 		}
@@ -105,14 +99,20 @@ func (i dbInternals) eachReferencer(dep int, keyEnc string, fn func(tuple.T) boo
 // Referencers implements Source: the child tuples referencing parent's
 // key under inclusion dependency dep, in deterministic order.
 func (db *Database) Referencers(dep int, parent tuple.T) []tuple.T {
-	return sortedReferencers(db.internal(), dep, parent)
+	return sortedReferencers(db, dep, parent)
 }
 
-// sortedReferencers collects an internals' referencer walk into the
-// deterministic order the exported Referencers contract promises.
-func sortedReferencers(ints sourceInternals, dep int, parent tuple.T) []tuple.T {
+// sortedReferencers collects a source's referencer walk into the
+// deterministic order the exported Referencers contract promises. Only
+// a tuple of the dependency's parent relation is probed: another
+// relation's key can encode like a parent key without being one.
+func sortedReferencers(src Source, dep int, parent tuple.T) []tuple.T {
+	deps := src.Schema().Inclusions()
+	if dep < 0 || dep >= len(deps) || parent.Relation().Name() != deps[dep].Parent {
+		return nil
+	}
 	var out []tuple.T
-	ints.eachReferencer(dep, parentKeyEnc(parent), func(t tuple.T) bool {
+	src.internal().eachReferencer(dep, parentKeyEnc(parent), func(t tuple.T) bool {
 		out = append(out, t)
 		return true
 	})
