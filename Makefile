@@ -32,11 +32,14 @@ race:
 # candidate judging, the IVM layer (reverse reference index, join
 # delta maintenance, view-cache patching; see docs/PERFORMANCE.md),
 # the sharded store (shard map, router, 2PC recovery), the
-# replication layer (WAL streaming, follower replay, subscriptions) and
+# replication layer (WAL streaming, follower replay, subscriptions),
 # the sqlish session (its transactions stage on an overlay over a
-# snapshot shared copy-on-write with the live database).
+# snapshot shared copy-on-write with the live database) and the journal
+# under all of them: the WAL's one append and persist.Store's one
+# memory-first commit protocol, whole packages rather than the
+# Crash|Recover|… subset soak runs.
 race-core:
-	$(GO) test -race ./internal/core/... ./internal/storage/... ./internal/view/... ./internal/server/... ./internal/shard/... ./internal/replica/... ./internal/sqlish/...
+	$(GO) test -race ./internal/core/... ./internal/storage/... ./internal/view/... ./internal/server/... ./internal/shard/... ./internal/replica/... ./internal/sqlish/... ./internal/persist/... ./internal/wal/...
 
 # soak exercises the durability and fault-injection surface: the
 # crash-safety, recovery and churn tests under the race detector, plus

@@ -92,7 +92,7 @@ const subsPerFollower = 2
 // real handler always runs in full (every read is a real snapshot read
 // and JSON encode); only the remainder of the service time is slept,
 // while the slot is still held. Non-read traffic — the WAL snapshot
-// and stream, /subscribe, /metricsz — passes through ungated.
+// and stream, /subscribe, /metrics — passes through ungated.
 type modeledNode struct {
 	h     http.Handler
 	slots chan struct{}

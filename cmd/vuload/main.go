@@ -4,10 +4,9 @@
 // optional contended hot-key mix), measures client-side latency, and
 // emits BENCH_server.json with throughput, p50/p99/p999 latency,
 // conflict/overload rates, the server's group-commit counters
-// (commits per fsync) scraped from /metricsz, and the server-side
-// per-stage pipeline breakdown (translate/verify/queue/commit/fsync/
-// publish) scraped from the Prometheus /metrics endpoint before and
-// after the run.
+// (commits per fsync) and the server-side per-stage pipeline breakdown
+// (translate/verify/queue/commit/fsync/publish), both scraped from the
+// Prometheus /metrics endpoint before and after the run.
 //
 // Against a replicated deployment (vuserved -follow) the workload can
 // additionally mix in view reads spread across the read replicas and
@@ -71,7 +70,7 @@ type benchReport struct {
 // aggregate read throughput across the read fleet, live-subscription
 // fan-out, and follower staleness. Staleness quantiles are the worst
 // follower's commit-visibility lag (primary publish wall clock →
-// follower apply) from the closing /metricsz scrape.
+// follower apply) from the closing /metrics scrape.
 type replicaStats struct {
 	ReadAddrs      []string              `json:"read_addrs"`
 	Reads          int64                 `json:"reads"`
@@ -240,20 +239,15 @@ func main() {
 		os.Exit(runChaos(*addr, *clients, *requests, *seed, *opTimeout, dest))
 	}
 
-	before, err := scrapeMetrics(hc, *addr)
+	before, err := scrapeProm(hc, *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "metrics:", err)
 		os.Exit(1)
 	}
-	promBefore, err := scrapeProm(hc, *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "prom metrics:", err)
-		os.Exit(1)
-	}
-	readBefore := make([]obs.Snapshot, len(readFleet.addrs))
+	readBefore := make([]map[string]float64, len(readFleet.addrs))
 	if *readFraction > 0 || *subscribers > 0 {
 		for i, a := range readFleet.addrs {
-			readBefore[i], _ = scrapeMetrics(hc, a)
+			readBefore[i], _ = scrapeProm(hc, a)
 		}
 	}
 
@@ -311,14 +305,9 @@ func main() {
 	subCancel()
 	subWG.Wait()
 
-	after, err := scrapeMetrics(hc, *addr)
+	after, err := scrapeProm(hc, *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "metrics:", err)
-		os.Exit(1)
-	}
-	promAfter, err := scrapeProm(hc, *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "prom metrics:", err)
 		os.Exit(1)
 	}
 
@@ -332,7 +321,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "healthz:", err)
 	}
 	rep := buildReport(cfg, elapsed, lat, &cnt, before, after)
-	rep.Server.Stages = stageBreakdowns(promBefore, promAfter)
+	rep.Server.Stages = stageBreakdowns(before, after)
 	if *readFraction > 0 || *subscribers > 0 {
 		rs := &replicaStats{
 			ReadAddrs:    readFleet.addrs,
@@ -348,24 +337,22 @@ func main() {
 		// Staleness is the worst follower's closing lag quantiles; shed
 		// events are summed as deltas across the fleet.
 		for i, a := range readFleet.addrs {
-			snap, err := scrapeMetrics(hc, a)
+			snap, err := scrapeProm(hc, a)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "replica metrics %s: %v\n", a, err)
 				continue
 			}
-			if lag, ok := snap.Histograms["server.replica.lag.ns"]; ok {
-				if ms := float64(lag.P50) / 1e6; ms > rs.StalenessP50MS {
-					rs.StalenessP50MS = ms
-				}
-				if ms := float64(lag.P99) / 1e6; ms > rs.StalenessP99MS {
-					rs.StalenessP99MS = ms
-				}
+			if ms := snap["server_replica_lag_ns|0.5"] / 1e6; ms > rs.StalenessP50MS {
+				rs.StalenessP50MS = ms
 			}
-			if g := snap.Gauges["server.replica.lag_seq"]; g > rs.MaxLagSeq {
+			if ms := snap["server_replica_lag_ns|0.99"] / 1e6; ms > rs.StalenessP99MS {
+				rs.StalenessP99MS = ms
+			}
+			if g := int64(snap["server_replica_lag_seq"]); g > rs.MaxLagSeq {
 				rs.MaxLagSeq = g
 			}
-			rs.DroppedEvents += snap.Counters["server.replica.dropped_events"] -
-				readBefore[i].Counters["server.replica.dropped_events"]
+			rs.DroppedEvents += int64(snap["server_replica_dropped_events"] -
+				readBefore[i]["server_replica_dropped_events"])
 		}
 		rep.Replica = rs
 	}
@@ -439,7 +426,7 @@ func scrapeHealth(hc *http.Client, addr string) (healthKnobs, error) {
 	return h, json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h)
 }
 
-func buildReport(cfg benchConfig, elapsed time.Duration, lat *obs.Histogram, cnt *counters, before, after obs.Snapshot) benchReport {
+func buildReport(cfg benchConfig, elapsed time.Duration, lat *obs.Histogram, cnt *counters, before, after map[string]float64) benchReport {
 	rep := benchReport{
 		Config:     cfg,
 		ElapsedNS:  int64(elapsed),
@@ -458,23 +445,21 @@ func buildReport(cfg benchConfig, elapsed time.Duration, lat *obs.Histogram, cnt
 		rep.Rates.Conflict = float64(rep.Conflicts) / float64(rep.Sent)
 		rep.Rates.Overload = float64(rep.Overloaded) / float64(rep.Sent)
 	}
-	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+	delta := func(name string) int64 { return int64(after[name] - before[name]) }
 	rep.Server = serverStats{
-		WALSyncs: delta("wal.sync"),
-		Commits:  delta("server.commit.committed"),
-		Batches:  delta("server.commit.batches"),
+		WALSyncs: delta("wal_sync"),
+		Commits:  delta("server_commit_committed"),
+		Batches:  delta("server_commit_batches"),
 	}
 	if rep.Server.WALSyncs > 0 {
 		rep.Server.CommitsPerSync = float64(rep.Server.Commits) / float64(rep.Server.WALSyncs)
 	}
-	if h, ok := after.Histograms["server.commit.batch_size"]; ok {
-		rep.Server.BatchSizeP99 = h.P99
-		rep.Server.BatchSizeMax = h.Max
-	}
-	rep.Server.CrossCommits = delta("server.cross.commits")
+	rep.Server.BatchSizeP99 = int64(after["server_commit_batch_size|0.99"])
+	rep.Server.BatchSizeMax = int64(after["server_commit_batch_size_max"])
+	rep.Server.CrossCommits = delta("server_cross_commits")
 	for i := 0; ; i++ {
-		name := fmt.Sprintf("server.shard.%d.committed", i)
-		if _, ok := after.Counters[name]; !ok {
+		name := fmt.Sprintf("server_shard_%d_committed", i)
+		if _, ok := after[name]; !ok {
 			break
 		}
 		rep.Server.ShardCommits = append(rep.Server.ShardCommits, delta(name))
@@ -591,19 +576,6 @@ func stageBreakdowns(before, after map[string]float64) map[string]stageBreakdown
 		}
 	}
 	return out
-}
-
-func scrapeMetrics(hc *http.Client, addr string) (obs.Snapshot, error) {
-	var snap obs.Snapshot
-	resp, err := hc.Get(addr + "/metricsz")
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("metricsz: status %d", resp.StatusCode)
-	}
-	return snap, json.NewDecoder(resp.Body).Decode(&snap)
 }
 
 // runClient drives one client's share of the workload: a rotation of

@@ -69,6 +69,11 @@ func BuildRequest(v view.View, src storage.Source, kind update.Kind, values []va
 	case len(where) == 0:
 		return Request{}, fmt.Errorf("core: where clause required")
 	}
+	// Folding set with tuple.With would let the last of two assignments
+	// to one attribute win silently.
+	if err := view.CheckEq(v.Schema(), set); err != nil {
+		return Request{}, err
+	}
 	rows, err := view.Select(v, src, where)
 	if err != nil {
 		return Request{}, err

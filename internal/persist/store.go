@@ -82,9 +82,10 @@ func (r RecoveryReport) String() string {
 // A Store couples a database with durable state on disk: a JSON
 // snapshot plus a write-ahead log of every translation committed since
 // that snapshot. Store.Apply is the durable counterpart of
-// storage.Database.Apply; Open recovers the database after a crash by
-// loading the snapshot, truncating any torn WAL tail, and replaying the
-// committed records.
+// storage.Database.Apply — every entry point lands through the one
+// commit protocol (see commit); Open recovers the database after a
+// crash by loading the snapshot, truncating any torn WAL tail, and
+// replaying the committed records.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
@@ -93,10 +94,10 @@ type Store struct {
 	opts Options
 	seq  uint64
 	// committed is the highest sequence number with a durable commit
-	// (or prepare+decision) on media — unlike seq, which also counts
-	// burned numbers (failed appends, uncommitted records found at
-	// recovery). A follower resumes replication from committed: its
-	// state reflects exactly the primary's prefix up to there.
+	// on media — unlike seq, which also counts burned numbers (failed
+	// appends, unpaired records found at recovery). A follower resumes
+	// replication from committed: its state reflects exactly the
+	// primary's prefix up to there.
 	committed uint64
 	// snapSeq is the snapshot file's applied-seq watermark: records at
 	// or below it are folded into the snapshot and no longer on the
@@ -157,8 +158,9 @@ func CreateAt(dir string, db *storage.Database, seq uint64, opts Options) (*Stor
 // Open recovers the store in dir: load the snapshot, scan the WAL,
 // truncate the torn tail if any, replay every committed translation in
 // commit order, and verify all inclusion dependencies before serving.
-// A translation record without a commit marker is discarded — by the
-// commit protocol it never fully applied.
+// A translation record without a commit marker is discarded — the
+// residue of a torn write, which by the commit protocol nobody was
+// acknowledged for.
 func Open(dir string, opts Options) (*Store, error) {
 	snapPath := filepath.Join(dir, SnapshotFile)
 	if _, err := os.Stat(snapPath); errors.Is(err, os.ErrNotExist) {
@@ -235,7 +237,7 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) DB() *storage.Database { return s.db }
 
 // Seq returns the applied-sequence watermark, including burned
-// numbers (failed appends, uncommitted records found at recovery).
+// numbers (failed appends, unpaired records found at recovery).
 func (s *Store) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,129 +288,29 @@ func (s *Store) Err() error {
 	return s.broken
 }
 
-// Apply durably applies tr: journal the translation, apply it in
-// memory, journal the commit marker. The WAL order is the commit
-// order. Failure modes:
-//
-//   - translation append fails → nothing applied, nothing committed;
-//     the error is returned as-is (retryable when transient).
-//   - in-memory apply fails → the journaled record stays uncommitted
-//     and is discarded at the next recovery; the error is returned.
-//   - commit append fails → the in-memory apply is rolled back by
-//     applying the inverse translation, so memory again matches the
-//     durable state. If that rollback fails too, the store (and its
-//     database) can no longer be trusted: both report ErrCorrupt from
-//     then on.
+// Apply durably applies tr: the commit protocol with one entry.
 func (s *Store) Apply(tr *update.Translation) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
-	}
-	// Sequence numbers are never reused: a failed append burns its seq,
-	// so a retried translation can never pair a fresh commit marker with
-	// a stale or damaged record from the failed attempt.
-	s.seq++
-	seq := s.seq
-	rec := wal.EncodeTranslation(seq, tr)
-	if err := s.log.Append(rec); err != nil {
-		return err
-	}
-	if err := s.db.Apply(tr); err != nil {
-		// The WAL now holds an uncommitted record for seq: recovery
-		// discards it, so disk and memory still agree.
-		return err
-	}
-	if err := s.log.Append(wal.CommitRecord(seq)); err != nil {
-		if uerr := s.db.Apply(Invert(tr)); uerr != nil {
-			s.broken = fmt.Errorf("persist: store broken: commit append failed (%v), rollback failed: %w (%w)",
-				err, uerr, vuerr.ErrCorrupt)
-			obs.Inc("persist.store.broken")
-			return s.broken
-		}
-		return fmt.Errorf("persist: commit not durable, rolled back: %w", err)
-	}
-	s.committed = seq
-	if s.onCommit != nil {
-		s.onCommit([]wal.Record{rec})
-	}
-	return nil
+	errs, _ := s.commit([]*update.Translation{tr}, nil, 0)
+	return errs[0]
 }
 
 // ApplyAt durably applies tr under a caller-assigned sequence number —
-// the follower's replay-from-watermark entry point. The record goes
-// through the exact commit protocol of Apply (translation record,
-// memory apply, commit marker) but with the primary's seq instead of a
-// locally allocated one, so the follower's watermark stays aligned
-// with the primary's even across the gaps burned sequence numbers
-// leave. seq must exceed CommittedSeq; it may be at or below Seq when
-// a crashed previous attempt left an uncommitted record for it (the
-// re-appended record simply supersedes the orphan at recovery). key is
+// the follower's replay-from-watermark entry point: the commit protocol
+// with one entry and the primary's seq instead of a locally allocated
+// one, so the follower's watermark stays aligned with the primary's
+// even across the gaps burned sequence numbers leave. seq must exceed
+// CommittedSeq; it may be at or below Seq when a crashed previous
+// attempt left an unpaired record for it (the re-appended record simply
+// supersedes the orphan at recovery). A failed append does not burn seq:
+// the follower retries the same record after reconnecting. key is
 // journaled like ApplyBatchKeyed's, so RecoveredKeys covers replicated
 // commits across a follower restart.
 func (s *Store) ApplyAt(seq uint64, key string, tr *update.Translation) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
-	}
-	if seq <= s.committed {
-		return fmt.Errorf("persist: ApplyAt seq %d at or below committed watermark %d", seq, s.committed)
-	}
-	prev := s.seq
-	if seq > s.seq {
-		s.seq = seq
-	}
-	rec := wal.EncodeTranslationKeyed(seq, key, tr)
-	if err := s.log.Append(rec); err != nil {
-		// Nothing of seq reached media (the log truncated back or
-		// sealed); un-burn it so the follower can retry the same record
-		// after reconnecting.
-		s.seq = prev
-		return err
-	}
-	if err := s.db.Apply(tr); err != nil {
-		// A replicated record that fails validation means the follower
-		// has diverged from the primary — fatal for the caller. The
-		// journaled record stays uncommitted and is discarded at the
-		// next recovery.
-		return fmt.Errorf("persist: replicated seq %d does not apply: %w", seq, err)
-	}
-	if err := s.log.Append(wal.CommitRecord(seq)); err != nil {
-		if uerr := s.db.Apply(Invert(tr)); uerr != nil {
-			s.broken = fmt.Errorf("persist: store broken: commit append failed (%v), rollback failed: %w (%w)",
-				err, uerr, vuerr.ErrCorrupt)
-			obs.Inc("persist.store.broken")
-			return s.broken
-		}
-		return fmt.Errorf("persist: commit not durable, rolled back: %w", err)
-	}
-	s.committed = seq
-	if s.onCommit != nil {
-		s.onCommit([]wal.Record{rec})
-	}
-	return nil
+	errs, _ := s.commit([]*update.Translation{tr}, []string{key}, seq)
+	return errs[0]
 }
 
-// ApplyBatch durably applies the translations as one group commit,
-// returning one error slot per translation (nil = committed). Each
-// translation keeps its individual atomicity — one that fails
-// validation (a conflict: removed tuple absent, key collision,
-// inclusion violation) is skipped, its error recorded, and the rest of
-// the batch proceeds — but every translation that does land shares a
-// single WAL write and a single durability barrier via wal.AppendBatch.
-//
-// The batch protocol inverts the single-commit order (memory first,
-// WAL second): each surviving translation is applied in memory, then
-// all of their translation+commit frames are appended in one batch.
-// That is safe because no caller is acknowledged until ApplyBatch
-// returns: a crash after the memory applies but before the WAL append
-// loses only unacknowledged commits, and a torn batch write leaves
-// some frame prefix in which any translation record without its commit
-// marker is discarded at recovery. If the batch append fails cleanly,
-// the in-memory applies are rolled back in reverse order so memory
-// again matches the durable state; if that rollback fails the store is
-// broken (ErrCorrupt), exactly as in Apply.
+// ApplyBatch is ApplyBatchKeyed without keys or stats.
 func (s *Store) ApplyBatch(trs []*update.Translation) []error {
 	errs, _ := s.ApplyBatchKeyed(trs, nil)
 	return errs
@@ -430,49 +332,83 @@ type ApplyStats struct {
 	Synced bool
 }
 
-// ApplyBatchKeyed is ApplyBatch stamping each translation's WAL record
-// with its idempotency key (keys may be nil, or hold "" for unkeyed
-// commits; when non-nil it must be parallel to trs) and returning a
-// timing breakdown — memory apply, WAL write, fsync — that the serving
-// layer threads into per-request pipeline traces. Keys of committed
-// translations are recovered by Open and surfaced through
-// RecoveredKeys.
+// ApplyBatchKeyed durably applies the translations as one group commit,
+// returning one error slot per translation (nil = committed), stamping
+// each translation's WAL record with its idempotency key (keys may be
+// nil, or hold "" for unkeyed commits; when non-nil it must be parallel
+// to trs) and returning a timing breakdown — memory apply, WAL write,
+// fsync — that the serving layer threads into per-request pipeline
+// traces. Keys of committed translations are recovered by Open and
+// surfaced through RecoveredKeys.
 func (s *Store) ApplyBatchKeyed(trs []*update.Translation, keys []string) ([]error, ApplyStats) {
+	return s.commit(trs, keys, 0)
+}
+
+// commit is the store's one commit protocol, memory first: each
+// translation is applied in memory — one that fails validation (removed
+// tuple absent, key collision, inclusion violation) is skipped with its
+// error recorded and writes nothing — then the [translation, commit]
+// frame pairs of every survivor reach the journal in one write and one
+// durability barrier (wal.AppendBatch). That is safe because no caller
+// is acknowledged until commit returns: a crash after the memory
+// applies but before the append loses only unacknowledged commits, and
+// a torn write leaves some frame prefix in which a translation record
+// without its commit marker is discarded at recovery. If the append
+// fails, the in-memory applies are rolled back in reverse order so
+// memory again matches the durable state (ErrNotDurable); if that
+// rollback fails the store — and its database — can no longer be
+// trusted and both report ErrCorrupt from then on.
+//
+// Every translation that passed validation takes the next sequence
+// number whether or not the append then lands: a failed append burns
+// its seqs, so a retry can never pair a fresh commit marker with a
+// stale record of the failed attempt. at, when non-zero, is the
+// caller-assigned seq of a single replicated translation (ApplyAt),
+// which moves the watermarks only once durable.
+func (s *Store) commit(trs []*update.Translation, keys []string, at uint64) ([]error, ApplyStats) {
 	var stats ApplyStats
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	errs := make([]error, len(trs))
-	if s.broken != nil {
+	refuse := s.broken
+	if refuse == nil && at != 0 && at <= s.committed {
+		refuse = fmt.Errorf("persist: ApplyAt seq %d at or below committed watermark %d", at, s.committed)
+	}
+	if refuse != nil {
 		for i := range errs {
-			errs[i] = s.broken
+			errs[i] = refuse
 		}
 		return errs, stats
-	}
-	type stagedCommit struct {
-		idx int
-		tr  *update.Translation
 	}
 	timed := obs.Enabled()
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	var landed []stagedCommit
+	var landed []int // indexes into trs of the translations applied in memory
 	var recs []wal.Record
+	last := at
 	for i, tr := range trs {
 		if err := s.db.Apply(tr); err != nil {
+			if at != 0 {
+				// A replicated record that fails validation means the
+				// follower has diverged from the primary — fatal for the
+				// caller.
+				err = fmt.Errorf("persist: replicated seq %d does not apply: %w", at, err)
+			}
 			errs[i] = err
 			continue
 		}
-		// Seq discipline matches Apply: every staged translation burns a
-		// sequence number, landed or not.
-		s.seq++
+		if at == 0 {
+			s.seq++
+			last = s.seq
+		}
 		key := ""
 		if i < len(keys) {
 			key = keys[i]
 		}
-		recs = append(recs, EncodeBatchRecordsKeyed(s.seq, key, tr)...)
-		landed = append(landed, stagedCommit{i, tr})
+		recs = append(recs, EncodeBatchRecordsKeyed(last, key, tr)...)
+		landed = append(landed, i)
 	}
 	if timed {
 		stats.ApplyNS = int64(time.Since(start))
@@ -488,28 +424,30 @@ func (s *Store) ApplyBatchKeyed(trs []*update.Translation, keys []string) ([]err
 		stats.Synced = wstats.Synced
 	}
 	if err != nil {
+		fail := fmt.Errorf("%w, rolled back: %w", ErrNotDurable, err)
 		for j := len(landed) - 1; j >= 0; j-- {
-			if uerr := s.db.Apply(Invert(landed[j].tr)); uerr != nil {
-				s.broken = fmt.Errorf("persist: store broken: batch append failed (%v), rollback failed: %w (%w)",
+			if uerr := s.db.Apply(Invert(trs[landed[j]])); uerr != nil {
+				s.broken = fmt.Errorf("persist: store broken: append failed (%v), rollback failed: %w (%w)",
 					err, uerr, vuerr.ErrCorrupt)
 				obs.Inc("persist.store.broken")
-				for _, st := range landed {
-					errs[st.idx] = s.broken
-				}
-				return errs, stats
+				fail = s.broken
+				break
 			}
 		}
-		for _, st := range landed {
-			errs[st.idx] = fmt.Errorf("%w, rolled back: %w", ErrNotDurable, err)
+		for _, i := range landed {
+			errs[i] = fail
 		}
 		return errs, stats
 	}
 	obs.Inc("persist.batch")
 	obs.Add("persist.batch.commits", int64(len(landed)))
 	obs.Observe("persist.batch.size", int64(len(landed)))
-	// Every staged seq up to s.seq is now durably committed (skipped
+	// Every staged seq up to last is now durably committed (skipped
 	// translations never allocated one).
-	s.committed = s.seq
+	s.committed = last
+	if last > s.seq {
+		s.seq = last
+	}
 	if s.onCommit != nil {
 		// recs holds [translation, commit] pairs; the feed carries the
 		// translation records only.

@@ -173,23 +173,33 @@ func TestStoreCrashMidWorkload(t *testing.T) {
 		}
 		states := []string{render(st.DB())}
 		lastCommitted := 0
+		sawCrash := false
 		for i, tr := range crashWorkload(fx) {
 			err := st.Apply(tr)
 			if err == nil {
+				if sawCrash {
+					t.Fatalf("limit %d: translation %d committed on crashed media", limit, i)
+				}
 				lastCommitted = i + 1
 				states = append(states, render(st.DB()))
 				continue
 			}
-			if !errors.Is(err, faultinject.ErrCrashed) && !vuerr.IsCorrupt(err) {
+			// The append that crosses the limit fails with the crash and
+			// rolls memory back; a later translation then fails on the
+			// sealed log — or, memory first, on validation against the
+			// rolled-back state it depended on. Nothing fails before the
+			// crash, and the crash itself is never mistaken for a conflict.
+			if !cw.Crashed() || (!sawCrash && !errors.Is(err, faultinject.ErrCrashed)) {
 				t.Fatalf("limit %d: unexpected apply error: %v", limit, err)
 			}
+			sawCrash = true
 		}
 		if !cw.Crashed() {
 			t.Fatalf("limit %d: crash writer never fired", limit)
 		}
-		// In-memory state never runs ahead of the durable commits
-		// (commit-append failures roll the memory image back), unless
-		// the rollback itself failed and the store says so.
+		// In-memory state never runs ahead of the durable commits (an
+		// append failure rolls the memory image back), unless the
+		// rollback itself failed and the store says so.
 		if st.Err() == nil && render(st.DB()) != states[lastCommitted] {
 			t.Fatalf("limit %d: memory state diverged from last durable commit", limit)
 		}
@@ -219,19 +229,23 @@ func TestStoreTransientAppendRetry(t *testing.T) {
 	st, err := Create(dir, fx.PaperInstance(), Options{
 		Sync: wal.SyncNever,
 		WrapWAL: func(f wal.File) wal.File {
-			return &faultinject.FlakyWriter{W: f, FailNth: 3} // third frame write
+			return &faultinject.FlakyWriter{W: f, FailNth: 2} // the second commit's write
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	trs := crashWorkload(fx)
-	if err := st.Apply(trs[0]); err != nil { // frames 1,2
+	if err := st.Apply(trs[0]); err != nil { // write 1
 		t.Fatal(err)
 	}
-	err = st.Apply(trs[1]) // frame 3: translation append fails
-	if !vuerr.IsTransient(err) {
-		t.Fatalf("flaky append error = %v, want transient", err)
+	before := render(st.DB())
+	err = st.Apply(trs[1]) // write 2 fails: nothing reaches the log
+	if !vuerr.IsTransient(err) || !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("flaky append error = %v, want transient and not durable", err)
+	}
+	if render(st.DB()) != before {
+		t.Fatal("failed append left the in-memory state changed")
 	}
 	if err := st.Apply(trs[1]); err != nil { // retry
 		t.Fatal(err)
@@ -258,17 +272,18 @@ func TestStoreTransientAppendRetry(t *testing.T) {
 	}
 }
 
-// TestStoreCommitAppendFailureRollsBack pins the commit-failure
-// contract: when the commit marker cannot be written, the in-memory
-// apply is undone so memory matches disk, and the translation is
-// discarded at recovery.
+// TestStoreCommitAppendFailureRollsBack pins the append-failure
+// contract of the memory-first protocol: when the commit's one write
+// fails, the in-memory apply is undone so memory matches disk, and —
+// the failed write having been cut back to the last intact frame —
+// nothing of the translation is on the log for recovery to discard.
 func TestStoreCommitAppendFailureRollsBack(t *testing.T) {
 	fx := fixtures.NewABCXD()
 	dir := t.TempDir()
 	st, err := Create(dir, fx.PaperInstance(), Options{
 		Sync: wal.SyncNever,
 		WrapWAL: func(f wal.File) wal.File {
-			return &faultinject.FlakyWriter{W: f, FailNth: 2} // the first commit marker
+			return &faultinject.FlakyWriter{W: f, FailNth: 1} // the first commit's write
 		},
 	})
 	if err != nil {
@@ -276,11 +291,15 @@ func TestStoreCommitAppendFailureRollsBack(t *testing.T) {
 	}
 	before := render(st.DB())
 	err = st.Apply(crashWorkload(fx)[0])
-	if !vuerr.IsTransient(err) {
-		t.Fatalf("commit failure = %v, want transient", err)
+	if !vuerr.IsTransient(err) || !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("commit failure = %v, want transient and not durable", err)
 	}
 	if render(st.DB()) != before {
 		t.Fatal("failed commit left the in-memory state changed")
+	}
+	// A translation that fails validation writes nothing either.
+	if err := st.Apply(crashWorkload(fx)[2]); err == nil || errors.Is(err, ErrNotDurable) {
+		t.Fatalf("replace against a missing parent = %v, want a validation failure", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -290,8 +309,8 @@ func TestStoreCommitAppendFailureRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if rec.Report().Replayed != 0 || rec.Report().Discarded != 1 {
-		t.Fatalf("report = %s, want 0 replayed / 1 discarded", rec.Report())
+	if rep := rec.Report(); rep.Replayed != 0 || rep.Discarded != 0 || rep.MaxSeq != 0 {
+		t.Fatalf("report = %s, want an empty log (discards come only from torn writes)", rep)
 	}
 	if render(rec.DB()) != before {
 		t.Fatal("recovery applied an uncommitted translation")
@@ -436,10 +455,7 @@ func TestOpenErrors(t *testing.T) {
 	}
 	bad := wal.Record{Seq: 1, Kind: wal.KindTranslation,
 		Ops: []wal.OpRecord{{Kind: "i", Rel: "NOPE", Vals: []string{"i1"}}}}
-	if err := log.Append(bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Append(wal.CommitRecord(1)); err != nil {
+	if err := log.AppendBatch([]wal.Record{bad, wal.CommitRecord(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
@@ -453,14 +469,14 @@ func TestOpenErrors(t *testing.T) {
 func TestBrokenStoreRefusesWork(t *testing.T) {
 	fx := fixtures.NewABCXD()
 	dir := t.TempDir()
-	// Fail the commit append AND the rollback of the in-memory apply:
-	// the commit marker write crashes, and the inverse translation is
-	// blocked by an injected storage fault, leaving memory ahead of
-	// disk — the store must declare itself broken.
+	// Fail the commit's append AND the rollback of the in-memory apply:
+	// the write fails, and the inverse translation is blocked by an
+	// injected storage fault, leaving memory ahead of disk — the store
+	// must declare itself broken.
 	st, err := Create(dir, fx.PaperInstance(), Options{
 		Sync: wal.SyncNever,
 		WrapWAL: func(f wal.File) wal.File {
-			return &faultinject.FlakyWriter{W: f, FailNth: 2}
+			return &faultinject.FlakyWriter{W: f, FailNth: 1}
 		},
 	})
 	if err != nil {
@@ -492,7 +508,7 @@ func TestBrokenStoreRefusesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if rec.Report().Replayed != 0 || rec.Report().Discarded != 1 {
-		t.Fatalf("report = %s, want 0 replayed / 1 discarded", rec.Report())
+	if rec.Report().Replayed != 0 || rec.Report().Discarded != 0 {
+		t.Fatalf("report = %s, want 0 replayed / 0 discarded (the failed write was cut back)", rec.Report())
 	}
 }

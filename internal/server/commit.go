@@ -52,6 +52,10 @@ type commitReq struct {
 	// route is the shard classification the pipelined discipline's land
 	// hands to its settle.
 	route *shard.Route
+	// script marks a statement landed by the session applier under
+	// stateMu (applyScript): nothing can have moved under it, so a
+	// validation failure is the statement's own error, not a conflict.
+	script bool
 }
 
 type commitRes struct {
@@ -61,12 +65,32 @@ type commitRes struct {
 
 // A discipline is how admitted commits reach media — the one part of
 // the pipeline that depends on which store is attached. Two exist,
-// selected at boot by the shard count, because each wins on a workload
-// the benchmark has: synchronous append with clean rollback
-// (syncDiscipline: memory-only and single-store engines) and pipelined
-// per-shard lanes with two-phase commit (shardRuntime, shard.go).
-// commitBatch calls land and settle under stateMu, on the pipeline
-// goroutine.
+// selected at boot by the shard count: synchronous append with clean
+// rollback (syncDiscipline: memory-only and single-store engines, over
+// persist.Store's one commit protocol) and pipelined per-shard lanes
+// with two-phase commit (shardRuntime, shard.go — the one place that
+// protocol is written). commitBatch calls land and settle under
+// stateMu on the pipeline goroutine; applyScript calls them under
+// stateMu for script DML; nothing else reaches a store.
+//
+// Why two remain (ROADMAP item 7, measured and closed): a single store
+// on one lane is nowhere faster and breaks contracts. sp_small_durable,
+// 4 alternating 25 s pairs, 0 failed ops, medians sync → one lane:
+//
+//	update_p50_ms         0.747 → 0.827  (+11%, 3 of 4 pairs worse)
+//	update_rps            2,299 → 1,935  (−16%)
+//	update_p90_ms         1.19  → 1.59   (+33%; parent runs span 1.05–1.61: unresolved)
+//	server_cpu_ms_per_op  0.320 → 0.364  (+14%, 4 of 4 worse)
+//
+// and six tests pin what the lanes cannot do: a lane has already
+// published when its append fails, so it cannot roll back, and one
+// transient fault means broken-until-restart where the synchronous
+// discipline rolls back and recovers through the breaker's probe
+// (TestBreakerBrownoutAndRecovery, TestDrainRacesInFlightCommits); the
+// lanes spend 3 fsyncs on 6 commits where TestGroupCommitBatches wants
+// 2; and TestParallelDisjointCommitsAndRecovery, TestCrashMidBatchRecovery
+// and TestDrainFlushesQueuedCommits reopen the directory with
+// persist.Open.
 type discipline interface {
 	// start launches whatever goroutines the discipline needs; stop
 	// returns once they have settled every commit and exited.
@@ -250,7 +274,32 @@ func (e *Engine) releaseKey(r *commitReq) {
 func (e *Engine) failCommit(r *commitReq, err error) {
 	e.releaseKey(r)
 	e.brk.onFailure(err)
-	r.done <- commitRes{err: classifyApplyError(err)}
+	if !r.script {
+		err = classifyApplyError(err)
+	}
+	r.done <- commitRes{err: err}
+}
+
+// applyScript is the session's applier on every primary engine — how
+// script and -init DML reaches the store: as a batch of one through the
+// discipline's land and settle, waited for on the caller's goroutine
+// (the acker and the lane committers never take stateMu, and done is
+// buffered). Callers hold stateMu — ExecScript, or boot before anything
+// else runs — and publish once the script is over.
+func (e *Engine) applyScript(tr *update.Translation) error {
+	if tr.Len() == 0 {
+		return nil
+	}
+	r := getCommitReq()
+	r.tr, r.script = tr, true
+	if landed, stats := e.disc.land([]*commitReq{r}); len(landed) > 0 {
+		// No version of its own to report: the script's statements become
+		// readable together, at its one publish.
+		e.disc.settle(landed, 0, stats, 0)
+	}
+	res := <-r.done
+	putCommitReq(r)
+	return res.err
 }
 
 // syncDiscipline is the synchronous journaling discipline: land applies
@@ -334,6 +383,10 @@ func (e *Engine) openStore() error {
 	switch {
 	case err == nil:
 		e.logf("recovered store", "dir", e.cfg.Dir, "report", st.Report().String())
+		if aerr := e.sess.AdoptRecovered(st.DB()); aerr != nil {
+			st.Close()
+			return aerr
+		}
 	case errors.Is(err, persist.ErrNoStore):
 		st, err = persist.Create(e.cfg.Dir, e.sess.DB(), opts)
 		if err != nil {
@@ -341,10 +394,6 @@ func (e *Engine) openStore() error {
 		}
 		e.logf("created store", "dir", e.cfg.Dir)
 	default:
-		return err
-	}
-	if err := e.sess.AttachStore(st); err != nil {
-		st.Close()
 		return err
 	}
 	e.dur = st

@@ -26,8 +26,11 @@
 // fsync for the whole batch inside land, waiters answered in settle) or
 // pipelined (memory only in land; settle hands the journal work to
 // per-shard lanes, and an acker answers each waiter once its records
-// are durable). Admission control bounds the commit queue: when it is
-// full, submissions fail fast and the HTTP layer answers 429 with a
+// are durable). Script and -init DML takes the same land and settle,
+// one statement at a time under the state lock (applyScript), so each
+// store has one commit protocol and the engine one way into it.
+// Admission control bounds the commit queue: when it is full,
+// submissions fail fast and the HTTP layer answers 429 with a
 // Retry-After hint.
 //
 // See docs/SERVING.md for the wire API and the group-commit protocol,
@@ -109,10 +112,15 @@ type Config struct {
 	// hook of tests, benchmarks and the chaos harness.
 	WrapWAL func(lane int, f wal.File) wal.File
 	// Shards enables horizontal sharding (requires Dir): base relations
-	// are partitioned by root-key hash into Shards independent stores,
-	// each with its own WAL and fsync stream, coordinated by the
-	// two-phase cross-shard protocol of internal/shard. 0 or 1 keeps the
-	// single persist.Store. See docs/SHARDING.md.
+	// are partitioned by root-key hash into Shards journal lanes, each
+	// with its own WAL and fsync stream, coordinated by the two-phase
+	// cross-shard protocol of the pipelined discipline (shard.go). 0 or 1
+	// keeps the single persist.Store under the synchronous discipline —
+	// measured, not assumed: one lane over a single store is 11% slower at
+	// the median update, costs 14% more server CPU per op and cannot roll
+	// back an append failure (the table and the six pinning tests are on
+	// the discipline type in commit.go; ROADMAP item 7). See
+	// docs/SHARDING.md.
 	Shards int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// engine's handler. Off by default: profiling endpoints expose
@@ -358,12 +366,42 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 		return nil, err
 	}
 	e.db = e.sess.DB()
+	if cfg.Dir != "" {
+		// A durable engine is a replication source: durable commits feed
+		// the stream hub in commit order — the init script's included. The
+		// hub's watermark is seeded with the recovered committed seq, so a
+		// follower resuming below it is served from the WAL on disk instead
+		// of silently skipped.
+		e.repHub = replica.NewHub(0)
+		e.hbStop = make(chan struct{})
+		e.dur.SetOnCommit(func(recs []wal.Record) {
+			for _, rec := range recs {
+				e.repHub.Publish(rec)
+			}
+		})
+		e.repHub.SeedWatermark(e.dur.CommittedSeq())
+		go e.runHeartbeats()
+	}
+	if e.fol == nil {
+		// Script DML lands through the same discipline as the pipeline,
+		// started first so the init script's statements find their lanes;
+		// DDL — persisted by snapshot, not journaled — waits it idle and
+		// checkpoints. A follower keeps openFollower's refusing applier.
+		e.sess.SetApplier(e.applyScript)
+		e.sess.SetSchemaChanged(func() error {
+			e.disc.quiesce()
+			return e.dur.Checkpoint()
+		})
+		e.disc.start()
+	}
 	if initScript != "" {
 		// Skip-existing makes the script idempotent: a restart over a
 		// recovered store re-runs the same DDL, where the snapshot
 		// already holds the domains and tables.
 		_, skipped, err := e.sess.ExecScriptSkipExisting(initScript)
 		if err != nil {
+			e.disc.stop() // a no-op unless lanes were started
+			e.stopReplication()
 			e.dur.Close()
 			return nil, fmt.Errorf("server: init script: %w", err)
 		}
@@ -385,28 +423,12 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 		obs.Add("server.idem.replayed", int64(len(keys)))
 		e.logf("replayed idempotency keys", "keys", len(keys))
 	}
-	if cfg.Dir != "" {
-		// A durable engine is a replication source: durable commits feed
-		// the stream hub in commit order. The hub's watermark is seeded
-		// with the boot-time committed seq, so a follower resuming below
-		// it is served from the WAL on disk instead of silently skipped.
-		e.repHub = replica.NewHub(0)
-		e.hbStop = make(chan struct{})
-		e.dur.SetOnCommit(func(recs []wal.Record) {
-			for _, rec := range recs {
-				e.repHub.Publish(rec)
-			}
-		})
-		e.repHub.SeedWatermark(e.dur.CommittedSeq())
-		go e.runHeartbeats()
-	}
 	e.preregisterMetrics()
 	if e.fol != nil {
 		ctx, cancel := context.WithCancel(context.Background())
 		e.folCancel = cancel
 		go e.runReplicator(ctx)
 	} else {
-		e.disc.start()
 		go e.runPipeline()
 	}
 	return e, nil
@@ -524,7 +546,8 @@ func (e *Engine) ViewNames() []string {
 
 // ExecScript runs a sqlish script against the session, serialized
 // against the commit pipeline (DDL and admin writes take the state
-// lock). The published snapshot is refreshed and the version bumped, so
+// lock; its DML lands through the discipline, see applyScript). The
+// published snapshot is refreshed and the version bumped, so
 // transactions opened before the script conservatively conflict.
 func (e *Engine) ExecScript(script string) (string, error) {
 	e.sendMu.RLock()

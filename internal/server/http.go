@@ -30,7 +30,7 @@ const retryAfterSeconds = 1
 //
 //	GET  /healthz                        liveness + engine state
 //	GET  /readyz                         write readiness (503 while degraded/draining)
-//	GET  /metricsz                       obs counters/histograms as JSON
+//	GET  /metricsz                       the same registry as JSON (the ledger's scrape; see docs/OBSERVABILITY.md)
 //	GET  /metrics                        Prometheus text exposition + runtime stats
 //	GET  /debug/slow                     slowest complete request traces as JSON
 //	GET  /debug/pprof/...                net/http/pprof (only with Config.EnablePprof)

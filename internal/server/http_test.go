@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"viewupdate/internal/obs"
@@ -89,35 +90,41 @@ func TestHTTPErrorTaxonomy(t *testing.T) {
 		body   any
 		status int
 		code   string
+		want   string // in the error text, when the status alone does not tell
 	}{
 		{"unknown view", "POST", "/views/Nope/insert",
-			map[string]any{"values": []string{"1", "NY"}}, http.StatusNotFound, "not_found"},
+			map[string]any{"values": []string{"1", "NY"}}, http.StatusNotFound, "not_found", ""},
 		{"unknown op", "POST", "/views/NY/upsert",
-			map[string]any{"values": []string{"1", "NY"}}, http.StatusBadRequest, "bad_request"},
+			map[string]any{"values": []string{"1", "NY"}}, http.StatusBadRequest, "bad_request", ""},
 		{"domain violation", "POST", "/views/NY/insert",
-			map[string]any{"values": []string{"99999", "NY"}}, http.StatusBadRequest, "bad_request"},
+			map[string]any{"values": []string{"99999", "NY"}}, http.StatusBadRequest, "bad_request", ""},
 		{"arity mismatch", "POST", "/views/NY/insert",
-			map[string]any{"values": []string{"1"}}, http.StatusBadRequest, "bad_request"},
+			map[string]any{"values": []string{"1"}}, http.StatusBadRequest, "bad_request", ""},
 		{"unknown field", "POST", "/views/NY/insert",
-			map[string]any{"valuez": []string{"1", "NY"}}, http.StatusBadRequest, "bad_request"},
+			map[string]any{"valuez": []string{"1", "NY"}}, http.StatusBadRequest, "bad_request", ""},
 		{"missing row", "POST", "/views/NY/delete",
-			map[string]any{"where": map[string]string{"EmpNo": "5"}}, http.StatusBadRequest, "bad_request"},
+			map[string]any{"where": map[string]string{"EmpNo": "5"}}, http.StatusBadRequest, "bad_request", ""},
 		{"where on an unknown attribute", "POST", "/views/NY/delete",
-			map[string]any{"where": map[string]string{"Nope": "1"}}, http.StatusBadRequest, "bad_request"},
+			map[string]any{"where": map[string]string{"Nope": "1"}}, http.StatusBadRequest, "bad_request", ""},
 		{"where value of the wrong kind", "POST", "/views/NY/delete",
-			map[string]any{"where": map[string]string{"EmpNo": "x"}}, http.StatusBadRequest, "bad_request"},
+			map[string]any{"where": map[string]string{"EmpNo": "x"}}, http.StatusBadRequest, "bad_request", ""},
 		{"where value outside the domain", "POST", "/views/NY/replace",
 			map[string]any{"where": map[string]string{"EmpNo": "99999"}, "set": map[string]string{"EmpNo": "2"}},
-			http.StatusBadRequest, "bad_request"},
-		{"delete without where", "POST", "/views/NY/delete", map[string]any{}, http.StatusBadRequest, "bad_request"},
+			http.StatusBadRequest, "bad_request", ""},
+		{"delete without where", "POST", "/views/NY/delete", map[string]any{}, http.StatusBadRequest, "bad_request", ""},
 		{"replace without set", "POST", "/views/NY/replace",
-			map[string]any{"where": map[string]string{"EmpNo": "5"}}, http.StatusBadRequest, "bad_request"},
-		{"unknown token", "POST", "/tx/deadbeef/commit", nil, http.StatusNotFound, "not_found"},
+			map[string]any{"where": map[string]string{"EmpNo": "5"}}, http.StatusBadRequest, "bad_request", ""},
+		// A wire body's set is a JSON object and cannot name an attribute
+		// twice; a script's SET list can, and the last value used to win.
+		{"set gives one attribute two values", "POST", "/execz",
+			map[string]any{"script": "UPDATE NY SET EmpNo = 6, EmpNo = 7 WHERE EmpNo = 5"},
+			http.StatusBadRequest, "bad_request", "EmpNo cannot equal both 6 and 7"},
+		{"unknown token", "POST", "/tx/deadbeef/commit", nil, http.StatusNotFound, "not_found", ""},
 	} {
 		var er errorReply
 		code := doJSON(t, tc.method, srv.URL+tc.path, tc.body, &er)
-		if code != tc.status || er.Code != tc.code {
-			t.Fatalf("%s: got %d %q, want %d %q (%s)", tc.name, code, er.Code, tc.status, tc.code, er.Error)
+		if code != tc.status || er.Code != tc.code || !strings.Contains(er.Error, tc.want) {
+			t.Fatalf("%s: got %d %q, want %d %q %q (%s)", tc.name, code, er.Code, tc.status, tc.code, tc.want, er.Error)
 		}
 	}
 }

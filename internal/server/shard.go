@@ -187,7 +187,8 @@ func newShardRuntime(e *Engine, st *shard.Store) *shardRuntime {
 }
 
 // start launches the per-shard committers and the acker. Everything
-// recovery and the init script landed is durable by construction.
+// recovery landed is durable by construction, and nothing else has
+// landed yet: the init script's DML rides the lanes like any commit.
 func (sr *shardRuntime) start() {
 	sr.preregisterMetrics()
 	for i := 0; i < sr.n; i++ {
@@ -419,7 +420,7 @@ func (sr *shardRuntime) failShard(i int, err error, jobs []*shardJob) {
 	sr.outstanding -= len(jobs)
 	for _, j := range jobs {
 		if j.cross != nil && j.cross.err == nil {
-			j.cross.err = err
+			j.cross.err = fmt.Errorf("%w: shard %d: %w", persist.ErrNotDurable, i, err)
 		}
 	}
 	sr.mu.Unlock()
@@ -555,17 +556,7 @@ type shardedStore struct {
 func (s shardedStore) CommittedSeq() uint64 { return s.feed.publishedSeq() }
 func (s shardedStore) Err() error           { return s.BrokenAny() }
 
-func (s shardedStore) SetOnCommit(fn func(recs []wal.Record)) {
-	s.feed.open(s.Seq(), fn)
-	// The synchronous script path (DDL, admin writes) bypasses the
-	// acker; its commits are durable when Apply returns, so they register
-	// and resolve in one step. stateMu serializes them against settle's
-	// registrations.
-	s.SetOnApply(func(seq uint64, key string, tr *update.Translation) {
-		s.feed.register(seq, key, tr)
-		s.feed.resolve(seq, true)
-	})
-}
+func (s shardedStore) SetOnCommit(fn func(recs []wal.Record)) { s.feed.open(s.Seq(), fn) }
 
 // openSharded opens (or creates) the shard store at cfg.Dir and attaches
 // it under the pipelined discipline.
@@ -590,16 +581,6 @@ func (e *Engine) openSharded() error {
 	}
 	sr := newShardRuntime(e, st)
 	e.shst, e.disc, e.dur = st, sr, shardedStore{Store: st, feed: sr.feed}
-	// Script statements (init DDL, admin ExecScript, vupdate wire scripts
-	// outside the pipeline) journal synchronously through the store,
-	// serialized by stateMu at the session boundary; DDL drains the lanes
-	// and checkpoints so the manifest carries the new inclusion
-	// dependencies.
-	e.sess.SetApplier(st.Apply)
-	e.sess.SetSchemaChanged(func() error {
-		sr.quiesce()
-		return st.Checkpoint()
-	})
 	return nil
 }
 

@@ -269,8 +269,8 @@ func TestShardedBrokenShardDegrades(t *testing.T) {
 
 // TestShardedDDLAndScriptWrites: ExecScript DDL after boot quiesces the
 // pipelines and re-checkpoints (the manifest gains the new relation and
-// its inclusions), and script INSERTs journal synchronously through the
-// shard store; everything survives a restart.
+// its inclusions), and script INSERTs ride the lanes like any commit;
+// everything survives a restart.
 func TestShardedDDLAndScriptWrites(t *testing.T) {
 	dir := t.TempDir()
 	e := newShardEngine(t, dir, 2, nil)
@@ -305,6 +305,107 @@ INSERT INTO ANNEX VALUES (9, 70);
 	}
 	if len(st.DB().Schema().Inclusions()) != 2 {
 		t.Fatalf("recovered %d inclusions, want 2", len(st.DB().Schema().Inclusions()))
+	}
+}
+
+// crossPairs returns n (ENo, DNo) pairs whose EMP and DEPT rows live on
+// different shards of e, so that inserting one through the join view ED
+// is a cross-shard commit.
+func crossPairs(e *Engine, n int) [][2]int {
+	m, sch := e.ShardStore().Map(), e.db.Schema()
+	var out [][2]int
+	for k := 1; len(out) < n; k++ {
+		emp := tuple.MustNew(sch.Relation("EMP"), value.NewInt(int64(k)), value.NewInt(int64(1000+k)))
+		dept := tuple.MustNew(sch.Relation("DEPT"), value.NewInt(int64(1000+k)), value.NewInt(7))
+		if m.Of(emp) != m.Of(dept) {
+			out = append(out, [2]int{k, 1000 + k})
+		}
+	}
+	return out
+}
+
+// TestShardedCrossCommitOnDeadMedia: a two-phase commit whose prepare
+// cannot be journaled is a durability failure (503), never an
+// optimistic conflict (409) — from the update routes and from a script
+// alike, since both ride the lanes.
+func TestShardedCrossCommitOnDeadMedia(t *testing.T) {
+	var mu sync.Mutex
+	var armed []*faultinject.ArmedCrashWriter
+	e := newShardEngine(t, t.TempDir(), 2, func(c *Config) {
+		c.BreakerCooldown = time.Minute
+		c.WrapWAL = func(_ int, f wal.File) wal.File {
+			w := &faultinject.ArmedCrashWriter{W: f}
+			mu.Lock()
+			armed = append(armed, w)
+			mu.Unlock()
+			return w
+		}
+	})
+	cross := crossPairs(e, 2)
+	mu.Lock()
+	for _, w := range armed {
+		w.Crash(0)
+	}
+	mu.Unlock()
+	err := insertED(e, cross[0][0], cross[0][1], "")
+	if !errors.Is(err, persist.ErrNotDurable) || errors.Is(err, ErrConflict) {
+		t.Fatalf("cross-shard insert on dead media: %v, want ErrNotDurable and no conflict", err)
+	}
+	_, err = e.ExecScript(fmt.Sprintf("INSERT INTO ED VALUES (%d, %d, %d, 7);", cross[1][0], cross[1][1], cross[1][1]))
+	if !errors.Is(err, persist.ErrNotDurable) || errors.Is(err, ErrConflict) {
+		t.Fatalf("cross-shard script insert on dead media: %v, want ErrNotDurable and no conflict", err)
+	}
+	e.Kill() // crashed media: skip the checkpoint path
+}
+
+// TestShardedScriptCrashInsidePrepareWindow is the engine-level twin of
+// the shard store's TestCrashInsidePrepareWindow for the script door: a
+// script statement is inside the two-phase window (its prepares durable
+// on both lanes) when the SiteShardPrepare failpoint fires. The
+// statement must error as not durable, and a restart must presume abort:
+// the recovered state is what a fault-free engine holds after the
+// statements that did succeed.
+func TestShardedScriptCrashInsidePrepareWindow(t *testing.T) {
+	dir := t.TempDir()
+	e := newShardEngine(t, dir, 4, nil)
+	cross := crossPairs(e, 2)
+	insert := func(p [2]int) string {
+		return fmt.Sprintf("INSERT INTO ED VALUES (%d, %d, %d, 7);", p[0], p[1], p[1])
+	}
+	if _, err := e.ExecScript(insert(cross[0])); err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("power cut")
+	faultinject.Enable(faultinject.NewPlan(1).FailNth(faultinject.SiteShardPrepare, 1, boom))
+	defer faultinject.Disable()
+	_, err := e.ExecScript(insert(cross[1]))
+	if !errors.Is(err, persist.ErrNotDurable) || !errors.Is(err, boom) {
+		t.Fatalf("script across the crash window: %v, want ErrNotDurable wrapping the injected fault", err)
+	}
+	faultinject.Disable()
+	e.Kill()
+
+	e2 := newShardEngine(t, dir, 4, nil)
+	if rep := e2.ShardStore().Report(); rep.PreparesAborted != 2 || rep.PreparesCommitted != 2 {
+		t.Fatalf("report: %s, want the first insert's prepares committed and the second's presumed aborted", rep)
+	}
+	ref := newShardEngine(t, t.TempDir(), 4, nil)
+	if _, err := ref.ExecScript(insert(cross[0])); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"EV", "DV", "ED"} {
+		got, _, err := e2.ReadView(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ref.ReadView(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Slice()) != fmt.Sprint(want.Slice()) {
+			t.Fatalf("%s after restart holds %v, the fault-free replay %v", v, got.Slice(), want.Slice())
+		}
 	}
 }
 

@@ -85,8 +85,8 @@ func (f *walFeed) open(boot uint64, out func(recs []wal.Record)) {
 }
 
 // register appends seq to the feed. Callers serialize in sequence
-// order (the sequencer's stateMu, which also covers the synchronous
-// script path).
+// order: settle runs under stateMu, for pipeline batches and script
+// statements alike.
 func (f *walFeed) register(seq uint64, key string, tr *update.Translation) {
 	f.mu.Lock()
 	f.pending = append(f.pending, feedEntry{seq: seq, key: key, tr: tr})

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"viewupdate/internal/faultinject"
 	"viewupdate/internal/obs"
 	"viewupdate/internal/persist"
 	"viewupdate/internal/schema"
@@ -99,11 +98,12 @@ func (r RecoveryReport) String() string {
 // global — one counter spans all lanes — so recovery can merge the
 // per-shard logs back into the exact memory order commits applied in.
 //
-// The Store does not serialize memory application itself; the engine
-// holds its state lock across validation + memory apply + sequence
-// allocation, then journals outside the lock (that is what lets N
-// fsync streams proceed in parallel). Apply is the synchronous
-// exception used by the script/session path.
+// The Store neither applies to memory nor runs a commit protocol: the
+// engine holds its state lock across validation + memory apply +
+// sequence allocation, then journals through AppendBatch outside the
+// lock (that is what lets N fsync streams proceed in parallel). The
+// two-phase protocol over those appends lives once, in the engine's
+// lanes (internal/server/shard.go).
 type Store struct {
 	dir  string
 	m    *Map
@@ -121,18 +121,8 @@ type Store struct {
 	// "snapshot required".
 	snapSeq atomic.Uint64
 
-	// onApply, when set, receives every commit landed by the synchronous
-	// Apply path (script/session statements) right after it became
-	// durable: the global sequence number, the idempotency key (empty on
-	// this path) and the whole translation. The engine's pipelined
-	// commits feed the replication stream through the acker instead;
-	// this hook covers the one path the acker never sees.
-	onApply func(seq uint64, key string, tr *update.Translation)
-
 	brokenMu sync.Mutex
 	broken   []error // per-shard: first journaling failure; memory may be ahead of media
-
-	applyMu sync.Mutex // serializes the synchronous Apply path
 
 	report RecoveryReport
 	keys   []string // recovered idempotency keys, commit order
@@ -571,103 +561,6 @@ func (s *Store) AppendBatch(i int, recs []wal.Record) (wal.BatchStats, error) {
 		return stats, err
 	}
 	return stats, nil
-}
-
-// commitCross runs the two-phase journal protocol for a cross-shard
-// commit whose memory application already happened: parallel prepare
-// records (each fsynced) on every participant, then the decision record
-// (fsynced) on the coordinator shard, then best-effort resolve markers.
-// A nil return means the decision reached media — the commit survives
-// any crash; on an error, recovery presumes abort.
-func (s *Store) commitCross(xid uint64, route *Route) error {
-	coord := route.Home()
-	var wg sync.WaitGroup
-	errs := make([]error, len(route.Participants))
-	for idx, p := range route.Participants {
-		wg.Add(1)
-		go func(idx, p int) {
-			defer wg.Done()
-			_, errs[idx] = s.AppendBatch(p, []wal.Record{wal.PrepareRecord(xid, "", coord, route.Parts[p])})
-		}(idx, p)
-	}
-	wg.Wait()
-	for _, perr := range errs {
-		if perr != nil {
-			return fmt.Errorf("shard: cross-shard prepare: %w", perr)
-		}
-	}
-	obs.Inc("shard.cross.prepared")
-	if ferr := faultinject.Hit(faultinject.SiteShardPrepare); ferr != nil {
-		// The crash window the chaos soak aims at: prepares durable,
-		// no decision. Recovery rolls the commit back (presumed abort);
-		// the client was never acknowledged.
-		return fmt.Errorf("shard: %w", ferr)
-	}
-	if _, derr := s.AppendBatch(coord, []wal.Record{wal.DecisionRecord(xid)}); derr != nil {
-		return fmt.Errorf("shard: cross-shard decision: %w", derr)
-	}
-	obs.Inc("shard.cross.decided")
-	// Past the point of no return: the commit is durable everywhere it
-	// matters. Injected errors here arm crash tests only.
-	_ = faultinject.Hit(faultinject.SiteShardDecision)
-	// Lazy resolve markers let each participant settle the prepare from
-	// its own log at recovery. No fsync — the decision already carries
-	// durability — and failures only cost a decision-table lookup later.
-	for _, p := range route.Participants {
-		if s.Broken(p) == nil {
-			if aerr := s.logs[p].Append(wal.ResolveRecord(xid)); aerr != nil {
-				s.MarkBroken(p, aerr)
-			}
-		}
-	}
-	return nil
-}
-
-// Apply is the synchronous durable commit used by the script/session
-// path (the engine's pipelined commits journal through AppendBatch
-// instead). It applies tr to the database, then journals —
-// translation+commit on a single participant, the full two-phase
-// protocol across several. Callers serialize Apply against the
-// pipelined path (the engine holds its state lock). On a journaling
-// failure before the point of no return, memory is rolled back and the
-// commit reports persist.ErrNotDurable.
-func (s *Store) Apply(tr *update.Translation) error {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-	route, err := Classify(s.m, s.db.Schema(), tr)
-	if err != nil {
-		return err
-	}
-	if len(route.Participants) == 0 {
-		return nil
-	}
-	if err := s.db.Apply(tr); err != nil {
-		return err
-	}
-	xid := s.NextSeq()
-	if route.Cross() {
-		err = s.commitCross(xid, route)
-	} else {
-		recs := []wal.Record{wal.EncodeTranslation(xid, tr), wal.CommitRecord(xid)}
-		_, err = s.AppendBatch(route.Home(), recs)
-	}
-	if err != nil {
-		if rerr := s.db.Apply(persist.Invert(tr)); rerr != nil {
-			return fmt.Errorf("shard: memory diverged after failed append: %v (rollback: %w)", err, rerr)
-		}
-		return fmt.Errorf("%w: %w", persist.ErrNotDurable, err)
-	}
-	if s.onApply != nil {
-		s.onApply(xid, "", tr)
-	}
-	return nil
-}
-
-// SetOnApply installs the synchronous-path commit hook (see the field
-// doc). Call before serving; delivery runs under applyMu and must not
-// call back into the store.
-func (s *Store) SetOnApply(fn func(seq uint64, key string, tr *update.Translation)) {
-	s.onApply = fn
 }
 
 // SnapshotSeq reports the snapshot floor: the highest watermark any

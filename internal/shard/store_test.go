@@ -91,6 +91,53 @@ func keysOnShards(t *testing.T, st *Store) (int64, int64) {
 	return 0, 0
 }
 
+// How far commit takes a cross-shard translation through the two-phase
+// journal protocol before the test "crashes".
+const (
+	prepared = iota // prepare records durable, no decision: in doubt
+	decided         // decision durable on the coordinator, no resolve markers
+	resolved        // the whole protocol
+)
+
+// commit lands tr on a live store the way the engine's lanes do, but
+// straight-line: memory first, then the journal — translation+commit on
+// a single participant; across several, a prepare record on each, the
+// decision on the coordinator and the resolve markers, cut short at
+// upTo. It is how these tests build on-disk states; the protocol itself
+// (ordering, failpoints, acks) is the lanes' and is tested there.
+func commit(t *testing.T, st *Store, tr *update.Translation, upTo int) {
+	t.Helper()
+	route, err := Classify(st.Map(), st.DB().Schema(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.DB().Apply(tr); err != nil {
+		t.Fatal(err)
+	}
+	xid := st.NextSeq()
+	journal := func(i int, recs ...wal.Record) {
+		t.Helper()
+		if _, err := st.AppendBatch(i, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !route.Cross() {
+		journal(route.Home(), persist.EncodeBatchRecords(xid, tr)...)
+		return
+	}
+	for _, p := range route.Participants {
+		journal(p, wal.PrepareRecord(xid, "", route.Home(), route.Parts[p]))
+	}
+	if upTo >= decided {
+		journal(route.Home(), wal.DecisionRecord(xid))
+	}
+	if upTo >= resolved {
+		for _, p := range route.Participants {
+			journal(p, wal.ResolveRecord(xid))
+		}
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := newTestStore(t, dir, 4, Options{Sync: wal.SyncOnCommit})
@@ -99,16 +146,11 @@ func TestStoreRoundTrip(t *testing.T) {
 	a, b := keysOnShards(t, st)
 	// Single-shard commit, then a cross-shard commit (two parents on
 	// different shards plus a child referencing one of them).
-	if err := st.Apply(update.NewTranslation(update.NewInsert(pt(t, p, a, "u")))); err != nil {
-		t.Fatal(err)
-	}
-	cross := update.NewTranslation(
+	commit(t, st, update.NewTranslation(update.NewInsert(pt(t, p, a, "u"))), resolved)
+	commit(t, st, update.NewTranslation(
 		update.NewInsert(pt(t, p, b, "v")),
 		update.NewInsert(ct(t, c, 7, a)),
-	)
-	if err := st.Apply(cross); err != nil {
-		t.Fatal(err)
-	}
+	), resolved)
 	want := render(st.DB())
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -158,18 +200,14 @@ func TestCheckpointFoldsLogs(t *testing.T) {
 	sch := st.DB().Schema()
 	p := sch.Relation("P")
 	a, b := keysOnShards(t, st)
-	if err := st.Apply(update.NewTranslation(
+	commit(t, st, update.NewTranslation(
 		update.NewInsert(pt(t, p, a, "u")), update.NewInsert(pt(t, p, b, "u")),
-	)); err != nil {
-		t.Fatal(err)
-	}
+	), resolved)
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Post-checkpoint commit, recovered from the fresh logs.
-	if err := st.Apply(update.NewTranslation(update.NewInsert(pt(t, p, a+b+1, "v")))); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, st, update.NewTranslation(update.NewInsert(pt(t, p, a+b+1, "v"))), resolved)
 	want := render(st.DB())
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -200,10 +238,8 @@ func appendRecords(t *testing.T, dir string, i int, recs ...wal.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if err := log.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := log.AppendBatch(recs); err != nil {
+		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -217,9 +253,7 @@ func TestWatermarkSkip(t *testing.T) {
 	dir := t.TempDir()
 	st := newTestStore(t, dir, 4, Options{Sync: wal.SyncOnCommit})
 	p := st.DB().Schema().Relation("P")
-	if err := st.Apply(update.NewTranslation(update.NewInsert(pt(t, p, 1, "u")))); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, st, update.NewTranslation(update.NewInsert(pt(t, p, 1, "u"))), resolved)
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -349,50 +383,58 @@ func TestOrphanPrune(t *testing.T) {
 }
 
 // TestCrashInsidePrepareWindow is the store-level acked-implies-durable
-// property: a failure injected between the prepare barrier and the
-// decision append must leave memory rolled back (the client was never
-// acked) and recovery must presume abort for the durable prepares.
+// property, on the two crash states inside the two-phase window of a
+// live store. A crash after the prepare barrier but before the decision
+// (no client was acknowledged) must presume abort for the durable
+// prepares; a crash after the decision but before the resolve markers
+// (the client may have been acknowledged) must commit them through the
+// coordinator's decision.
 func TestCrashInsidePrepareWindow(t *testing.T) {
-	dir := t.TempDir()
-	st := newTestStore(t, dir, 4, Options{Sync: wal.SyncOnCommit})
-	p := st.DB().Schema().Relation("P")
-	a, b := keysOnShards(t, st)
-	baseline := render(st.DB())
+	for _, tc := range []struct {
+		name               string
+		upTo               int
+		committed, aborted int
+	}{
+		{"prepared-undecided", prepared, 0, 2},
+		{"decided-unresolved", decided, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := newTestStore(t, dir, 4, Options{Sync: wal.SyncOnCommit})
+			p := st.DB().Schema().Relation("P")
+			a, b := keysOnShards(t, st)
+			baseline := render(st.DB())
+			commit(t, st, update.NewTranslation(
+				update.NewInsert(pt(t, p, a, "u")), update.NewInsert(pt(t, p, b, "u")),
+			), tc.upTo)
+			want := baseline
+			if tc.committed > 0 {
+				want = render(st.DB())
+			}
+			// The crash: memory (ahead of the journals when undecided) is lost.
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	boom := errors.New("power cut")
-	faultinject.Enable(faultinject.NewPlan(1).FailNth(faultinject.SiteShardPrepare, 1, boom))
-	defer faultinject.Disable()
-	err := st.Apply(update.NewTranslation(
-		update.NewInsert(pt(t, p, a, "u")), update.NewInsert(pt(t, p, b, "u")),
-	))
-	if !errors.Is(err, persist.ErrNotDurable) || !errors.Is(err, boom) {
-		t.Fatalf("apply across the crash window: %v, want ErrNotDurable wrapping the injected fault", err)
-	}
-	if got := render(st.DB()); got != baseline {
-		t.Fatalf("memory not rolled back: %s, want %s", got, baseline)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := Open(dir, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rec.Report().PreparesAborted != 2 {
-		t.Fatalf("report: %s, want both durable prepares presumed aborted", rec.Report())
-	}
-	if got := render(rec.DB()); got != baseline {
-		t.Fatalf("recovered %s, want baseline %s", got, baseline)
+			rec, err := Open(dir, 4, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if rep := rec.Report(); rep.PreparesCommitted != tc.committed || rep.PreparesAborted != tc.aborted {
+				t.Fatalf("report: %s, want %d prepares committed, %d presumed aborted", rep, tc.committed, tc.aborted)
+			}
+			if got := render(rec.DB()); got != want {
+				t.Fatalf("recovered %s, want %s", got, want)
+			}
+		})
 	}
 }
 
 // TestBrokenShardDegrades pins the journaling-failure contract: the
-// failing commit rolls back and reports not-durable, the shard is
-// marked broken, later commits touching it fail fast, commits on
-// healthy shards keep working, checkpoint refuses, and a restart
-// recovers the durable prefix.
+// failing append reports its error and marks the lane broken, later
+// appends on it fail fast, commits on healthy lanes keep working,
+// checkpoint refuses, and a restart recovers the durable prefix.
 func TestBrokenShardDegrades(t *testing.T) {
 	dir := t.TempDir()
 	sch, _, _ := fkSchema(t)
@@ -418,33 +460,27 @@ func TestBrokenShardDegrades(t *testing.T) {
 	}
 	// The reopened store rebuilt its relations from the snapshots.
 	p = st.DB().Schema().Relation("P")
+	onVictim := func(v string) []wal.Record {
+		return persist.EncodeBatchRecords(st.NextSeq(), update.NewTranslation(update.NewInsert(pt(t, p, a, v))))
+	}
 	// Healthy shard commits fine.
-	if err := st.Apply(update.NewTranslation(update.NewInsert(pt(t, p, b, "u")))); err != nil {
-		t.Fatal(err)
-	}
-	want := render(st.DB())
-	// Victim shard: first write crashes; memory must roll back.
-	err = st.Apply(update.NewTranslation(update.NewInsert(pt(t, p, a, "u"))))
-	if !errors.Is(err, persist.ErrNotDurable) {
-		t.Fatalf("apply on crashed shard: %v, want ErrNotDurable", err)
-	}
-	if render(st.DB()) != want {
-		t.Fatal("failed apply left memory state behind")
+	commit(t, st, update.NewTranslation(update.NewInsert(pt(t, p, b, "u"))), resolved)
+	// Victim shard: the first write crashes.
+	if _, err := st.AppendBatch(victim, onVictim("u")); !errors.Is(err, faultinject.ErrCrashed) {
+		t.Fatalf("append on crashed shard: %v, want the media failure", err)
 	}
 	if st.Broken(victim) == nil || st.BrokenAny() == nil {
 		t.Fatal("victim shard not marked broken")
 	}
 	// Fail-fast on the broken shard, healthy shards still commit.
-	if err := st.Apply(update.NewTranslation(update.NewInsert(pt(t, p, a, "v")))); err == nil {
-		t.Fatal("apply on broken shard should fail fast")
+	if _, err := st.AppendBatch(victim, onVictim("v")); err == nil {
+		t.Fatal("append on broken shard should fail fast")
 	}
-	if err := st.Apply(update.NewTranslation(update.NewInsert(pt(t, p, b+sbDistinct(t, st, b), "u")))); err != nil {
-		t.Fatalf("healthy shard after breakage: %v", err)
-	}
+	commit(t, st, update.NewTranslation(update.NewInsert(pt(t, p, b+sbDistinct(t, st, b), "u"))), resolved)
 	if err := st.Checkpoint(); err == nil {
 		t.Fatal("checkpoint on a broken fleet should refuse")
 	}
-	want = render(st.DB())
+	want := render(st.DB())
 	st.Close()
 
 	rec, err := Open(dir, 4, Options{})

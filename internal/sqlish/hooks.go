@@ -10,10 +10,10 @@ import (
 // SetApplier installs the durable applier. When set, every translation
 // committed outside a transaction — base-table statements, view
 // updates, COMMIT diffs — goes through fn instead of the session's
-// in-memory database. AttachStore points it at a persist.Store; the
-// sharded serving engine at its shard store, so the session's database
-// (the engine's authoritative state) and the per-shard journals stay in
-// lockstep; a follower at a function that refuses every write.
+// in-memory database. AttachStore (the CLI) points it at a
+// persist.Store; the serving engine at its journaling discipline,
+// whatever store is behind it; a follower at a function that refuses
+// every write.
 func (s *Session) SetApplier(fn func(*update.Translation) error) { s.applier = fn }
 
 // SetSchemaChanged installs a hook that runs after DDL grows the

@@ -37,7 +37,7 @@ type Session struct {
 	// Durability hooks (see hooks.go). applier replaces the
 	// non-transactional apply path; schemaChanged fires after DDL grows
 	// the schema. Both are nil in plain in-memory sessions; AttachStore
-	// points them at a persist.Store, the sharded engine at its own.
+	// points them at a persist.Store, the serving engine at its own.
 	applier       func(*update.Translation) error
 	schemaChanged func() error
 }
@@ -497,6 +497,9 @@ func (s *Session) execDelete(st Delete) (string, error) {
 
 func (s *Session) execUpdate(st Update) (string, error) {
 	if rel := s.sch.Relation(st.Target); rel != nil && !s.viewExists(st.Target) {
+		if err := view.CheckEq(rel, st.Sets); err != nil {
+			return "", err
+		}
 		old, err := s.uniqueBaseRow(rel, st.Where)
 		if err != nil {
 			return "", err

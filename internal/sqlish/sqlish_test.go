@@ -757,6 +757,10 @@ func TestWhereMisuse(t *testing.T) {
 		{"SELECT * FROM EMP WHERE Nope = 1", "Nope"},
 		{"DELETE FROM EMP WHERE EmpNo = 'x'", "EmpNo"},
 		{"UPDATE EMP SET Name = 'Bob' WHERE EmpNo = 3 AND EmpNo = 17", "EmpNo"},
+		// One attribute set to two different values: the last used to win.
+		{"UPDATE ViewP SET Name = 'Bob', Name = 'Carol' WHERE EmpNo = 3", "Name"},
+		{"UPDATE EMP SET Name = 'Bob', Name = 'Carol' WHERE EmpNo = 3", "Name"},
+		{"SHOW CANDIDATES FOR UPDATE ViewP SET Name = 'Bob', Name = 'Carol' WHERE EmpNo = 3", "Name"},
 		{"SHOW CANDIDATES FOR DELETE FROM ViewP WHERE Nope = 1", "Nope"},
 		{"SHOW EFFECTS FOR DELETE FROM ViewP WHERE EmpNo = 'x'", "EmpNo"},
 	}
@@ -779,9 +783,10 @@ func TestWhereMisuse(t *testing.T) {
 	check("in transaction")
 	// The well-formed neighbours still answer as before.
 	for stmt, want := range map[string]string{
-		"SELECT * FROM ViewP WHERE EmpNo = 3 AND EmpNo = 3": "(1 rows)",
-		"SELECT * FROM ViewP WHERE EmpNo = 14":              "(0 rows)", // in EMP, not in New York
-		"SELECT * FROM EMP WHERE Baseball = true":           "(2 rows)",
+		"SELECT * FROM ViewP WHERE EmpNo = 3 AND EmpNo = 3":           "(1 rows)",
+		"SELECT * FROM ViewP WHERE EmpNo = 14":                        "(0 rows)", // in EMP, not in New York
+		"SELECT * FROM EMP WHERE Baseball = true":                     "(2 rows)",
+		"UPDATE ViewP SET Name = 'Bob', Name = 'Bob' WHERE EmpNo = 3": "translated by",
 	} {
 		if out, err := s.ExecLine(stmt); err != nil || !strings.Contains(out, want) {
 			t.Errorf("%s = %q, %v; want %s", stmt, out, err, want)

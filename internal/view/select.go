@@ -34,7 +34,7 @@ type materialized interface {
 // values — is an error, not an empty result.
 func Select(v View, src storage.Source, eq []Eq) ([]tuple.T, error) {
 	rel := v.Schema()
-	if err := checkEq(rel, eq); err != nil {
+	if err := CheckEq(rel, eq); err != nil {
 		return nil, err
 	}
 	probe, keyed := keyProbe(rel, func(attr string) (value.Value, bool) {
@@ -64,13 +64,18 @@ func Select(v View, src storage.Source, eq []Eq) ([]tuple.T, error) {
 // base relation's, all of schema rel): the same checks on eq, then the
 // tuples of ts satisfying it, in order.
 func Filter(rel *schema.Relation, ts []tuple.T, eq []Eq) ([]tuple.T, error) {
-	if err := checkEq(rel, eq); err != nil {
+	if err := CheckEq(rel, eq); err != nil {
 		return nil, err
 	}
 	return filter(ts, eq), nil
 }
 
-func checkEq(rel *schema.Relation, eq []Eq) error {
+// CheckEq refuses a list of "attribute = value" terms that could never
+// be meant over rel — an attribute it does not have, a value outside
+// its domain, one attribute given two different values (the same value
+// twice is harmless) — naming the attribute. It judges a where and a
+// replace's set alike.
+func CheckEq(rel *schema.Relation, eq []Eq) error {
 	for i, c := range eq {
 		a, ok := rel.Attribute(c.Attr)
 		if !ok {

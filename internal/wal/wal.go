@@ -14,12 +14,15 @@
 // most the last frame. The core record kinds are a translation record
 // (sequence number plus the translation's operations, with every tuple
 // value in its canonical text encoding) and a commit marker carrying
-// just the sequence number. The commit protocol is
+// just the sequence number. The commit protocol (persist.Store) is
+// memory first:
 //
-//	append translation(seq) → apply to memory → append commit(seq)
+//	apply to memory → append [translation(seq), commit(seq)] in one write
 //
-// so a translation record without a later commit marker is, by
-// construction, uncommitted and is discarded at recovery.
+// and nobody is acknowledged before that write's durability barrier, so
+// a translation record without a later commit marker — the residue of a
+// torn write — is, by construction, unacknowledged and is discarded at
+// recovery.
 //
 // Three further kinds serve the sharded engine's two-phase commit
 // (internal/shard): a prepare record journals one participant's slice
@@ -242,7 +245,7 @@ func (m *MemFile) Bytes() []byte { return m.buf }
 func (m *MemFile) Syncs() int { return m.syncs }
 
 // A Log appends records to a File under a mutex. It performs no
-// buffering of its own: every Append reaches the media in one Write.
+// buffering of its own: every batch reaches the media in one Write.
 // The log tracks the last known-good frame boundary; a failed append is
 // repaired by truncating back to it (a real write can persist a prefix
 // before failing), and if the media cannot be truncated the log seals
@@ -299,48 +302,8 @@ func Frame(rec Record) ([]byte, error) {
 	return frame, nil
 }
 
-// Append writes rec as one frame, syncing per policy. The append is
-// all-or-torn: a crash mid-write leaves a tail that Scan detects and
-// recovery truncates. A failed append is repaired in place — the file
-// is cut back to the last intact frame, so a retry is sound and later
-// appends never land beyond a tear. When the repair itself fails, the
-// log seals: every further Append returns an error chaining ErrSealed
-// and the original cause.
-func (l *Log) Append(rec Record) error {
-	if ferr := faultinject.Hit(faultinject.SiteWALAppend); ferr != nil {
-		return fmt.Errorf("wal: %w", ferr)
-	}
-	sp := obs.StartSpan("wal.append")
-	defer sp.End()
-	frame, err := Frame(rec)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sealed != nil {
-		return l.sealed
-	}
-	if _, err := l.f.Write(frame); err != nil {
-		// write(2) can persist a prefix before failing; cut the file
-		// back to the last intact frame so a later append cannot land
-		// after garbage that would stop Scan short of it.
-		l.repairLocked(err)
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	l.off += int64(len(frame))
-	obs.Inc("wal.append")
-	if l.policy == SyncAlways || (l.policy == SyncOnCommit && kindNeedsSync(rec.Kind)) {
-		if _, err := l.syncTimedLocked(); err != nil {
-			// After a failed durability barrier the fate of every
-			// unsynced byte is unknown; no truncate can re-prove the
-			// tail, so the log is done.
-			l.sealLocked(err)
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-	}
-	return nil
-}
+// Append writes rec as a one-record AppendBatch.
+func (l *Log) Append(rec Record) error { return l.AppendBatch([]Record{rec}) }
 
 // syncTimedLocked runs a durability barrier and, when instrumentation
 // is enabled, reports its duration in nanoseconds and records it in the
@@ -370,17 +333,20 @@ func (l *Log) syncTimedLocked() (int64, error) {
 // AppendBatch writes recs as consecutive frames in one Write call,
 // followed by at most one durability barrier: the batch syncs when the
 // policy is SyncAlways, or when it is SyncOnCommit and the batch
-// carries at least one commit marker. This is the group-commit
-// primitive — n concurrent commits share a single write+fsync instead
-// of paying one each.
+// carries at least one record that is a durability point (see
+// kindNeedsSync). This is the group-commit primitive — n concurrent
+// commits share a single write+fsync instead of paying one each.
 //
-// Atomicity is per frame, exactly as with Append: a crash mid-batch
-// tears at some byte offset, Scan keeps the intact frame prefix, and
-// any translation record whose commit marker fell beyond the tear is
-// discarded at recovery. Failure handling also matches Append: a failed
-// write is repaired by truncating back to the last intact frame (so no
-// record of the batch survives), and a failed repair or sync seals the
-// log.
+// Atomicity is per frame: a crash mid-batch tears at some byte offset,
+// Scan keeps the intact frame prefix, and any translation record whose
+// commit marker fell beyond the tear is discarded at recovery. A failed
+// write is repaired in place — write(2) can persist a prefix before
+// failing, so the file is cut back to the last intact frame (no record
+// of the batch survives, a retry is sound, and later appends never land
+// beyond a tear). When the repair itself fails, or the barrier does —
+// after which the fate of every unsynced byte is unknown — the log
+// seals: every further append returns an error chaining ErrSealed and
+// the original cause.
 func (l *Log) AppendBatch(recs []Record) error {
 	_, err := l.AppendBatchStats(recs)
 	return err
@@ -422,8 +388,8 @@ var scratchPool = sync.Pool{New: func() any {
 
 // appendFrame encodes rec as one frame into the scratch. The payload
 // bytes are identical to Frame's json.Marshal output (the encoder's
-// trailing newline is stripped), so batched and single appends produce
-// byte-identical media.
+// trailing newline is stripped), so the media is byte-identical to a
+// sequence of Frame calls.
 func (s *batchScratch) appendFrame(rec Record) error {
 	s.payload.Reset()
 	if err := s.enc.Encode(rec); err != nil {
