@@ -185,9 +185,10 @@ bench-replica:
 # batcher must not regress. Phase 2 (loaded): 8 clients with a 1ms
 # batch window — emits BENCH_server.json with throughput, latency
 # quantiles, per-stage breakdowns, connection reuse, and the
-# group-commit evidence, and fails unless batch-size p99 and
-# commits/fsync both reach 4 (see docs/SERVING.md and
-# docs/PERFORMANCE.md).
+# group-commit evidence and EMP's final row count (base_rows_end, 0
+# when the default policy leaks nothing; CI gates it), and fails unless
+# batch-size p99 and commits/fsync both reach 4 (see docs/SERVING.md
+# and docs/PERFORMANCE.md).
 serve-bench:
 	$(GO) build -o /tmp/vuserved-bench ./cmd/vuserved
 	$(GO) build -o /tmp/vuload-bench ./cmd/vuload

@@ -187,9 +187,9 @@ func BenchmarkAblationPolicyOverhead(b *testing.B) {
 	u := f.ViewTuple(f.ViewP, 17, "Susan", "New York", true)
 	r := core.DeleteRequest(u)
 	policies := []core.Policy{
-		core.PickFirst{},
+		core.Simplest{},
 		core.PreferClasses{Order: []string{"D-2", "D-1"}},
-		core.WithDefaults{Base: core.PickFirst{}, Defaults: map[string]Value{"Location": Str("San Francisco")}},
+		core.WithDefaults{Base: core.Simplest{}, Defaults: map[string]Value{"Location": Str("San Francisco")}},
 	}
 	b.Run("enumerate-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

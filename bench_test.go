@@ -39,7 +39,7 @@ func BenchmarkE1Commutativity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				chosen, err := (core.PickFirst{}).Choose(r, cands)
+				chosen, err := (core.Simplest{}).Choose(r, cands)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -79,7 +79,7 @@ func clonePipeline(db *storage.Database, v view.View, r core.Request) (int, erro
 		}
 		accepted = append(accepted, c)
 	}
-	if _, err := (core.PickFirst{}).Choose(r, accepted); err != nil {
+	if _, err := (core.Simplest{}).Choose(r, accepted); err != nil {
 		return len(cands), err
 	}
 	return len(cands), nil

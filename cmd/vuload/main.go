@@ -3,10 +3,11 @@
 // view-update workload against disjoint key partitions (plus an
 // optional contended hot-key mix), measures client-side latency, and
 // emits BENCH_server.json with throughput, p50/p99/p999 latency,
-// conflict/overload rates, the server's group-commit counters
-// (commits per fsync) and the server-side per-stage pipeline breakdown
-// (translate/verify/queue/commit/fsync/publish), both scraped from the
-// Prometheus /metrics endpoint before and after the run.
+// conflict/overload rates, EMP's final row count, the server's
+// group-commit counters (commits per fsync) and the server-side
+// per-stage pipeline breakdown (translate/verify/queue/commit/fsync/
+// publish), both scraped from the Prometheus /metrics endpoint before
+// and after the run.
 //
 // Against a replicated deployment (vuserved -follow) the workload can
 // additionally mix in view reads spread across the read replicas and
@@ -61,9 +62,13 @@ type benchReport struct {
 	Throughput float64               `json:"throughput_rps"`
 	Latency    obs.HistogramSnapshot `json:"latency_ns"`
 	Rates      benchRates            `json:"rates"`
-	Client     clientStats           `json:"client"`
-	Server     serverStats           `json:"server"`
-	Replica    *replicaStats         `json:"replica,omitempty"`
+	// BaseRowsEnd is EMP's cardinality after the run. Every client
+	// deletes what it inserted, so it is 0 unless a translation left
+	// rows behind in the base (or -hot keys stayed inserted).
+	BaseRowsEnd int64         `json:"base_rows_end"`
+	Client      clientStats   `json:"client"`
+	Server      serverStats   `json:"server"`
+	Replica     *replicaStats `json:"replica,omitempty"`
 }
 
 // replicaStats is the read-replica evidence of a mixed read/write run:
@@ -322,6 +327,15 @@ func main() {
 	}
 	rep := buildReport(cfg, elapsed, lat, &cnt, before, after)
 	rep.Server.Stages = stageBreakdowns(before, after)
+	// The SELECT's output ends in "(N rows)".
+	rows, err := execz(hc, *addr, "SELECT * FROM EMP;")
+	if err == nil {
+		_, err = fmt.Sscanf(rows[strings.LastIndex(rows, "(")+1:], "%d rows)", &rep.BaseRowsEnd)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "base rows:", err)
+		os.Exit(1)
+	}
 	if *readFraction > 0 || *subscribers > 0 {
 		rs := &replicaStats{
 			ReadAddrs:    readFleet.addrs,
@@ -476,28 +490,31 @@ func runSetup(hc *http.Client, addr string, keys int64) error {
 		"CREATE DOMAIN LocDom AS STRING ('New York', 'San Francisco', 'Austin');",
 		"CREATE TABLE EMP (EmpNo KeyDom, Location LocDom, PRIMARY KEY (EmpNo));",
 		"CREATE VIEW NY AS SELECT * FROM EMP WHERE Location = 'New York';",
-		// Pin in-place translation classes. The default pick-first
-		// policy orders candidates by canonical encoding, which ranks a
-		// key-moving replace's R-4 (insert new + flip old out of the
-		// view) ahead of R-2 (replace in place): semantically fine, but
-		// every R-4 leaks the flipped tuple into the base table, so a
-		// steady-state workload grows the base without bound and the
-		// snapshot copy-on-write pays O(leaked rows) per publish.
-		"SET POLICY NY PREFER 'R-1', 'R-2', 'I-1', 'D-1';",
 	}
 	for _, stmt := range stmts {
-		body, _ := json.Marshal(map[string]string{"script": stmt})
-		resp, err := hc.Post(addr+"/execz", "application/json", bytes.NewReader(body))
-		if err != nil {
+		if _, err := execz(hc, addr, stmt); err != nil && !strings.Contains(err.Error(), "already exists") {
 			return err
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK && !strings.Contains(string(msg), "already exists") {
-			return fmt.Errorf("%s: %s", stmt, msg)
 		}
 	}
 	return nil
+}
+
+// execz runs one statement through /execz and returns its output.
+func execz(hc *http.Client, addr, stmt string) (string, error) {
+	body, _ := json.Marshal(map[string]string{"script": stmt})
+	resp, err := hc.Post(addr+"/execz", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	var out struct{ Output, Error string }
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&out); err != nil {
+		return "", fmt.Errorf("%s: %w", stmt, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("%s: %s", stmt, out.Error)
+	}
+	return out.Output, nil
 }
 
 // scrapeProm fetches /metrics and parses the Prometheus text format
@@ -657,6 +674,9 @@ func runClient(hc *http.Client, addr string, id, clients, requests int, keys int
 			}
 		}
 		issue(hc, addr+path, body, lat, cnt, bo)
+	}
+	for _, k := range alive { // leave the base as it was found
+		issue(hc, addr+"/views/NY/delete", map[string]any{"where": map[string]string{"EmpNo": strconv.FormatInt(k, 10)}}, lat, cnt, bo)
 	}
 }
 

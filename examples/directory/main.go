@@ -99,7 +99,7 @@ func main() {
 		fmt.Printf("  %d. [%s] %s\n", i+1, c.Class, c.Translation)
 	}
 	policy := viewupdate.WithDefaults{
-		Base:     viewupdate.PickFirst{},
+		Base:     viewupdate.Simplest{},
 		Defaults: map[string]viewupdate.Value{"Status": viewupdate.Str("active")},
 	}
 	tr := viewupdate.NewTranslator(directory, policy)

@@ -76,7 +76,7 @@ func main() {
 	// Insert through the view. The translator enumerates the complete
 	// candidate set (here a single I-1 insertion) and applies the
 	// policy's choice atomically.
-	tr := viewupdate.NewTranslator(ny, viewupdate.PickFirst{})
+	tr := viewupdate.NewTranslator(ny, viewupdate.Simplest{})
 	newRow, err := viewupdate.MakeRow(ny.Schema(), 4, "Dee", "New York")
 	if err != nil {
 		fatal(err)

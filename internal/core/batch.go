@@ -14,24 +14,8 @@ type BatchItem struct {
 	View view.View
 	// Request is the single-tuple update.
 	Request Request
-	// Policy chooses among the item's candidates (nil = PickFirst).
+	// Policy chooses among the item's candidates (nil = Simplest).
 	Policy Policy
-}
-
-// baseRelations lists the base relation names a view reads.
-func baseRelations(v view.View) []string {
-	switch vv := v.(type) {
-	case *view.SP:
-		return []string{vv.Base().Name()}
-	case *view.Join:
-		var out []string
-		for _, n := range vv.Nodes() {
-			out = append(out, n.SP.Base().Name())
-		}
-		return out
-	default:
-		return nil
-	}
 }
 
 // TranslateBatch translates a set of view updates whose views read
@@ -49,7 +33,8 @@ func TranslateBatch(db storage.Source, items []BatchItem) (*update.Translation, 
 		if it.View == nil {
 			return nil, nil, fmt.Errorf("core: batch item %d has no view", i)
 		}
-		for _, rel := range baseRelations(it.View) {
+		for _, sp := range relationsOf(it.View) {
+			rel := sp.Base().Name()
 			if j, clash := owner[rel]; clash && j != i {
 				return nil, nil, fmt.Errorf("core: batch items %d and %d both touch relation %s (the composition lemma requires disjoint relations)", j, i, rel)
 			}
@@ -59,15 +44,11 @@ func TranslateBatch(db storage.Source, items []BatchItem) (*update.Translation, 
 	union := update.NewTranslation()
 	chosen := make([]Candidate, len(items))
 	for i, it := range items {
-		p := it.Policy
-		if p == nil {
-			p = PickFirst{}
-		}
 		cands, err := Enumerate(db, it.View, it.Request)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: batch item %d: %w", i, err)
 		}
-		c, err := p.Choose(it.Request, cands)
+		c, err := orDefault(it.Policy).Choose(it.Request, cands)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: batch item %d: %w", i, err)
 		}

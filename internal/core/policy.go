@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"viewupdate/internal/tuple"
 	"viewupdate/internal/value"
 )
 
@@ -19,25 +19,56 @@ type Policy interface {
 	Choose(r Request, cands []Candidate) (Candidate, error)
 }
 
-// PickFirst deterministically picks the candidate with the smallest
-// canonical encoding. Useful as a default and in benchmarks.
-type PickFirst struct{}
+// Simplest is the default policy: the paper's simplicity order. One
+// translation is at least as simple as another when its added and
+// removed sets are subsets of the other's; Simplest keeps the
+// candidates no other candidate is strictly simpler than, and among
+// those the smallest canonical encoding wins. Every other policy in
+// this package breaks its ties through it. Under it a key-moving
+// replace takes R-2 (replace in place), not R-4 (insert the new row,
+// flip the old one out of the view), which would leave the flipped row
+// in the base.
+type Simplest struct{}
 
 // Name implements Policy.
-func (PickFirst) Name() string { return "pick-first" }
+func (Simplest) Name() string { return "simplest" }
 
 // Choose implements Policy.
-func (PickFirst) Choose(r Request, cands []Candidate) (Candidate, error) {
-	if len(cands) == 0 {
+func (Simplest) Choose(r Request, cands []Candidate) (Candidate, error) {
+	switch len(cands) {
+	case 0:
 		return Candidate{}, fmt.Errorf("%w for %s", ErrNoCandidates, r)
+	case 1:
+		return cands[0], nil
 	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.Translation.Encode() < best.Translation.Encode() {
-			best = c
+	type shape struct {
+		added, removed *tuple.Set
+		enc            string
+	}
+	shapes := make([]shape, len(cands))
+	for i, c := range cands {
+		shapes[i] = shape{c.Translation.Added(), c.Translation.Removed(), c.Translation.Encode()}
+	}
+	// a is strictly simpler than b: both of a's sets are subsets of
+	// b's, and one is smaller (equal sizes would make them equal).
+	strictlySimpler := func(a, b shape) bool {
+		return a.added.SubsetOf(b.added) && a.removed.SubsetOf(b.removed) &&
+			(a.added.Len() < b.added.Len() || a.removed.Len() < b.removed.Len())
+	}
+	best := -1
+outer:
+	for i, s := range shapes {
+		if best >= 0 && s.enc >= shapes[best].enc {
+			continue
 		}
+		for _, o := range shapes {
+			if strictlySimpler(o, s) {
+				continue outer
+			}
+		}
+		best = i
 	}
-	return best, nil
+	return cands[best], nil
 }
 
 // RejectAmbiguous accepts only a unique candidate.
@@ -59,10 +90,10 @@ func (RejectAmbiguous) Choose(r Request, cands []Candidate) (Candidate, error) {
 	}
 }
 
-// classOf extracts the leaf algorithm-class tokens of a candidate's
+// ClassTokens extracts the leaf algorithm-class tokens of a candidate's
 // class label: "SPJ-I(emp:I-1, dept:R-1)" yields {"I-1","R-1"};
 // "D-2" yields {"D-2"}.
-func classTokens(class string) []string {
+func ClassTokens(class string) []string {
 	cut := class
 	if i := strings.IndexByte(cut, '('); i >= 0 && strings.HasSuffix(cut, ")") {
 		cut = cut[i+1 : len(cut)-1]
@@ -82,7 +113,7 @@ func classTokens(class string) []string {
 }
 
 // PreferClasses ranks candidates by the earliest position of their
-// algorithm class in Order; among equals, the smallest encoding wins.
+// algorithm class in Order; Simplest chooses among the best-ranked.
 // A candidate whose class does not appear in Order loses to any that
 // does. E.g. Order = ["D-1"] encodes "deletion means destroying the
 // object" (the paper's Susan), while Order = ["D-2"] encodes "deletion
@@ -105,7 +136,7 @@ func (p PreferClasses) Name() string {
 // rank returns the order index of the candidate's best token.
 func (p PreferClasses) rank(c Candidate) int {
 	best := len(p.Order)
-	for _, tok := range classTokens(c.Class) {
+	for _, tok := range ClassTokens(c.Class) {
 		for i, want := range p.Order {
 			if tok == want && i < best {
 				best = i
@@ -117,18 +148,17 @@ func (p PreferClasses) rank(c Candidate) int {
 
 // Choose implements Policy.
 func (p PreferClasses) Choose(r Request, cands []Candidate) (Candidate, error) {
-	if len(cands) == 0 {
-		return Candidate{}, fmt.Errorf("%w for %s", ErrNoCandidates, r)
-	}
-	sorted := append([]Candidate{}, cands...)
-	sort.Slice(sorted, func(i, j int) bool {
-		ri, rj := p.rank(sorted[i]), p.rank(sorted[j])
-		if ri != rj {
-			return ri < rj
+	best := len(p.Order) + 1
+	var top []Candidate
+	for _, c := range cands {
+		switch rank := p.rank(c); {
+		case rank < best:
+			best, top = rank, []Candidate{c}
+		case rank == best:
+			top = append(top, c)
 		}
-		return sorted[i].Translation.Encode() < sorted[j].Translation.Encode()
-	})
-	return sorted[0], nil
+	}
+	return Simplest{}.Choose(r, top)
 }
 
 // WithDefaults refines another policy by value preferences for the
@@ -175,26 +205,18 @@ func (p WithDefaults) Choose(r Request, cands []Candidate) (Candidate, error) {
 	if err != nil {
 		return Candidate{}, err
 	}
-	var sameClass []Candidate
-	for _, c := range cands {
-		if c.Class == picked.Class {
-			sameClass = append(sameClass, c)
-		}
-	}
-	bestScore := -1
-	for _, c := range sameClass {
-		if s := p.score(c); s > bestScore {
-			bestScore = s
-		}
-	}
+	best := -1
 	var top []Candidate
-	for _, c := range sameClass {
-		if p.score(c) == bestScore {
+	for _, c := range cands {
+		if c.Class != picked.Class {
+			continue
+		}
+		switch score := p.score(c); {
+		case score > best:
+			best, top = score, []Candidate{c}
+		case score == best:
 			top = append(top, c)
 		}
-	}
-	if len(top) == 1 {
-		return top[0], nil
 	}
 	return p.Base.Choose(r, top)
 }

@@ -10,7 +10,7 @@ import (
 	"viewupdate/internal/view"
 )
 
-func TestPickFirstDeterministic(t *testing.T) {
+func TestSimplestDeterministic(t *testing.T) {
 	f := fixtures.NewEmp(20)
 	db := f.PaperInstance()
 	u := f.ViewTuple(f.ViewP, 17, "Susan", "New York", true)
@@ -18,7 +18,7 @@ func TestPickFirstDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := PickFirst{}
+	p := Simplest{}
 	c1, err := p.Choose(DeleteRequest(u), cands)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func TestPickFirstDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !c1.Translation.Equal(c2.Translation) {
-		t.Fatal("PickFirst not deterministic under reordering")
+		t.Fatal("Simplest not deterministic under reordering")
 	}
 	if _, err := p.Choose(DeleteRequest(u), nil); err == nil {
 		t.Fatal("empty candidate list should fail")
@@ -113,13 +113,13 @@ func TestClassTokens(t *testing.T) {
 		{"SPJ-D(CXDv:D-1)", []string{"D-1"}},
 	}
 	for _, c := range cases {
-		got := classTokens(c.class)
+		got := ClassTokens(c.class)
 		if len(got) != len(c.want) {
-			t.Fatalf("classTokens(%q) = %v", c.class, got)
+			t.Fatalf("ClassTokens(%q) = %v", c.class, got)
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Fatalf("classTokens(%q) = %v, want %v", c.class, got, c.want)
+				t.Fatalf("ClassTokens(%q) = %v, want %v", c.class, got, c.want)
 			}
 		}
 	}
@@ -151,7 +151,7 @@ func TestWithDefaults(t *testing.T) {
 		t.Fatalf("want 2 extend-insert choices, got %s", DescribeCandidates(cands))
 	}
 	p := WithDefaults{
-		Base:     PickFirst{},
+		Base:     Simplest{},
 		Defaults: map[string]value.Value{"Location": value.NewString("San Francisco")},
 	}
 	c, err := p.Choose(InsertRequest(u), cands)

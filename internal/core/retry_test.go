@@ -17,10 +17,10 @@ import (
 func TestPolicyErrorChains(t *testing.T) {
 	var r core.Request
 	for _, p := range []core.Policy{
-		core.PickFirst{},
+		core.Simplest{},
 		core.RejectAmbiguous{},
 		core.PreferClasses{Order: []string{"D-1"}},
-		core.WithDefaults{Base: core.PickFirst{}},
+		core.WithDefaults{Base: core.Simplest{}},
 	} {
 		_, err := p.Choose(r, nil)
 		if !errors.Is(err, core.ErrNoCandidates) {
@@ -50,7 +50,7 @@ func TestApplyRetriesTransientFaults(t *testing.T) {
 	f := fixtures.NewEmp(20)
 	db := f.PaperInstance()
 	var slept []time.Duration
-	tr := core.NewTranslator(f.ViewP, core.PickFirst{})
+	tr := core.NewTranslator(f.ViewP, core.Simplest{})
 	tr.Retry = core.RetryPolicy{
 		MaxAttempts: 3,
 		Backoff:     time.Millisecond,
@@ -77,7 +77,7 @@ func TestApplyRetryExhaustion(t *testing.T) {
 	f := fixtures.NewEmp(20)
 	db := f.PaperInstance()
 	var slept []time.Duration
-	tr := core.NewTranslator(f.ViewP, core.PickFirst{})
+	tr := core.NewTranslator(f.ViewP, core.Simplest{})
 	tr.Retry = core.RetryPolicy{
 		MaxAttempts: 3,
 		Backoff:     time.Millisecond,
@@ -110,7 +110,7 @@ func TestApplyBackoffNeverOverflows(t *testing.T) {
 	f := fixtures.NewEmp(20)
 	db := f.PaperInstance()
 	var slept []time.Duration
-	tr := core.NewTranslator(f.ViewP, core.PickFirst{})
+	tr := core.NewTranslator(f.ViewP, core.Simplest{})
 	tr.Retry = core.RetryPolicy{
 		MaxAttempts: 70, // unclamped, 1ms << 69 wraps negative
 		Backoff:     time.Millisecond,
@@ -146,7 +146,7 @@ func TestApplyBackoffNeverOverflows(t *testing.T) {
 func TestApplyDoesNotRetryPermanentErrors(t *testing.T) {
 	f := fixtures.NewEmp(20)
 	db := f.PaperInstance()
-	tr := core.NewTranslator(f.ViewP, core.PickFirst{})
+	tr := core.NewTranslator(f.ViewP, core.Simplest{})
 	tr.Retry = core.RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {
 		t.Fatal("permanent errors must not back off")
 	}}

@@ -176,7 +176,7 @@ func TestSPJInsertSideEffectOnSiblings(t *testing.T) {
 	}
 	// c4 claims (a, 9): replaces parent (a,1) -> (a,9).
 	u := f.ViewTuple("c4", "a", 6, 9)
-	tr := NewTranslator(f.View, PickFirst{})
+	tr := NewTranslator(f.View, Simplest{})
 	if _, err := tr.Apply(db, InsertRequest(u)); err != nil {
 		t.Fatal(err)
 	}

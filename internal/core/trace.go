@@ -154,9 +154,7 @@ func (vf *Verifier) ValidFn() func(*update.Translation) bool {
 // read, not modified. The returned error mirrors Translate's; the trace
 // is non-nil even on failure and records what happened.
 func TraceTranslate(db storage.Source, v view.View, p Policy, r Request, opts TraceOptions) (Candidate, *Trace, error) {
-	if p == nil {
-		p = PickFirst{}
-	}
+	p = orDefault(p)
 	if opts.MaxProbes == 0 {
 		opts.MaxProbes = 8
 	}
@@ -398,13 +396,17 @@ func widenReplacement(c Candidate) (Candidate, bool) {
 // view user never asked for).
 func invisibleVictim(db storage.Source, v view.View, r Request) (tuple.T, bool) {
 	mentioned := r.Mentioned()
-	for _, sp := range relationsOf(v) {
+	nodes := relationsOf(v)
+	for _, sp := range nodes {
+	next:
 		for _, t := range db.Tuples(sp.Base().Name()) {
 			if anyKeyMatch(mentioned, t) {
 				continue
 			}
-			if tupleVisible(v, t) {
-				continue
+			for _, n := range nodes { // visible through some node
+				if n.Base() == t.Relation() && n.Selection().Matches(t) {
+					continue next
+				}
 			}
 			return t, true
 		}
@@ -412,7 +414,8 @@ func invisibleVictim(db storage.Source, v view.View, r Request) (tuple.T, bool) 
 	return tuple.T{}, false
 }
 
-// relationsOf lists the base relations of a view.
+// relationsOf lists the SP nodes of a view (the view itself when it
+// is SP); each reads one base relation.
 func relationsOf(v view.View) []*view.SP {
 	switch vv := v.(type) {
 	case *view.SP:
@@ -425,22 +428,6 @@ func relationsOf(v view.View) []*view.SP {
 		return out
 	}
 	return nil
-}
-
-// tupleVisible reports whether deleting t could change the view: for SP
-// nodes this is whether t satisfies the node's selection.
-func tupleVisible(v view.View, t tuple.T) bool {
-	switch vv := v.(type) {
-	case *view.SP:
-		return vv.Selection().Matches(t)
-	case *view.Join:
-		for _, n := range vv.Nodes() {
-			if n.SP.Base() == t.Relation() && n.SP.Selection().Matches(t) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // String renders a one-line summary of the trace.

@@ -75,13 +75,17 @@ func (p RetryPolicy) wait(n int) {
 	time.Sleep(d)
 }
 
-// NewTranslator builds a translator; a nil policy defaults to
-// PickFirst.
+// NewTranslator builds a translator; a nil policy is Simplest.
 func NewTranslator(v view.View, p Policy) *Translator {
+	return &Translator{View: v, Policy: orDefault(p)}
+}
+
+// orDefault is the one place a nil policy becomes the default.
+func orDefault(p Policy) Policy {
 	if p == nil {
-		p = PickFirst{}
+		return Simplest{}
 	}
-	return &Translator{View: v, Policy: p}
+	return p
 }
 
 // Translate enumerates the complete candidate set for the request and

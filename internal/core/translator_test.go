@@ -46,7 +46,7 @@ func TestMakeRow(t *testing.T) {
 
 func TestTranslatorRow(t *testing.T) {
 	f := fixtures.NewEmp(20)
-	tr := core.NewTranslator(f.ViewP, nil) // nil policy defaults to core.PickFirst
+	tr := core.NewTranslator(f.ViewP, nil) // nil policy defaults to core.Simplest
 	row, err := tr.Row(1, "Alice", "New York", true)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestTranslatorRow(t *testing.T) {
 func TestTranslatorApplyRejectsInvalid(t *testing.T) {
 	f := fixtures.NewEmp(20)
 	db := f.PaperInstance()
-	tr := core.NewTranslator(f.ViewP, core.PickFirst{})
+	tr := core.NewTranslator(f.ViewP, core.Simplest{})
 	// Deleting a row that is not in the view fails at validation.
 	ghost := f.ViewTuple(f.ViewP, 19, "Judy", "New York", false)
 	if _, err := tr.Apply(db, core.DeleteRequest(ghost)); err == nil {

@@ -16,7 +16,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -265,13 +264,9 @@ func (p *Policy) Choose(r core.Request, cands []core.Candidate) (core.Candidate,
 	}
 	var pool []scored
 	for _, c := range cands {
-		tokens := classTokens(c.Class)
-		rejected := false
-		rank := 0
-		for _, tok := range tokens {
-			if p.rejects[tok] {
-				rejected = true
-			}
+		rank, rejected := 0, false
+		for _, tok := range core.ClassTokens(c.Class) {
+			rejected = rejected || p.rejects[tok]
 			if o, ok := p.order[tok]; ok && o > rank {
 				rank = o
 			}
@@ -279,67 +274,53 @@ func (p *Policy) Choose(r core.Request, cands []core.Candidate) (core.Candidate,
 		if rejected {
 			continue
 		}
-		defs := 0
-		flipOK := 0
+		defs, flips := 0, 0
 		for k, v := range c.Choices {
-			if dv, ok := p.defaults[k]; ok && dv == v {
-				defs++
-			}
-			if i := strings.LastIndexByte(k, '.'); i >= 0 {
-				if dv, ok := p.defaults[k[i+1:]]; ok && dv == v {
-					defs++
-				}
-			}
-			// D-2 flip attribute restriction: choice keys for D-2 are
-			// the flipped attribute (possibly prefixed).
-			attr := k
-			prefix := ""
+			// Choice keys are attribute names, possibly node-prefixed;
+			// a D-2 candidate's key is the attribute it flips.
+			prefix, attr := "", k
 			if i := strings.LastIndexByte(k, '.'); i >= 0 {
 				prefix, attr = k[:i+1], k[i+1:]
 			}
+			if dv, ok := p.defaults[k]; ok && dv == v {
+				defs++
+			}
+			if dv, ok := p.defaults[attr]; ok && prefix != "" && dv == v {
+				defs++
+			}
 			if want, ok := p.flipAttr[prefix]; ok && attr == want {
-				flipOK++
+				flips++
 			}
 		}
-		pool = append(pool, scored{c: c, rank: rank, defs: defs, flips: flipOK})
+		pool = append(pool, scored{c: c, rank: rank, defs: defs, flips: flips})
 	}
 	if len(pool) == 0 {
 		return core.Candidate{}, fmt.Errorf("dialog: every candidate translation for %s is rejected by the view's dialog policy", r)
 	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].rank != pool[j].rank {
-			return pool[i].rank < pool[j].rank
+	// Rank, then the flip restriction, then the defaults; Simplest
+	// breaks what is still tied.
+	better := func(a, b scored) bool {
+		if a.rank != b.rank {
+			return a.rank < b.rank
 		}
-		if pool[i].flips != pool[j].flips {
-			return pool[i].flips > pool[j].flips
+		if a.flips != b.flips {
+			return a.flips > b.flips
 		}
-		if pool[i].defs != pool[j].defs {
-			return pool[i].defs > pool[j].defs
-		}
-		return pool[i].c.Translation.Encode() < pool[j].c.Translation.Encode()
-	})
-	return pool[0].c, nil
-}
-
-// classTokens extracts leaf class tokens ("SPJ-I(a:I-1, b:R-1)" ->
-// I-1, R-1).
-func classTokens(class string) []string {
-	cut := class
-	if i := strings.IndexByte(cut, '('); i >= 0 && strings.HasSuffix(cut, ")") {
-		cut = cut[i+1 : len(cut)-1]
+		return a.defs > b.defs
 	}
-	parts := strings.Split(cut, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if i := strings.IndexByte(p, ':'); i >= 0 {
-			p = p[i+1:]
-		}
-		if p != "" {
-			out = append(out, p)
+	best := pool[0]
+	for _, s := range pool[1:] {
+		if better(s, best) {
+			best = s
 		}
 	}
-	return out
+	var tied []core.Candidate
+	for _, s := range pool {
+		if !better(best, s) {
+			tied = append(tied, s.c)
+		}
+	}
+	return core.Simplest{}.Choose(r, tied)
 }
 
 // Run conducts the dialog interactively: it prints each question with

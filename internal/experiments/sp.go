@@ -46,7 +46,7 @@ func E1Commutativity() Experiment {
 						if err != nil {
 							return nil, false, fmt.Errorf("E1 enumerate: %w", err)
 						}
-						chosen, err := (core.PickFirst{}).Choose(r, cs)
+						chosen, err := (core.Simplest{}).Choose(r, cs)
 						if err != nil {
 							return nil, false, err
 						}

@@ -25,7 +25,7 @@ func TestRenderTraceGolden(t *testing.T) {
 	new_ := f.ViewTuple(f.ViewP, 19, "Susan", "New York", true)
 	r := core.ReplaceRequest(old, new_)
 
-	_, tr, err := core.TraceTranslate(db, f.ViewP, core.PickFirst{}, r, core.TraceOptions{Probes: true})
+	_, tr, err := core.TraceTranslate(db, f.ViewP, core.Simplest{}, r, core.TraceOptions{Probes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRenderTraceShowsRejections(t *testing.T) {
 	f := fixtures.NewEmp(20)
 	db := f.PaperInstance()
 	r := core.DeleteRequest(f.ViewTuple(f.ViewP, 17, "Susan", "New York", true))
-	_, tr, err := core.TraceTranslate(db, f.ViewP, core.PickFirst{}, r, core.TraceOptions{Probes: true})
+	_, tr, err := core.TraceTranslate(db, f.ViewP, core.Simplest{}, r, core.TraceOptions{Probes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestTraceJSON(t *testing.T) {
 	f := fixtures.NewEmp(20)
 	db := f.PaperInstance()
 	r := core.DeleteRequest(f.ViewTuple(f.ViewP, 17, "Susan", "New York", true))
-	_, tr, err := core.TraceTranslate(db, f.ViewP, core.PickFirst{}, r, core.TraceOptions{Probes: true})
+	_, tr, err := core.TraceTranslate(db, f.ViewP, core.Simplest{}, r, core.TraceOptions{Probes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

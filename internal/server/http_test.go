@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -352,5 +354,51 @@ func TestHTTPPreferOverride(t *testing.T) {
 	}
 	if up.Class != "D-1" {
 		t.Fatalf("class %q, want the preferred D-1", up.Class)
+	}
+}
+
+// TestDefaultPolicyDoesNotGrowBase: with no SET POLICY, a cycle of
+// insert, key-moving replace and delete leaves EMP as it found it, over
+// the update routes and through /execz script DML alike. A replace
+// translated as R-4 (insert the new row, flip the old one out of NY)
+// would leave one EMP row behind per cycle.
+func TestDefaultPolicyDoesNotGrowBase(t *testing.T) {
+	const cycles = 5
+	e, srv := newTestServer(t, nil)
+	baseRows := func() int {
+		db, _ := e.Snapshot()
+		return len(db.Tuples("EMP"))
+	}
+	start := baseRows()
+	for i := 0; i < cycles; i++ {
+		k, moved := strconv.Itoa(2*i+1), strconv.Itoa(2*i+2)
+		for _, step := range []struct {
+			op   string
+			body map[string]any
+		}{
+			{"insert", map[string]any{"values": []string{k, "NY"}}},
+			{"replace", map[string]any{"where": map[string]string{"EmpNo": k}, "set": map[string]string{"EmpNo": moved}}},
+			{"delete", map[string]any{"where": map[string]string{"EmpNo": moved}}},
+		} {
+			var up updateReply
+			if code := doJSON(t, "POST", srv.URL+"/views/NY/"+step.op, step.body, &up); code != http.StatusOK {
+				t.Fatalf("cycle %d %s: %d %+v", i, step.op, code, up)
+			}
+		}
+	}
+	if got := baseRows(); got != start {
+		t.Fatalf("update routes: EMP has %d rows after %d cycles, want %d", got, cycles, start)
+	}
+	for i := 0; i < cycles; i++ {
+		k, moved := 100+2*i, 101+2*i
+		script := fmt.Sprintf("INSERT INTO NY VALUES (%d, 'NY'); UPDATE NY SET EmpNo = %d WHERE EmpNo = %d; DELETE FROM NY WHERE EmpNo = %d;",
+			k, moved, k, moved)
+		var out execReply
+		if code := doJSON(t, "POST", srv.URL+"/execz", map[string]string{"script": script}, &out); code != http.StatusOK || !out.OK {
+			t.Fatalf("cycle %d: execz = %d %+v", i, code, out)
+		}
+	}
+	if got := baseRows(); got != start {
+		t.Fatalf("script DML: EMP has %d rows after %d cycles, want %d", got, cycles, start)
 	}
 }

@@ -220,8 +220,8 @@ func modeStream(t *testing.T, steps int) (ddl, seed string, ops []wireOp) {
 			}
 		}
 	}
-	spTr := core.NewTranslator(sp.View, core.PickFirst{})
-	treeTr := core.NewTranslator(tree.View, core.PickFirst{})
+	spTr := core.NewTranslator(sp.View, core.Simplest{})
+	treeTr := core.NewTranslator(tree.View, core.Simplest{})
 	rootPay := tree.Relations[0].AttributeNames()[1]
 	kinds := []update.Kind{update.Insert, update.Replace, update.Delete}
 	model := func(db *storage.Database, ops ...update.Op) {

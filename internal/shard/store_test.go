@@ -265,7 +265,7 @@ func TestWatermarkSkip(t *testing.T) {
 	// Re-append the already-snapshotted commit (seq 1 <= watermark 1).
 	// Without the skip, replay would hit a duplicate-key violation.
 	tr := update.NewTranslation(update.NewInsert(pt(t, p, 1, "u")))
-	appendRecords(t, dir, home, wal.EncodeTranslation(1, tr), wal.CommitRecord(1))
+	appendRecords(t, dir, home, wal.EncodeTranslationKeyed(1, "", tr), wal.CommitRecord(1))
 	rec, err := Open(dir, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +364,7 @@ func TestOrphanPrune(t *testing.T) {
 	child := ct(t, c, 5, 77)
 	home := st.Map().Of(child)
 	appendRecords(t, dir, home,
-		wal.EncodeTranslation(1, update.NewTranslation(update.NewInsert(child))),
+		wal.EncodeTranslationKeyed(1, "", update.NewTranslation(update.NewInsert(child))),
 		wal.CommitRecord(1))
 	rec, err := Open(dir, 4, Options{})
 	if err != nil {

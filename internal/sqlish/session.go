@@ -431,7 +431,7 @@ func (s *Session) policyFor(name string) core.Policy {
 	if p, ok := s.custom[name]; ok {
 		return p
 	}
-	var p core.Policy = core.PickFirst{}
+	var p core.Policy = core.Simplest{}
 	if order, ok := s.prefer[name]; ok {
 		p = core.PreferClasses{Order: order}
 	}

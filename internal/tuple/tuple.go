@@ -304,6 +304,22 @@ func (s *Set) Equal(o *Set) bool {
 	return true
 }
 
+// SubsetOf reports whether every tuple of s is in o.
+func (s *Set) SubsetOf(o *Set) bool {
+	if s.Len() == 0 {
+		return true
+	}
+	if s.Len() > o.Len() {
+		return false
+	}
+	for k := range s.m {
+		if _, ok := o.m[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone returns a copy of the set.
 func (s *Set) Clone() *Set {
 	out := &Set{m: make(map[string]T, s.Len())}

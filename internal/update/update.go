@@ -224,21 +224,12 @@ func (tr *Translation) Equivalent(other *Translation) bool {
 // at least as simple as another if its added and removed sets are
 // subsets of those of the other translation".
 func (tr *Translation) AtLeastAsSimpleAs(other *Translation) bool {
-	return subset(tr.Added(), other.Added()) && subset(tr.Removed(), other.Removed())
+	return tr.Added().SubsetOf(other.Added()) && tr.Removed().SubsetOf(other.Removed())
 }
 
 // StrictlySimplerThan reports tr ≤ other and not other ≤ tr.
 func (tr *Translation) StrictlySimplerThan(other *Translation) bool {
 	return tr.AtLeastAsSimpleAs(other) && !other.AtLeastAsSimpleAs(tr)
-}
-
-func subset(a, b *tuple.Set) bool {
-	for _, t := range a.Slice() {
-		if !b.Contains(t) {
-			return false
-		}
-	}
-	return true
 }
 
 // Encode returns a canonical encoding of the whole translation: the

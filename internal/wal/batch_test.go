@@ -18,7 +18,7 @@ func batchOf(t *testing.T, n int, seq uint64) []Record {
 	var recs []Record
 	for i := 0; i < n; i++ {
 		tr := update.NewTranslation(update.NewInsert(pt(t, p, int64(i), "u")))
-		recs = append(recs, EncodeTranslation(seq+uint64(i), tr))
+		recs = append(recs, EncodeTranslationKeyed(seq+uint64(i), "", tr))
 		recs = append(recs, CommitRecord(seq+uint64(i)))
 	}
 	return recs

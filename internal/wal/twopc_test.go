@@ -46,7 +46,7 @@ func TestSyncOnCommitBarriers(t *testing.T) {
 		rec   Record
 		syncs int
 	}{
-		{"translation", EncodeTranslation(1, tr), 0},
+		{"translation", EncodeTranslationKeyed(1, "", tr), 0},
 		{"commit", CommitRecord(1), 1},
 		{"prepare", PrepareRecord(2, "", 0, tr), 1},
 		{"decision", DecisionRecord(2), 1},
@@ -92,7 +92,7 @@ func TestCommittedWithResolvesPrepares(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(log.Append(EncodeTranslation(1, mk(1))))
+	must(log.Append(EncodeTranslationKeyed(1, "", mk(1))))
 	must(log.Append(CommitRecord(1)))
 	// seq 2: prepare resolved in place.
 	must(log.Append(PrepareRecord(2, "", 0, mk(2))))
@@ -102,7 +102,7 @@ func TestCommittedWithResolvesPrepares(t *testing.T) {
 	// seq 4: in-doubt prepare — no resolve, no decision.
 	must(log.Append(PrepareRecord(4, "", 1, mk(4))))
 	// seq 5: uncommitted translation.
-	must(log.Append(EncodeTranslation(5, mk(5))))
+	must(log.Append(EncodeTranslationKeyed(5, "", mk(5))))
 
 	res, err := Scan(bytes.NewReader(mem.Bytes()))
 	if err != nil {

@@ -700,14 +700,9 @@ func (r *ScanResult) MaxSeq() uint64 {
 	return max
 }
 
-// EncodeTranslation builds the translation record journaling tr under
-// the given sequence number.
-func EncodeTranslation(seq uint64, tr *update.Translation) Record {
-	return EncodeTranslationKeyed(seq, "", tr)
-}
-
-// EncodeTranslationKeyed is EncodeTranslation stamping the record with
-// a client-supplied idempotency key (empty means none).
+// EncodeTranslationKeyed builds the translation record journaling tr
+// under the given sequence number, stamped with a client-supplied
+// idempotency key (empty means none).
 func EncodeTranslationKeyed(seq uint64, key string, tr *update.Translation) Record {
 	return Record{Seq: seq, Kind: KindTranslation, Key: key, Ops: encodeOps(tr)}
 }

@@ -52,7 +52,7 @@ func appendWorkload(t *testing.T, p *schema.Relation, n int) []byte {
 	log := New(mem, SyncOnCommit)
 	for i := 0; i < n; i++ {
 		tr := update.NewTranslation(update.NewInsert(pt(t, p, int64(i), "u")))
-		if err := log.Append(EncodeTranslation(uint64(i+1), tr)); err != nil {
+		if err := log.Append(EncodeTranslationKeyed(uint64(i+1), "", tr)); err != nil {
 			t.Fatal(err)
 		}
 		if err := log.Append(CommitRecord(uint64(i + 1))); err != nil {
@@ -61,7 +61,7 @@ func appendWorkload(t *testing.T, p *schema.Relation, n int) []byte {
 	}
 	// One translation that never committed: recovery must skip it.
 	tr := update.NewTranslation(update.NewInsert(pt(t, p, int64(n), "w")))
-	if err := log.Append(EncodeTranslation(uint64(n+1), tr)); err != nil {
+	if err := log.Append(EncodeTranslationKeyed(uint64(n+1), "", tr)); err != nil {
 		t.Fatal(err)
 	}
 	return mem.Bytes()
@@ -105,7 +105,7 @@ func TestReplaceOpRoundTrip(t *testing.T) {
 	mem := &MemFile{}
 	log := New(mem, SyncNever)
 	want := update.NewTranslation(update.NewReplace(pt(t, p, 1, "u"), pt(t, p, 1, "v")))
-	if err := log.Append(EncodeTranslation(1, want)); err != nil {
+	if err := log.Append(EncodeTranslationKeyed(1, "", want)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Scan(bytes.NewReader(mem.Bytes()))
@@ -222,7 +222,7 @@ func TestSyncPolicies(t *testing.T) {
 	} {
 		mem := &MemFile{}
 		log := New(mem, tc.policy)
-		if err := log.Append(EncodeTranslation(1, tr)); err != nil {
+		if err := log.Append(EncodeTranslationKeyed(1, "", tr)); err != nil {
 			t.Fatal(err)
 		}
 		if err := log.Append(CommitRecord(1)); err != nil {
@@ -252,13 +252,13 @@ func TestAppendFaultInjection(t *testing.T) {
 		FailNth(faultinject.SiteWALAppend, 1, errors.New("boom")))
 	defer faultinject.Disable()
 	tr := update.NewTranslation(update.NewInsert(pt(t, p, 1, "u")))
-	if err := log.Append(EncodeTranslation(1, tr)); err == nil {
+	if err := log.Append(EncodeTranslationKeyed(1, "", tr)); err == nil {
 		t.Fatal("injected append fault did not surface")
 	}
 	if len(mem.Bytes()) != 0 {
 		t.Fatal("failed append reached the media")
 	}
-	if err := log.Append(EncodeTranslation(1, tr)); err != nil {
+	if err := log.Append(EncodeTranslationKeyed(1, "", tr)); err != nil {
 		t.Fatalf("second append: %v", err)
 	}
 }
@@ -290,7 +290,7 @@ func TestAppendRepairsPartialWrite(t *testing.T) {
 	sw := &shortWriter{MemFile: &MemFile{}, failNth: 2}
 	log := New(sw, SyncNever)
 	tr := func(k int64) Record {
-		return EncodeTranslation(uint64(k), update.NewTranslation(update.NewInsert(pt(t, p, k, "u"))))
+		return EncodeTranslationKeyed(uint64(k), "", update.NewTranslation(update.NewInsert(pt(t, p, k, "u"))))
 	}
 	if err := log.Append(tr(1)); err != nil {
 		t.Fatal(err)
@@ -335,16 +335,16 @@ func TestAppendSealsWhenUnrepairable(t *testing.T) {
 	_, p := testSchema(t)
 	log := New(&noRepairFile{}, SyncNever)
 	tr := update.NewTranslation(update.NewInsert(pt(t, p, 1, "u")))
-	if err := log.Append(EncodeTranslation(1, tr)); err != nil {
+	if err := log.Append(EncodeTranslationKeyed(1, "", tr)); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append(EncodeTranslation(2, tr)); err == nil {
+	if err := log.Append(EncodeTranslationKeyed(2, "", tr)); err == nil {
 		t.Fatal("failed write did not surface")
 	}
 	if log.Sealed() == nil {
 		t.Fatal("unrepairable media must seal the log")
 	}
-	err := log.Append(EncodeTranslation(3, tr))
+	err := log.Append(EncodeTranslationKeyed(3, "", tr))
 	if !errors.Is(err, ErrSealed) {
 		t.Fatalf("append on sealed log = %v, want ErrSealed chain", err)
 	}
@@ -365,10 +365,10 @@ func TestSyncFailureSealsLog(t *testing.T) {
 	_, p := testSchema(t)
 	log := New(&syncFailFile{}, SyncAlways)
 	tr := update.NewTranslation(update.NewInsert(pt(t, p, 1, "u")))
-	if err := log.Append(EncodeTranslation(1, tr)); err == nil {
+	if err := log.Append(EncodeTranslationKeyed(1, "", tr)); err == nil {
 		t.Fatal("failed sync did not surface")
 	}
-	if err := log.Append(EncodeTranslation(2, tr)); !errors.Is(err, ErrSealed) {
+	if err := log.Append(EncodeTranslationKeyed(2, "", tr)); !errors.Is(err, ErrSealed) {
 		t.Fatalf("append after failed sync = %v, want ErrSealed chain", err)
 	}
 }
@@ -384,7 +384,7 @@ func TestOpenFileAppendAndRescan(t *testing.T) {
 		t.Fatalf("fresh log has size %d", size)
 	}
 	tr := update.NewTranslation(update.NewInsert(pt(t, p, 1, "u")))
-	if err := log.Append(EncodeTranslation(1, tr)); err != nil {
+	if err := log.Append(EncodeTranslationKeyed(1, "", tr)); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Append(CommitRecord(1)); err != nil {
@@ -403,7 +403,7 @@ func TestOpenFileAppendAndRescan(t *testing.T) {
 		t.Fatal("reopened log lost its records")
 	}
 	tr2 := update.NewTranslation(update.NewDelete(pt(t, p, 1, "u")))
-	if err := log.Append(EncodeTranslation(2, tr2)); err != nil {
+	if err := log.Append(EncodeTranslationKeyed(2, "", tr2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Append(CommitRecord(2)); err != nil {
@@ -456,7 +456,7 @@ func FuzzScan(f *testing.F) {
 	mem := &MemFile{}
 	log := New(mem, SyncNever)
 	tp, _ := tuple.New(p, value.NewInt(1))
-	_ = log.Append(EncodeTranslation(1, update.NewTranslation(update.NewInsert(tp))))
+	_ = log.Append(EncodeTranslationKeyed(1, "", update.NewTranslation(update.NewInsert(tp))))
 	_ = log.Append(CommitRecord(1))
 	f.Add(mem.Bytes())
 	f.Add([]byte{})

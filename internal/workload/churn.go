@@ -105,7 +105,7 @@ func RunChurn(cfg ChurnConfig, dir string) (*ChurnReport, error) {
 	faultinject.Enable(plan)
 	defer faultinject.Disable()
 
-	tr := core.NewTranslator(w.View, core.PickFirst{})
+	tr := core.NewTranslator(w.View, core.Simplest{})
 	attempts := cfg.RetryAttempts
 	if attempts < 1 {
 		attempts = 1

@@ -8,7 +8,9 @@
 // trees, the five criteria for acceptable view-update translations, the
 // complete translation enumerators (algorithm classes I-1/I-2, D-1/D-2,
 // R-1…R-5, SPJ-D/I/R), and policies encoding the DBA's "additional
-// semantics" that choose one translation among the candidates.
+// semantics" that choose one translation among the candidates (by
+// default Simplest, the paper's simplicity order, which also breaks
+// every other policy's ties).
 //
 // This package is the public façade: it re-exports the library's main
 // types so applications can work with a single import. The
@@ -79,12 +81,12 @@ type (
 	// Translator binds a view to a policy.
 	Translator = core.Translator
 	// Policy selects among candidate translations (the paper's
-	// "additional semantics").
+	// "additional semantics"); a nil Policy is Simplest.
 	Policy = core.Policy
 	// PreferClasses ranks candidates by algorithm class.
 	PreferClasses = core.PreferClasses
-	// PickFirst picks deterministically.
-	PickFirst = core.PickFirst
+	// Simplest, the default, picks by the paper's simplicity order.
+	Simplest = core.Simplest
 	// RejectAmbiguous requires a unique candidate.
 	RejectAmbiguous = core.RejectAmbiguous
 	// WithDefaults refines a policy with default attribute values.
