@@ -37,9 +37,11 @@ race:
 # snapshot shared copy-on-write with the live database) and the journal
 # under all of them: the WAL's one append and persist.Store's one
 # memory-first commit protocol, whole packages rather than the
-# Crash|Recover|… subset soak runs.
+# Crash|Recover|… subset soak runs — and the row containers under
+# everything: tuple.Set's copy-on-write pages, cloned by publish while
+# readers hold the published set, and relation.Extension.
 race-core:
-	$(GO) test -race ./internal/core/... ./internal/storage/... ./internal/view/... ./internal/server/... ./internal/shard/... ./internal/replica/... ./internal/sqlish/... ./internal/persist/... ./internal/wal/...
+	$(GO) test -race ./internal/tuple/... ./internal/relation/... ./internal/core/... ./internal/storage/... ./internal/view/... ./internal/server/... ./internal/shard/... ./internal/replica/... ./internal/sqlish/... ./internal/persist/... ./internal/wal/...
 
 # soak exercises the durability and fault-injection surface: the
 # crash-safety, recovery and churn tests under the race detector, plus

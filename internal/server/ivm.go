@@ -101,7 +101,8 @@ func (e *Engine) publish(landed []*update.Translation) {
 
 // patchSet applies a view-row delta copy-on-write: the input set is
 // shared with readers and never mutated; an empty delta returns it
-// unchanged.
+// unchanged. It costs O(delta + pages): the clone shares the set's hash
+// pages and copies only those the delta writes (tuple.Set).
 func patchSet(set *tuple.Set, removedRows, addedRows []tuple.T) *tuple.Set {
 	if len(removedRows) == 0 && len(addedRows) == 0 {
 		return set

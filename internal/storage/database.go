@@ -35,6 +35,10 @@ type Database struct {
 	// view maintenance uses to find the root tuples affected by a
 	// non-root change.
 	refs []*refEdge
+	// deps is the dependency list refs was built for: refs[i] indexes
+	// deps[i]. It is read in place on every apply and referencer walk,
+	// and replaced whole, never written, where refs is rebuilt.
+	deps []schema.InclusionDependency
 	// epoch makes refs copy-on-write at the granularity it is written
 	// at: this instance owns the edges and sets stamped with its epoch;
 	// any other may be visible to a CloneShared snapshot and is copied —
@@ -75,11 +79,11 @@ var lastEpoch atomic.Uint64
 
 // Open returns an empty database instance for the schema.
 func Open(sch *schema.Database) *Database {
-	db := &Database{sch: sch, exts: make(map[string]*relation.Extension), epoch: lastEpoch.Add(1)}
+	db := &Database{sch: sch, exts: make(map[string]*relation.Extension), deps: sch.Inclusions(), epoch: lastEpoch.Add(1)}
 	for _, name := range sch.RelationNames() {
 		db.exts[name] = relation.NewExtension(sch.Relation(name))
 	}
-	db.refs = make([]*refEdge, len(sch.Inclusions()))
+	db.refs = make([]*refEdge, len(db.deps))
 	for i := range db.refs {
 		db.refs[i] = &refEdge{epoch: db.epoch, byParent: make(map[string]*refSet)}
 	}
@@ -203,7 +207,7 @@ func (db *Database) LookupKey(probe tuple.T) (tuple.T, bool) {
 func (db *Database) Clone() *Database {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := &Database{sch: db.sch, exts: make(map[string]*relation.Extension, len(db.exts)), epoch: lastEpoch.Add(1)}
+	out := &Database{sch: db.sch, exts: make(map[string]*relation.Extension, len(db.exts)), deps: db.deps, epoch: lastEpoch.Add(1)}
 	for n, e := range db.exts {
 		out.exts[n] = e.Clone()
 	}
@@ -243,7 +247,7 @@ func (s *refSet) clone(epoch uint64) *refSet {
 func (db *Database) CloneShared() *Database {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := &Database{sch: db.sch, exts: make(map[string]*relation.Extension, len(db.exts))}
+	out := &Database{sch: db.sch, exts: make(map[string]*relation.Extension, len(db.exts)), deps: db.deps}
 	if db.sharedExts == nil {
 		db.sharedExts = make(map[string]bool, len(db.exts))
 	}
@@ -461,7 +465,7 @@ func (db *Database) applyLocked(tr *update.Translation) (err error) {
 // as a referencer of the parent key it carries, -1 erases it.
 func (db *Database) refAdjust(t tuple.T, delta int) {
 	rel := t.Relation().Name()
-	for i, d := range db.sch.Inclusions() {
+	for i, d := range db.deps {
 		if d.Child != rel {
 			continue
 		}
@@ -524,7 +528,7 @@ func (db *Database) referencers(dep int, keyEnc string) map[string]tuple.T {
 // checkInclusionDeltas verifies inclusion dependencies affected by the
 // given removed/added tuples against the (already updated) state.
 func (db *Database) checkInclusionDeltas(removed, added []tuple.T) error {
-	deps := db.sch.Inclusions()
+	deps := db.deps
 	// Added child tuples must reference existing parents; removed
 	// parents (not re-added with the same key) must not be referenced.
 	for _, t := range added {
@@ -642,7 +646,7 @@ func (db *Database) SyncSchema() error {
 			return err
 		}
 	}
-	db.refs = refs
+	db.refs, db.deps = refs, deps
 	return nil
 }
 

@@ -326,6 +326,8 @@ func (i overlayInternals) containsKeyEncoding(rel, enc string) bool {
 
 func (i overlayInternals) hasRelation(name string) bool { return i.o.ints.hasRelation(name) }
 
+func (i overlayInternals) inclusions() []schema.InclusionDependency { return i.o.ints.inclusions() }
+
 // applyScratch stages one Apply: deltas and reference adjustments are
 // cloned lazily for the relations and dependencies the translation
 // touches, so a failed apply leaves the overlay untouched.
@@ -388,7 +390,7 @@ func (s *applyScratch) refCount(dep int, keyEnc string) int {
 // base referencer otherwise).
 func (s *applyScratch) adjustRefs(t tuple.T, delta int) {
 	rel := t.Relation().Name()
-	for i, d := range s.o.base.Schema().Inclusions() {
+	for i, d := range s.o.ints.inclusions() {
 		if d.Child != rel {
 			continue
 		}
@@ -467,7 +469,6 @@ func (o *Overlay) Apply(tr *update.Translation) error {
 	if err := o.Err(); err != nil {
 		return err
 	}
-	sch := o.base.Schema()
 
 	// Phase 0: validate ops reference relations of this schema.
 	for _, op := range tr.Ops() {
@@ -518,7 +519,7 @@ func (o *Overlay) Apply(tr *update.Translation) error {
 	}
 
 	// Phase 3: inclusion dependencies on the final state, as deltas.
-	deps := sch.Inclusions()
+	deps := o.ints.inclusions()
 	for _, t := range added {
 		rel := t.Relation().Name()
 		for _, d := range deps {

@@ -72,6 +72,9 @@ type sourceInternals interface {
 	// hasRelation reports whether the schema's named relation has an
 	// extension in this state.
 	hasRelation(name string) bool
+	// inclusions returns the dependency list the reference index was
+	// built for (dep indexes it), shared: callers must not modify it.
+	inclusions() []schema.InclusionDependency
 }
 
 // internal implements Source.
@@ -107,7 +110,7 @@ func (db *Database) Referencers(dep int, parent tuple.T) []tuple.T {
 // a tuple of the dependency's parent relation is probed: another
 // relation's key can encode like a parent key without being one.
 func sortedReferencers(src Source, dep int, parent tuple.T) []tuple.T {
-	deps := src.Schema().Inclusions()
+	deps := src.internal().inclusions()
 	if dep < 0 || dep >= len(deps) || parent.Relation().Name() != deps[dep].Parent {
 		return nil
 	}
@@ -131,6 +134,12 @@ func (i dbInternals) hasRelation(name string) bool {
 	i.db.mu.RLock()
 	defer i.db.mu.RUnlock()
 	return i.db.exts[name] != nil
+}
+
+func (i dbInternals) inclusions() []schema.InclusionDependency {
+	i.db.mu.RLock()
+	defer i.db.mu.RUnlock()
+	return i.db.deps
 }
 
 // keyEncProbe rebuilds the tuple.Key() encoding of relation rel's key

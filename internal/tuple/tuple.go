@@ -5,7 +5,6 @@ package tuple
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"viewupdate/internal/schema"
@@ -211,122 +210,4 @@ func (t T) String() string {
 		parts[i] = v.String()
 	}
 	return fmt.Sprintf("%s(%s)", t.rel.Name(), strings.Join(parts, ", "))
-}
-
-// A Set is a set of tuples keyed by canonical encoding. The zero Set is
-// empty and ready to use for reads; use NewSet or Add for writes.
-type Set struct {
-	m map[string]T
-}
-
-// NewSet builds a set from the given tuples.
-func NewSet(ts ...T) *Set {
-	s := &Set{m: make(map[string]T, len(ts))}
-	for _, t := range ts {
-		s.Add(t)
-	}
-	return s
-}
-
-// Len returns the number of tuples.
-func (s *Set) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.m)
-}
-
-// Add inserts t; it reports whether t was newly added.
-func (s *Set) Add(t T) bool {
-	if s.m == nil {
-		s.m = make(map[string]T)
-	}
-	k := t.Encode()
-	if _, ok := s.m[k]; ok {
-		return false
-	}
-	s.m[k] = t
-	return true
-}
-
-// Remove deletes t; it reports whether t was present.
-func (s *Set) Remove(t T) bool {
-	if s == nil || s.m == nil {
-		return false
-	}
-	k := t.Encode()
-	if _, ok := s.m[k]; !ok {
-		return false
-	}
-	delete(s.m, k)
-	return true
-}
-
-// Contains reports membership.
-func (s *Set) Contains(t T) bool {
-	if s == nil || s.m == nil {
-		return false
-	}
-	_, ok := s.m[t.Encode()]
-	return ok
-}
-
-// Slice returns the tuples in deterministic (encoding) order.
-func (s *Set) Slice() []T {
-	if s == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]T, len(keys))
-	for i, k := range keys {
-		out[i] = s.m[k]
-	}
-	return out
-}
-
-// Equal reports whether two sets hold the same tuples.
-func (s *Set) Equal(o *Set) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	if s == nil || s.m == nil {
-		return true
-	}
-	for k := range s.m {
-		if _, ok := o.m[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every tuple of s is in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	if s.Len() == 0 {
-		return true
-	}
-	if s.Len() > o.Len() {
-		return false
-	}
-	for k := range s.m {
-		if _, ok := o.m[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns a copy of the set.
-func (s *Set) Clone() *Set {
-	out := &Set{m: make(map[string]T, s.Len())}
-	if s != nil {
-		for k, v := range s.m {
-			out.m[k] = v
-		}
-	}
-	return out
 }
