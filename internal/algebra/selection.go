@@ -22,6 +22,7 @@ type Term struct {
 	attr      string
 	domain    *schema.Domain
 	selecting map[value.Value]bool
+	sorted    []value.Value // the keys of selecting, ascending
 }
 
 // Attr returns the attribute the term constrains.
@@ -30,16 +31,9 @@ func (t *Term) Attr() string { return t.attr }
 // Selects reports whether v is a selecting value.
 func (t *Term) Selects(v value.Value) bool { return t.selecting[v] }
 
-// SelectingValues returns the selecting values in ascending order.
-func (t *Term) SelectingValues() []value.Value {
-	out := make([]value.Value, 0, len(t.selecting))
-	for _, v := range t.domain.Values() {
-		if t.selecting[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+// SelectingValues returns the selecting values in ascending order. The
+// returned slice is shared; callers must not modify it.
+func (t *Term) SelectingValues() []value.Value { return t.sorted }
 
 // ExcludingValues returns the excluding values (domain minus selecting)
 // in ascending order.
@@ -97,18 +91,25 @@ func (s *Selection) AddTerm(attr string, vals ...value.Value) error {
 	}
 	if prev, exists := s.terms[attr]; exists {
 		merged := make(map[value.Value]bool)
-		for v := range prev.selecting {
+		var sorted []value.Value
+		for _, v := range prev.sorted {
 			if in[v] {
 				merged[v] = true
+				sorted = append(sorted, v)
 			}
 		}
 		if len(merged) == 0 {
 			return fmt.Errorf("algebra: conjunction empties selecting set of %s.%s", s.rel.Name(), attr)
 		}
-		prev.selecting = merged
+		prev.selecting, prev.sorted = merged, sorted
 		return nil
 	}
-	s.terms[attr] = &Term{attr: attr, domain: a.Domain, selecting: in}
+	sorted := make([]value.Value, 0, len(in))
+	for v := range in {
+		sorted = append(sorted, v)
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	s.terms[attr] = &Term{attr: attr, domain: a.Domain, selecting: in, sorted: sorted}
 	return nil
 }
 
@@ -214,7 +215,7 @@ func (s *Selection) Clone() *Selection {
 		for v := range term.selecting {
 			in[v] = true
 		}
-		out.terms[attr] = &Term{attr: attr, domain: term.domain, selecting: in}
+		out.terms[attr] = &Term{attr: attr, domain: term.domain, selecting: in, sorted: term.sorted}
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package algebra
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"viewupdate/internal/schema"
 	"viewupdate/internal/tuple"
@@ -114,6 +116,48 @@ func TestSelectionConjunctionIntersects(t *testing.T) {
 	// Emptying intersection fails.
 	if err := s.AddTerm("A", value.NewString("x")); err == nil {
 		t.Fatal("empty intersection should fail")
+	}
+}
+
+// TestSelectionSelectingValuesOrder: the selecting values come back in
+// domain order whatever order AddTerm was given them in, and a clone's
+// intersection leaves the original's values alone.
+func TestSelectionSelectingValuesOrder(t *testing.T) {
+	rel := testRel(t)
+	x, y, z := value.NewString("x"), value.NewString("y"), value.NewString("z")
+	s := NewSelection(rel).MustAddTerm("A", z, x, y, x)
+	if got := s.SelectingValues("A"); !slices.Equal(got, []value.Value{x, y, z}) {
+		t.Fatalf("SelectingValues = %v, want [x y z]", got)
+	}
+	c := s.Clone().MustAddTerm("A", z, x)
+	if got := c.SelectingValues("A"); !slices.Equal(got, []value.Value{x, z}) {
+		t.Fatalf("clone's intersection = %v, want [x z]", got)
+	}
+	if got := s.SelectingValues("A"); !slices.Equal(got, []value.Value{x, y, z}) {
+		t.Fatalf("original after clone's intersection = %v, want [x y z]", got)
+	}
+}
+
+// TestSelectingValuesCostIsTheTermNotTheDomain pins the cost of
+// SelectingValues to the size of the selecting set: translation calls
+// it for every request on a view whose WHERE names the attribute, and a
+// key domain may hold hundreds of thousands of values. Scanning the
+// domain made these 1,000 calls take about 8 s.
+func TestSelectingValuesCostIsTheTermNotTheDomain(t *testing.T) {
+	kd, err := schema.IntRangeDomain("Big", 1, 200000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := schema.MustRelation("Wide", []schema.Attribute{{Name: "K", Domain: kd}}, []string{"K"})
+	s := NewSelection(rel).MustAddTerm("K", value.NewInt(150000))
+	start := time.Now()
+	for range 1000 {
+		if got := s.SelectingValues("K"); len(got) != 1 || got[0] != value.NewInt(150000) {
+			t.Fatalf("SelectingValues = %v", got)
+		}
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Fatalf("1,000 SelectingValues calls on a one-value term took %v; it should not scan the domain", took)
 	}
 }
 

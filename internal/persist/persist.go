@@ -17,8 +17,9 @@ import (
 )
 
 // FormatVersion is the current snapshot layout. Format 1 lacked the
-// Seq watermark; Restore accepts both.
-const FormatVersion = 2
+// Seq watermark; format 2 listed every domain's values; format 3 writes
+// an int range domain by its bounds. Restore accepts all three.
+const FormatVersion = 3
 
 // Snapshot is the serialized form of a database.
 type Snapshot struct {
@@ -40,10 +41,12 @@ type Snapshot struct {
 	Tuples map[string][][]string `json:"tuples"`
 }
 
-// DomainJSON serializes one domain.
+// DomainJSON serializes one domain: by its definition, [lo, hi], if it
+// is an int range, else by its values.
 type DomainJSON struct {
 	Name   string   `json:"name"`
-	Values []string `json:"values"` // canonical encodings, ascending
+	Range  []int64  `json:"range,omitempty"`  // [lo, hi]; format 3
+	Values []string `json:"values,omitempty"` // canonical encodings, ascending
 }
 
 // RelationJSON serializes one relation schema.
@@ -108,12 +111,7 @@ func CaptureSchema(sch *schema.Database) (*Snapshot, error) {
 		snap.Relations = append(snap.Relations, rj)
 	}
 	for _, dn := range domNames {
-		d := seenDom[dn]
-		dj := DomainJSON{Name: dn}
-		for _, v := range d.Values() {
-			dj.Values = append(dj.Values, v.Encode())
-		}
-		snap.Domains = append(snap.Domains, dj)
+		snap.Domains = append(snap.Domains, captureDomain(seenDom[dn]))
 	}
 	for _, inc := range sch.Inclusions() {
 		snap.Inclusions = append(snap.Inclusions, InclusionJSON{
@@ -121,6 +119,18 @@ func CaptureSchema(sch *schema.Database) (*Snapshot, error) {
 		})
 	}
 	return snap, nil
+}
+
+func captureDomain(d *schema.Domain) DomainJSON {
+	dj := DomainJSON{Name: d.Name()}
+	if lo, hi, ok := d.Range(); ok {
+		dj.Range = []int64{lo, hi}
+		return dj
+	}
+	for _, v := range d.Values() {
+		dj.Values = append(dj.Values, v.Encode())
+	}
+	return dj
 }
 
 // EncodeRow renders one tuple as a Snapshot row: the canonical
@@ -183,15 +193,7 @@ func Restore(snap *Snapshot) (*storage.Database, error) {
 	}
 	domains := map[string]*schema.Domain{}
 	for _, dj := range snap.Domains {
-		vals := make([]value.Value, len(dj.Values))
-		for i, enc := range dj.Values {
-			v, err := value.Decode(enc)
-			if err != nil {
-				return nil, fmt.Errorf("persist: domain %s: %w", dj.Name, err)
-			}
-			vals[i] = v
-		}
-		d, err := schema.NewDomain(dj.Name, vals...)
+		d, err := restoreDomain(snap.Format, dj)
 		if err != nil {
 			return nil, fmt.Errorf("persist: domain %s: %w", dj.Name, err)
 		}
@@ -252,6 +254,31 @@ func Restore(snap *Snapshot) (*storage.Database, error) {
 		return nil, fmt.Errorf("persist: loading tuples: %w", err)
 	}
 	return db, nil
+}
+
+// restoreDomain rebuilds one domain, through IntRangeDomain (and its
+// size bound) for a range, through NewDomain for a list of values.
+func restoreDomain(format int, dj DomainJSON) (*schema.Domain, error) {
+	if dj.Range == nil {
+		vals := make([]value.Value, len(dj.Values))
+		for i, enc := range dj.Values {
+			v, err := value.Decode(enc)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = v
+		}
+		return schema.NewDomain(dj.Name, vals...)
+	}
+	switch {
+	case format < 3:
+		return nil, fmt.Errorf("range in a format-%d snapshot", format)
+	case dj.Values != nil:
+		return nil, fmt.Errorf("both range and values")
+	case len(dj.Range) != 2:
+		return nil, fmt.Errorf("range has %d bounds, want 2", len(dj.Range))
+	}
+	return schema.IntRangeDomain(dj.Name, dj.Range[0], dj.Range[1])
 }
 
 // Load reads a snapshot from r and restores it.

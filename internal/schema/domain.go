@@ -21,7 +21,21 @@ type Domain struct {
 	kind   value.Kind
 	values []value.Value       // sorted ascending
 	index  map[value.Value]int // value -> position in values
+
+	// isRange records that the domain was defined as the integers
+	// [lo, hi], so it can be persisted by its definition.
+	isRange bool
+	lo, hi  int64
 }
+
+// MaxRangeSize bounds the number of values IntRangeDomain accepts. A
+// domain's values are materialized (extend-insert and D-2 enumerate
+// them, Contains indexes them), so a range costs memory in proportion
+// to its size — about 100 bytes a value. The bound keeps a hostile or
+// mistyped definition such as RANGE 1 TO 4000000000 an error instead of
+// an out-of-memory crash, and admits every range this repository uses
+// (the largest is 200,000).
+const MaxRangeSize = 1 << 20
 
 // NewDomain constructs a domain from the given values. The values must
 // be non-empty, all of one kind, and are deduplicated and sorted.
@@ -65,16 +79,30 @@ func MustDomain(name string, vals ...value.Value) *Domain {
 	return d
 }
 
-// IntRangeDomain builds a domain of the consecutive integers [lo, hi].
+// IntRangeDomain builds a domain of the consecutive integers [lo, hi],
+// which may hold at most MaxRangeSize values. The values are generated
+// in order and distinct, so they go straight into place.
 func IntRangeDomain(name string, lo, hi int64) (*Domain, error) {
+	if name == "" {
+		return nil, fmt.Errorf("schema: domain needs a name")
+	}
 	if hi < lo {
 		return nil, fmt.Errorf("schema: empty int range [%d,%d] for domain %s", lo, hi, name)
 	}
-	vals := make([]value.Value, 0, hi-lo+1)
-	for i := lo; i <= hi; i++ {
-		vals = append(vals, value.NewInt(i))
+	// hi-lo in uint64 is exact for hi >= lo; adding 1 could wrap, so
+	// compare the span itself.
+	if span := uint64(hi) - uint64(lo); span >= MaxRangeSize {
+		return nil, fmt.Errorf("schema: int range [%d,%d] for domain %s exceeds %d values", lo, hi, name, MaxRangeSize)
 	}
-	return NewDomain(name, vals...)
+	n := int(hi-lo) + 1
+	vals := make([]value.Value, n)
+	index := make(map[value.Value]int, n)
+	for i := range vals {
+		v := value.NewInt(lo + int64(i))
+		vals[i] = v
+		index[v] = i
+	}
+	return &Domain{name: name, kind: value.Int, values: vals, index: index, isRange: true, lo: lo, hi: hi}, nil
 }
 
 // StringDomain builds a domain of the given strings.
@@ -96,6 +124,10 @@ func (d *Domain) Name() string { return d.name }
 
 // Kind returns the kind of the domain's values.
 func (d *Domain) Kind() value.Kind { return d.kind }
+
+// Range returns the bounds of a domain built by IntRangeDomain; ok is
+// false for a domain given by its list of values.
+func (d *Domain) Range() (lo, hi int64, ok bool) { return d.lo, d.hi, d.isRange }
 
 // Size returns the number of values in the domain.
 func (d *Domain) Size() int { return len(d.values) }

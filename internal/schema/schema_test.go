@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -162,6 +163,47 @@ func TestRelationErrors(t *testing.T) {
 		if _, err := NewRelation(c.name, c.attrs, c.key); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
+	}
+}
+
+// TestIntRangeDomain: a range is built in place (same values and index
+// as NewDomain would give), remembers its bounds, and refuses, before
+// allocating, any range whose size overflows or exceeds MaxRangeSize.
+func TestIntRangeDomain(t *testing.T) {
+	d, err := IntRangeDomain("R", -3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi, ok := d.Range(); !ok || lo != -3 || hi != 4 {
+		t.Errorf("Range = %d, %d, %v; want -3, 4, true", lo, hi, ok)
+	}
+	for i, v := range d.Values() {
+		if v != value.NewInt(int64(i)-3) || !d.Contains(v) || d.index[v] != i {
+			t.Errorf("value %d = %v (index %d)", i, v, d.index[v])
+		}
+	}
+	if d.Size() != 8 || d.Kind() != value.Int || d.Contains(value.NewInt(5)) {
+		t.Errorf("IntRangeDomain(-3, 4) = %v", d)
+	}
+	if _, _, ok := MustDomain("L", value.NewInt(1)).Range(); ok {
+		t.Error("a value-list domain reports a range")
+	}
+	if _, err := IntRangeDomain("Max", 1, MaxRangeSize); err != nil {
+		t.Errorf("a range of MaxRangeSize values: %v", err)
+	}
+	for _, c := range []struct{ lo, hi int64 }{
+		{1, MaxRangeSize + 1},
+		{1, 4000000000},
+		{math.MinInt64, math.MaxInt64}, // hi-lo+1 wraps to 0
+		{1, math.MaxInt64},
+		{math.MinInt64, 0},
+	} {
+		if _, err := IntRangeDomain("Huge", c.lo, c.hi); err == nil {
+			t.Errorf("IntRangeDomain(%d, %d) accepted", c.lo, c.hi)
+		}
+	}
+	if _, err := IntRangeDomain("", 1, 2); err == nil {
+		t.Error("a nameless range accepted")
 	}
 }
 

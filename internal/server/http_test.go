@@ -338,6 +338,34 @@ func TestHTTPExec(t *testing.T) {
 	}
 }
 
+// TestHTTPExecRefusesHugeRange: a CREATE DOMAIN whose INT RANGE is too
+// large to materialize — four billion values, a span that wraps int64,
+// one that overflows an allocation — is a 400, and the engine goes on
+// committing afterwards.
+func TestHTTPExecRefusesHugeRange(t *testing.T) {
+	_, srv := newTestServer(t, nil)
+	for _, script := range []string{
+		"CREATE DOMAIN Huge AS INT RANGE 1 TO 4000000000;",
+		"CREATE DOMAIN Huge AS INT RANGE -9223372036854775808 TO 9223372036854775807;",
+		"CREATE DOMAIN Huge AS INT RANGE 1 TO 9223372036854775807;",
+	} {
+		var er errorReply
+		if code := doJSON(t, "POST", srv.URL+"/execz", map[string]string{"script": script}, &er); code != http.StatusBadRequest {
+			t.Fatalf("%s = %d %+v, want 400", script, code, er)
+		}
+	}
+	var up updateReply
+	if code := doJSON(t, "POST", srv.URL+"/views/NY/insert",
+		map[string]any{"values": []string{"1", "NY"}}, &up); code != http.StatusOK || !up.OK {
+		t.Fatalf("insert after the refused scripts = %d %+v", code, up)
+	}
+	var out execReply
+	if code := doJSON(t, "POST", srv.URL+"/execz",
+		map[string]string{"script": "INSERT INTO EMP VALUES (4, 'NY');"}, &out); code != http.StatusOK || !out.OK {
+		t.Fatalf("execz after the refused scripts = %d %+v", code, out)
+	}
+}
+
 // TestHTTPPreferOverride: the prefer field steers translator selection
 // per request and surfaces the chosen class.
 func TestHTTPPreferOverride(t *testing.T) {
