@@ -136,13 +136,13 @@ func chaosInsert(hc *http.Client, addr, key string, emp int64) (status int, dupl
 
 // runChaos executes the chaos workload and verification; the returned
 // code is the process exit status.
-func runChaos(addr string, clients, requests int, seed int64, opTimeout time.Duration, out string) int {
+func runChaos(addr string, clients, requests int, seed int64, out string) int {
 	rep := &chaosReport{}
 	rep.Config.Addr = addr
 	rep.Config.Clients = clients
 	rep.Config.Requests = requests
 	rep.Config.Seed = seed
-	rep.Config.OpTimeoutNS = int64(opTimeout)
+	rep.Config.OpTimeoutNS = int64(chaosOpTimeout)
 
 	mon := startReadyMonitor(addr)
 	var acked, dedupHits, retries, unresolved, rejected, dedupMisses atomic.Int64
@@ -159,7 +159,7 @@ func runChaos(addr string, clients, requests int, seed int64, opTimeout time.Dur
 			for j := 0; j < requests; j++ {
 				emp := int64(id*requests + j + 1)
 				key := fmt.Sprintf("chaos-c%d-op%d", id, j)
-				deadline := time.Now().Add(opTimeout)
+				deadline := time.Now().Add(chaosOpTimeout)
 			attempts:
 				for attempt := 0; ; attempt++ {
 					status, dup, after, err := chaosInsert(hc, addr, key, emp)

@@ -111,9 +111,10 @@ type TraceOptions struct {
 	// Probes, when true, synthesizes naive rejected alternatives so the
 	// trace exhibits the criteria at work. TranslateTraced sets it.
 	Probes bool
-	// MaxProbes bounds the number of probe candidates (default 8).
-	MaxProbes int
 }
+
+// maxProbes bounds the number of probe candidates in a trace.
+const maxProbes = 8
 
 // choiceStrings renders a candidate's choices as sorted "k=v" pairs.
 func choiceStrings(c Candidate) []string {
@@ -155,9 +156,6 @@ func (vf *Verifier) ValidFn() func(*update.Translation) bool {
 // is non-nil even on failure and records what happened.
 func TraceTranslate(db storage.Source, v view.View, p Policy, r Request, opts TraceOptions) (Candidate, *Trace, error) {
 	p = orDefault(p)
-	if opts.MaxProbes == 0 {
-		opts.MaxProbes = 8
-	}
 	_, isJoin := v.(*view.Join)
 	tr := &Trace{
 		View:        v.Name(),
@@ -234,7 +232,7 @@ func TraceTranslate(db storage.Source, v view.View, p Policy, r Request, opts Tr
 
 	if opts.Probes {
 		phase("probes", func() {
-			probes := buildProbes(db, v, r, cands, opts.MaxProbes)
+			probes := buildProbes(db, v, r, cands, maxProbes)
 			judged := make([]TraceCandidate, len(probes))
 			runParallel(len(probes), func(i int) {
 				judged[i] = judge(probes[i], "probe")
@@ -284,11 +282,11 @@ func TraceTranslate(db storage.Source, v view.View, p Policy, r Request, opts Tr
 //   - extra(C): a candidate plus the deletion of an unrelated, view-
 //     invisible tuple (criterion 1: no database side effects).
 //
-// Probes are deterministic and bounded by maxProbes.
-func buildProbes(db storage.Source, v view.View, r Request, cands []Candidate, maxProbes int) []Candidate {
+// Probes are deterministic and bounded by limit.
+func buildProbes(db storage.Source, v view.View, r Request, cands []Candidate, limit int) []Candidate {
 	var out []Candidate
 	add := func(c Candidate) bool {
-		if len(out) >= maxProbes {
+		if len(out) >= limit {
 			return false
 		}
 		out = append(out, c)

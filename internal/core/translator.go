@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"log/slog"
-	"math"
-	"time"
 
 	"viewupdate/internal/obs"
 	"viewupdate/internal/schema"
@@ -12,7 +10,6 @@ import (
 	"viewupdate/internal/tuple"
 	"viewupdate/internal/value"
 	"viewupdate/internal/view"
-	"viewupdate/internal/vuerr"
 )
 
 // A Translator binds a view to a policy and translates view update
@@ -21,58 +18,6 @@ import (
 type Translator struct {
 	View   view.View
 	Policy Policy
-	// Retry bounds the automatic retries of transient apply failures;
-	// the zero value retries nothing.
-	Retry RetryPolicy
-}
-
-// A RetryPolicy bounds the retries Translator.Apply performs when the
-// database apply fails transiently (vuerr.IsTransient). Translation is
-// never re-run — the candidate was chosen against a state the failed
-// apply did not change.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of apply attempts; values below 1
-	// mean a single attempt (no retry).
-	MaxAttempts int
-	// Backoff is the sleep before the first retry, doubling on each
-	// further retry. Zero sleeps not at all.
-	Backoff time.Duration
-	// Sleep replaces time.Sleep, for tests.
-	Sleep func(time.Duration)
-}
-
-// attempts normalizes MaxAttempts.
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// maxBackoffShift caps the exponential doubling: past 2^16 times the
-// base backoff the sleep stops growing, so a large MaxAttempts cannot
-// overflow the duration arithmetic into negative or absurd sleeps.
-const maxBackoffShift = 16
-
-// wait sleeps before retry attempt n (n >= 1), with exponential
-// backoff: Backoff doubled min(n-1, maxBackoffShift) times, never
-// allowed to overflow.
-func (p RetryPolicy) wait(n int) {
-	if p.Backoff <= 0 {
-		return
-	}
-	d := p.Backoff
-	for i := 1; i < n && i <= maxBackoffShift; i++ {
-		if d > math.MaxInt64/2 {
-			break
-		}
-		d *= 2
-	}
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
 }
 
 // NewTranslator builds a translator; a nil policy is Simplest.
@@ -120,31 +65,18 @@ func (t *Translator) Translate(db storage.Source, r Request) (Candidate, error) 
 // request, application failures with the chosen translation, so callers
 // can tell enumeration/policy errors from storage errors.
 //
-// Transient apply failures (vuerr.IsTransient, e.g. injected I/O
-// faults) are retried up to Retry.MaxAttempts with exponential
-// backoff; a failed apply rolls the database back, so re-applying the
-// same translation is sound. Non-transient failures — constraint
-// violations, corruption — return immediately.
+// Apply makes one attempt. A failed apply leaves the database as it
+// was, so a caller may retry a transient failure (vuerr.IsTransient);
+// workload.RunChurn re-applies the translation it chose.
 func (t *Translator) Apply(db *storage.Database, r Request) (Candidate, error) {
 	c, err := t.Translate(db, r)
 	if err != nil {
 		return Candidate{}, fmt.Errorf("core: translating %s on %s: %w", r, t.View.Name(), err)
 	}
-	var applyErr error
-	for attempt := 0; attempt < t.Retry.attempts(); attempt++ {
-		if attempt > 0 {
-			obs.Inc("core.apply.retry")
-			t.Retry.wait(attempt)
-		}
-		applyErr = db.Apply(c.Translation)
-		if applyErr == nil {
-			return c, nil
-		}
-		if !vuerr.IsTransient(applyErr) {
-			break
-		}
+	if err := db.Apply(c.Translation); err != nil {
+		return Candidate{}, fmt.Errorf("core: applying %s: %w", c.Translation, err)
 	}
-	return Candidate{}, fmt.Errorf("core: applying %s: %w", c.Translation, applyErr)
+	return c, nil
 }
 
 // Row builds a tuple of the translator's view schema from raw Go

@@ -18,20 +18,12 @@ import (
 var ErrSnapshotRequired = errors.New("replica: watermark below source snapshot, bootstrap required")
 
 // A Client speaks the replication endpoints of one source server
-// (primary or upstream follower — the protocol cascades).
+// (primary or upstream follower — the protocol cascades) through
+// http.DefaultClient, which imposes no overall timeout: streams are
+// long-lived.
 type Client struct {
 	// Base is the source's base URL, e.g. "http://primary:8080".
 	Base string
-	// HC is the HTTP client (http.DefaultClient when nil). Streams are
-	// long-lived: the client must not impose an overall timeout.
-	HC *http.Client
-}
-
-func (c *Client) hc() *http.Client {
-	if c.HC != nil {
-		return c.HC
-	}
-	return http.DefaultClient
 }
 
 // FetchSnapshot downloads the source's current snapshot: its full
@@ -42,7 +34,7 @@ func (c *Client) FetchSnapshot(ctx context.Context) (*persist.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.hc().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("replica: fetching snapshot: %w", err)
 	}
@@ -68,7 +60,7 @@ func (c *Client) Stream(ctx context.Context, from uint64) (io.ReadCloser, error)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.hc().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("replica: opening stream: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -30,15 +29,15 @@ type Config struct {
 	Dir string
 	// Sync is the WAL sync policy of a durable follower.
 	Sync wal.SyncPolicy
-	// HTTP overrides the HTTP client (must not impose an overall request
-	// timeout — streams are long-lived).
-	HTTP *http.Client
 	// Logger receives reconnect/bootstrap events (discarded when nil).
 	Logger *slog.Logger
-	// ReconnectMin/ReconnectMax bound the reconnect backoff (defaults
-	// 100ms / 5s).
-	ReconnectMin, ReconnectMax time.Duration
+	// ReconnectMin is the first reconnect backoff (default 100ms); it
+	// doubles on each failed attempt up to reconnectMax.
+	ReconnectMin time.Duration
 }
+
+// reconnectMax caps the reconnect backoff.
+const reconnectMax = 5 * time.Second
 
 // A Commit is one replayed primary commit: the primary-assigned
 // sequence number, the idempotency key, the primary's commit wall
@@ -74,15 +73,12 @@ type Follower struct {
 // seeds a store via persist.CreateAt so the watermark survives
 // restarts.
 func Open(ctx context.Context, cfg Config) (*Follower, error) {
-	f := &Follower{cfg: cfg, client: &Client{Base: cfg.Primary, HC: cfg.HTTP}, log: cfg.Logger}
+	f := &Follower{cfg: cfg, client: &Client{Base: cfg.Primary}, log: cfg.Logger}
 	if f.log == nil {
 		f.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	if cfg.ReconnectMin <= 0 {
 		f.cfg.ReconnectMin = 100 * time.Millisecond
-	}
-	if cfg.ReconnectMax <= 0 {
-		f.cfg.ReconnectMax = 5 * time.Second
 	}
 	opts := persist.Options{Sync: cfg.Sync}
 	if cfg.Dir != "" {
@@ -201,7 +197,7 @@ func (f *Follower) Run(ctx context.Context, deliver func(Commit) error) error {
 				return nil
 			case <-time.After(backoff):
 			}
-			backoff = min(backoff*2, f.cfg.ReconnectMax)
+			backoff = min(backoff*2, reconnectMax)
 			continue
 		}
 		backoff = f.cfg.ReconnectMin

@@ -103,8 +103,6 @@ type Config struct {
 	// RequestTimeout is the per-request deadline enforced by the HTTP
 	// layer. Default 5s.
 	RequestTimeout time.Duration
-	// TxTTL expires idle wire transactions. Default 60s.
-	TxTTL time.Duration
 	// Logger receives structured serving logs; nil silences them.
 	Logger *slog.Logger
 	// WrapWAL wraps the WAL media of journal lane (shard i when sharded,
@@ -130,12 +128,6 @@ type Config struct {
 	// fulfilled request keys are remembered before FIFO eviction.
 	// Default 4096.
 	IdemCapacity int
-	// ShedFraction enables adaptive load shedding: once the commit
-	// queue passes this fraction of MaxInFlight, submissions are shed
-	// probabilistically, ramping to certain rejection at a full queue.
-	// 0 disables shedding (the default); admission control alone then
-	// bounds the queue.
-	ShedFraction float64
 	// BreakerCooldown is how long the write-path circuit breaker stays
 	// open after tripping before it admits a probe. Default 2s.
 	BreakerCooldown time.Duration
@@ -158,9 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
-	}
-	if c.TxTTL <= 0 {
-		c.TxTTL = 60 * time.Second
 	}
 	if c.IdemCapacity <= 0 {
 		c.IdemCapacity = 4096
@@ -300,11 +289,9 @@ type Engine struct {
 	txs txTable
 
 	// idem is the durable-idempotency dedup table; brk the write-path
-	// circuit breaker behind graceful degradation. shedTick drives the
-	// deterministic shedding schedule.
-	idem     idemTable
-	brk      *breaker
-	shedTick atomic.Uint64
+	// circuit breaker behind graceful degradation.
+	idem idemTable
+	brk  *breaker
 
 	// Replication. repHub fans durable commits out to /wal/stream tails
 	// (non-nil exactly when the engine is durable — a replication
@@ -345,7 +332,7 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 		start:   time.Now(),
 	}
 	e.disc = &syncDiscipline{e: e, apply: e.applyMemory}
-	e.txs.ttl = cfg.TxTTL
+	e.txs.ttl = txTTL
 	e.idem.cap = cfg.IdemCapacity
 	if cfg.Shards > 1 && cfg.Dir == "" {
 		return nil, fmt.Errorf("server: Shards requires a store directory")
@@ -447,7 +434,7 @@ func (e *Engine) preregisterMetrics() {
 	for _, c := range []string{
 		"server.requests", "server.commit.enqueued", "server.commit.batches",
 		"server.commit.committed", "server.commit.conflict", "server.commit.deadline",
-		"server.overload", "server.drain.rejected", "server.shed",
+		"server.overload", "server.drain.rejected",
 		"server.idem.hit", "server.idem.replayed", "server.idem.evicted",
 		"server.brownout.rejected",
 		"server.breaker.trip", "server.breaker.probe", "server.breaker.recovered",
@@ -678,8 +665,8 @@ func (e *Engine) CommitKeyed(ctx context.Context, tr *update.Translation, strict
 }
 
 // submit enqueues a commit, enforcing (in order) the drain flag, the
-// degradation breaker, fault injection at the admission boundary,
-// adaptive shedding, and admission control.
+// degradation breaker, fault injection at the admission boundary, and
+// admission control.
 func (e *Engine) submit(req *commitReq) error {
 	e.sendMu.RLock()
 	defer e.sendMu.RUnlock()
@@ -693,10 +680,6 @@ func (e *Engine) submit(req *commitReq) error {
 	if err := faultinject.Hit(faultinject.SiteServerAdmission); err != nil {
 		return err
 	}
-	if e.shed() {
-		obs.Inc("server.shed")
-		return ErrOverloaded
-	}
 	select {
 	case e.commitC <- req:
 		obs.Inc("server.commit.enqueued")
@@ -706,37 +689,6 @@ func (e *Engine) submit(req *commitReq) error {
 		obs.Inc("server.overload")
 		return ErrOverloaded
 	}
-}
-
-// shed decides whether this submission is dropped by adaptive load
-// shedding. Below the ShedFraction threshold nothing sheds; from the
-// threshold to a full queue the drop rate ramps linearly to certain
-// rejection, scheduled by a deterministic tick counter rather than a
-// random draw so the behavior is reproducible under test.
-func (e *Engine) shed() bool {
-	f := e.cfg.ShedFraction
-	if f <= 0 || f >= 1 {
-		return false
-	}
-	depth := len(e.commitC)
-	if depth >= e.cfg.MaxInFlight {
-		// Hard-full is plain overload, reported by the admission select;
-		// shedding only drops pre-emptively while room remains.
-		return false
-	}
-	start := int(f * float64(e.cfg.MaxInFlight))
-	if depth < start {
-		return false
-	}
-	// Of each `window` consecutive submissions arriving at this depth,
-	// drop `over`: the ratio ramps from ~1/window at the threshold to
-	// window/window (all) at a full queue.
-	window := e.cfg.MaxInFlight - start + 1
-	over := depth - start + 1
-	if over > window {
-		over = window
-	}
-	return int((e.shedTick.Add(1)-1)%uint64(window)) < over
 }
 
 // QueueDepth reports how many commits are waiting in the pipeline.

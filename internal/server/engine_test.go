@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 	"testing"
@@ -499,7 +500,8 @@ func TestDrainFlushesQueuedCommits(t *testing.T) {
 // TestTxLifecycle: staged reads see uncommitted writes, rollback
 // discards them, expiry reaps idle tokens.
 func TestTxLifecycle(t *testing.T) {
-	e := newTestEngine(t, t.TempDir(), func(c *Config) { c.TxTTL = 50 * time.Millisecond })
+	e := newTestEngine(t, t.TempDir(), nil)
+	e.txs.ttl = 50 * time.Millisecond
 	if err := insertKey(e, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -538,6 +540,46 @@ func TestTxLifecycle(t *testing.T) {
 	time.Sleep(80 * time.Millisecond)
 	if _, err := e.TxView(tok2); !errors.Is(err, ErrNoTx) {
 		t.Fatalf("expired tx read = %v, want ErrNoTx", err)
+	}
+}
+
+// TestConcurrentTxTokens: statements on two tokens run concurrently.
+// Each one refreshes its own transaction's deadline while the other
+// one's lookup sweeps every deadline in the table; under -race this
+// catches a deadline written outside the table lock.
+func TestConcurrentTxTokens(t *testing.T) {
+	e := newTestEngine(t, "", nil)
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		tok, err := e.BeginTx()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(g int, tok string) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				body := updateBody{Values: []string{strconv.Itoa(1 + g*100 + i), "NY"}}
+				if _, _, err := e.TxUpdate(context.Background(), tok, "NY", nil, e.buildRequest(update.Insert, body)); err != nil {
+					errs <- err
+					return
+				}
+			}
+			staged, err := e.TxView(tok)
+			if err != nil {
+				errs <- err
+				return
+			}
+			if n := staged.Len("EMP"); n != 50 {
+				errs <- fmt.Errorf("token %d stages %d rows, want 50", g, n)
+			}
+		}(g, tok)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -120,7 +120,7 @@ func (e *Engine) withDeadline(h http.Handler) http.Handler {
 //	409 conflict         optimistic conflict at apply time
 //	422 no_candidates    the view update admits no translation
 //	422 ambiguous        the policy refuses to choose among candidates
-//	429 overloaded       admission control or load shedding rejected the commit (Retry-After)
+//	429 overloaded       admission control rejected the commit: the queue is full (Retry-After)
 //	503 degraded         sealed WAL, corrupt store, open breaker: read-only brownout (Retry-After)
 //	503 unavailable      draining, transient I/O failure, idempotent-retry race (Retry-After)
 //	504 deadline         the commit's fate was not observed in time

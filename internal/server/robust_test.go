@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -326,66 +325,4 @@ func rowPresent(t *testing.T, st *persist.Store, emp int) bool {
 		}
 	}
 	return false
-}
-
-// TestAdaptiveShedding: with ShedFraction set, submissions start being
-// shed before the queue is full — deterministic early pushback instead
-// of a hard cliff at MaxInFlight.
-func TestAdaptiveShedding(t *testing.T) {
-	sink := metricsSink(t)
-	e := newTestEngine(t, t.TempDir(), func(c *Config) {
-		c.MaxInFlight = 8
-		c.ShedFraction = 0.5
-	})
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	if err := submitAsync(e, 999); err != nil {
-		t.Fatal(err)
-	}
-	waitForPickup(t, e)
-
-	shed, accepted, full := 0, 0, 0
-	for i := 0; i < 64 && full == 0; i++ {
-		err := submitAsync(e, 1000+i)
-		switch {
-		case err == nil:
-			accepted++
-		case errors.Is(err, ErrOverloaded) && e.QueueDepth() >= e.cfg.MaxInFlight:
-			full++
-		case errors.Is(err, ErrOverloaded):
-			shed++
-		default:
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	if shed == 0 {
-		t.Fatal("no submission was shed before the queue filled")
-	}
-	if accepted <= e.cfg.MaxInFlight/2 {
-		t.Fatalf("only %d accepted; shedding below the threshold", accepted)
-	}
-	if got := sink.Metrics().Snapshot().Counters["server.shed"]; got != int64(shed) {
-		t.Fatalf("server.shed counter %d, want %d", got, shed)
-	}
-}
-
-// TestSheddingDisabledByDefault: ShedFraction zero means the queue
-// fills to MaxInFlight before any rejection — the pre-existing
-// admission behavior is unchanged.
-func TestSheddingDisabledByDefault(t *testing.T) {
-	e := newTestEngine(t, t.TempDir(), func(c *Config) { c.MaxInFlight = 8 })
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	if err := submitAsync(e, 999); err != nil {
-		t.Fatal(err)
-	}
-	waitForPickup(t, e)
-	for i := 0; i < e.cfg.MaxInFlight; i++ {
-		if err := submitAsync(e, 1000+i); err != nil {
-			t.Fatalf("submission %d rejected with room in the queue: %v", i, err)
-		}
-	}
-	if err := submitAsync(e, 2000); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("full queue returned %v, want ErrOverloaded", err)
-	}
 }

@@ -19,6 +19,10 @@ import (
 // token.
 var ErrNoTx = errors.New("server: unknown or expired transaction")
 
+// txTTL is how long a wire transaction may sit idle before the sweeper
+// reaps it.
+const txTTL = 60 * time.Second
+
 // A wireTx is one open wire transaction: a copy-on-write overlay all
 // its statements run against, the version of the snapshot it was
 // staged from (checked strictly at commit), and a deadline after which
@@ -28,11 +32,13 @@ type wireTx struct {
 	mu          sync.Mutex // serializes statements on one token
 	staged      *storage.Overlay
 	baseVersion uint64
-	expires     time.Time
+	expires     time.Time // guarded by the table's mu, not tx.mu
 	ops         int
 }
 
-// txTable tracks open transactions by token.
+// txTable tracks open transactions by token. It owns every deadline:
+// put sets one and get pushes it out, both under mu, which is also what
+// the sweep reads them under.
 type txTable struct {
 	mu  sync.Mutex
 	m   map[string]*wireTx
@@ -62,7 +68,9 @@ func (t *txTable) put(tx *wireTx) {
 	if t.m == nil {
 		t.m = map[string]*wireTx{}
 	}
-	t.sweepLocked(time.Now())
+	now := time.Now()
+	t.sweepLocked(now)
+	tx.expires = now.Add(t.ttl)
 	t.m[tx.token] = tx
 	obs.SetGauge("server.tx.open", int64(len(t.m)))
 }
@@ -70,11 +78,13 @@ func (t *txTable) put(tx *wireTx) {
 func (t *txTable) get(token string) (*wireTx, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.sweepLocked(time.Now())
+	now := time.Now()
+	t.sweepLocked(now)
 	tx := t.m[token]
 	if tx == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoTx, token)
 	}
+	tx.expires = now.Add(t.ttl)
 	return tx, nil
 }
 
@@ -113,7 +123,6 @@ func (e *Engine) BeginTx() (string, error) {
 		token:       token,
 		staged:      storage.NewOverlay(snap),
 		baseVersion: version,
-		expires:     time.Now().Add(e.cfg.TxTTL),
 	})
 	obs.Inc("server.tx.begin")
 	return token, nil
@@ -133,7 +142,6 @@ func (e *Engine) TxUpdate(ctx context.Context, token, viewName string, prefer []
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	tx.expires = time.Now().Add(e.cfg.TxTTL)
 	req, err := build(v, tx.staged)
 	if err != nil {
 		return core.Candidate{}, nil, err
