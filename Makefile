@@ -111,9 +111,11 @@ bench-check:
 
 # ledger-pairs answers "is this change within bound": the ledger's
 # end-to-end metrics on PARENT and on the working tree in alternating
-# pairs, per workload and metric both medians, the ratio, pairs won and
-# worse / within / better against BENCHMARK.json's bounds; exit 1 on a
-# failed op or a metric worse beyond its bound (scripts/ledger-pairs.sh).
+# pairs, per workload and metric both medians, the parent's quartiles,
+# the ratio, pairs won and worse / within against BENCHMARK.json's
+# bounds, or claim (won 9 in 10 pairs, medians apart by more than the
+# parent's interquartile range); exit 1 on a failed op or a metric
+# worse beyond its bound (scripts/ledger-pairs.sh).
 #   make ledger-pairs PARENT=<rev> [WORKLOADS="a b"] [PAIRS=3] [SECONDS=25]
 ledger-pairs:
 	bash scripts/ledger-pairs.sh "$(PARENT)" "$(WORKLOADS)" "$(PAIRS)" "$(SECONDS)"

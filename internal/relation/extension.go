@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"viewupdate/internal/schema"
 	"viewupdate/internal/tuple"
@@ -38,13 +37,6 @@ type Extension struct {
 	// secondary[attr][value] holds the key encodings of the tuples with
 	// that attribute value.
 	secondary map[string]map[value.Value]map[string]bool
-	// sorted caches the deterministic Tuples() ordering: re-sorting the
-	// whole extension on every scan dominated the serving CPU profile
-	// once the table grew. Mutators invalidate it; the pointer is atomic
-	// so concurrent scans under the storage layer's read lock may race
-	// to rebuild (both build the identical slice, one wins). The cached
-	// slice itself is never mutated — invalidation replaces the pointer.
-	sorted atomic.Pointer[[]tuple.T]
 }
 
 // NewExtension returns an empty extension for rel.
@@ -162,7 +154,6 @@ func (e *Extension) Insert(t tuple.T) error {
 	}
 	e.byKey[k] = t
 	e.indexAdd(t)
-	e.sortedInsert(t, k)
 	return nil
 }
 
@@ -180,7 +171,6 @@ func (e *Extension) Delete(t tuple.T) error {
 	}
 	delete(e.byKey, k)
 	e.indexRemove(t)
-	e.sortedDelete(k)
 	return nil
 }
 
@@ -207,8 +197,6 @@ func (e *Extension) Replace(old, new tuple.T) error {
 	e.byKey[kn] = new
 	e.indexRemove(old)
 	e.indexAdd(new)
-	e.sortedDelete(ko)
-	e.sortedInsert(new, kn)
 	return nil
 }
 
@@ -249,51 +237,11 @@ func (e *Extension) ContainsKey(probe tuple.T) bool {
 	return ok
 }
 
-// sortedInsert splices t (whose key encoding is k) into the cached
-// ordering. A copy with one memmove is O(n); discarding the cache
-// would make the next scan pay the full n·log n key sort instead. A
-// cold cache stays cold — the splice only pays off once a scan has
-// built the baseline.
-func (e *Extension) sortedInsert(t tuple.T, k string) {
-	p := e.sorted.Load()
-	if p == nil {
-		return
-	}
-	old := *p
-	i := sort.Search(len(old), func(j int) bool { return old[j].Key() >= k })
-	out := make([]tuple.T, len(old)+1)
-	copy(out, old[:i])
-	out[i] = t
-	copy(out[i+1:], old[i:])
-	e.sorted.Store(&out)
-}
-
-// sortedDelete removes the tuple with key encoding k from the cached
-// ordering.
-func (e *Extension) sortedDelete(k string) {
-	p := e.sorted.Load()
-	if p == nil {
-		return
-	}
-	old := *p
-	i := sort.Search(len(old), func(j int) bool { return old[j].Key() >= k })
-	if i >= len(old) || old[i].Key() != k {
-		e.sorted.Store(nil)
-		return
-	}
-	out := make([]tuple.T, len(old)-1)
-	copy(out, old[:i])
-	copy(out[i:], old[i+1:])
-	e.sorted.Store(&out)
-}
-
-// Tuples returns all tuples in deterministic (key-encoding) order.
-// The returned slice is shared with later callers until the next
-// mutation — callers must not modify it.
+// Tuples returns all tuples in deterministic (key-encoding) order,
+// sorted afresh on every call: key order exists only for output that
+// is printed or persisted, so the writes do not maintain it and a scan
+// that merely collects rows uses Each.
 func (e *Extension) Tuples() []tuple.T {
-	if p := e.sorted.Load(); p != nil {
-		return *p
-	}
 	keys := make([]string, 0, len(e.byKey))
 	for k := range e.byKey {
 		keys = append(keys, k)
@@ -303,7 +251,6 @@ func (e *Extension) Tuples() []tuple.T {
 	for i, k := range keys {
 		out[i] = e.byKey[k]
 	}
-	e.sorted.Store(&out)
 	return out
 }
 
@@ -318,13 +265,9 @@ func (e *Extension) Each(fn func(tuple.T) bool) {
 }
 
 // Clone returns a deep-enough copy (tuples are immutable, so sharing
-// them is safe); secondary indexes are cloned too. The sorted-order
-// cache is carried over: the cached slice is never mutated in place,
-// so both sides may share it until one of them mutates and splices a
-// fresh copy.
+// them is safe); secondary indexes are cloned too.
 func (e *Extension) Clone() *Extension {
 	out := &Extension{rel: e.rel, byKey: make(map[string]tuple.T, len(e.byKey))}
-	out.sorted.Store(e.sorted.Load())
 	for k, v := range e.byKey {
 		out.byKey[k] = v
 	}

@@ -161,9 +161,9 @@ func TestTuplesDeterministicOrder(t *testing.T) {
 	}
 }
 
-// The sorted-order cache must stay correct through every mutation kind
-// and across Clone: each step re-checks the full ordering against a
-// from-scratch rebuild.
+// Tuples must come back in key order after every mutation kind and
+// across Clone: no write keeps an ordering, so each read sorts afresh,
+// and each step checks that order.
 func TestTuplesCacheSurvivesMutation(t *testing.T) {
 	kvals := make([]value.Value, 9)
 	for i := range kvals {
@@ -196,22 +196,22 @@ func TestTuplesCacheSurvivesMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check(e, 4) // warms the cache
+	check(e, 4) // first ordered read
 	if err := e.Insert(mk(t, rel, 7, "x")); err != nil {
 		t.Fatal(err)
 	}
-	check(e, 5) // spliced insert
+	check(e, 5) // insert after an ordered read
 	if err := e.Delete(mk(t, rel, 1, "x")); err != nil {
 		t.Fatal(err)
 	}
-	check(e, 4) // spliced delete
+	check(e, 4) // delete
 	if err := e.Replace(mk(t, rel, 9, "x"), mk(t, rel, 2, "y")); err != nil {
 		t.Fatal(err)
 	}
 	check(e, 4) // key-moving replace
 
-	// The clone shares the cached slice; diverging mutations must stay
-	// invisible to the other side.
+	// Diverging mutations after a clone stay invisible to the other
+	// side.
 	c := e.Clone()
 	beforeClone := e.Tuples()
 	if err := c.Insert(mk(t, rel, 6, "z")); err != nil {

@@ -285,7 +285,8 @@ func (e *Engine) failCommit(r *commitReq, err error) {
 // discipline's land and settle, waited for on the caller's goroutine
 // (the acker and the lane committers never take stateMu, and done is
 // buffered). Callers hold stateMu — ExecScript, or boot before anything
-// else runs — and publish once the script is over.
+// else runs — and publish what landed (scriptLanded) once the script is
+// over.
 func (e *Engine) applyScript(tr *update.Translation) error {
 	if tr.Len() == 0 {
 		return nil
@@ -293,12 +294,15 @@ func (e *Engine) applyScript(tr *update.Translation) error {
 	r := getCommitReq()
 	r.tr, r.script = tr, true
 	if landed, stats := e.disc.land([]*commitReq{r}); len(landed) > 0 {
-		// No version of its own to report: the script's statements become
-		// readable together, at its one publish.
+		// No version to report yet: the script's statements become
+		// readable together once it is over, one version each.
 		e.disc.settle(landed, 0, stats, 0)
 	}
 	res := <-r.done
 	putCommitReq(r)
+	if res.err == nil && e.scriptLanded != nil {
+		*e.scriptLanded = append(*e.scriptLanded, tr)
+	}
 	return res.err
 }
 

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -280,6 +281,10 @@ type Engine struct {
 	// stateMu serializes every mutation of the live database: committer
 	// batches and admin script execution.
 	stateMu sync.Mutex
+	// scriptLanded, while ExecScript runs, collects the translations
+	// applyScript lands, in order (guarded by stateMu; nil at boot, whose
+	// -init script publishes a fresh memo).
+	scriptLanded *[]*update.Translation
 
 	commitC  chan *commitReq
 	sendMu   sync.RWMutex // guards commitC sends against close
@@ -331,6 +336,7 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 		brk:     newBreaker(cfg.BreakerCooldown),
 		start:   time.Now(),
 	}
+	e.sess.RefuseFiles()
 	e.disc = &syncDiscipline{e: e, apply: e.applyMemory}
 	e.txs.ttl = txTTL
 	e.idem.cap = cfg.IdemCapacity
@@ -533,9 +539,14 @@ func (e *Engine) ViewNames() []string {
 
 // ExecScript runs a sqlish script against the session, serialized
 // against the commit pipeline (DDL and admin writes take the state
-// lock; its DML lands through the discipline, see applyScript). The
-// published snapshot is refreshed and the version bumped, so
-// transactions opened before the script conservatively conflict.
+// lock; its DML lands through the discipline, see applyScript). A
+// script that only reads and writes rows publishes the translations it
+// landed as the pipeline does: one version each, patched into the warm
+// views and sent to subscribers, as a follower replaying their WAL
+// records publishes them. A script that defines anything publishes one
+// version with an empty memo, and transactions opened before it
+// conservatively conflict. Even a failed script may have executed a
+// statement prefix, which is published the same way.
 func (e *Engine) ExecScript(script string) (string, error) {
 	e.sendMu.RLock()
 	draining := e.draining
@@ -543,14 +554,24 @@ func (e *Engine) ExecScript(script string) (string, error) {
 	if draining {
 		return "", ErrDraining
 	}
+	stmts, err := sqlish.ParseScript(script)
+	if err != nil {
+		return "", err
+	}
 	e.sessMu.Lock()
 	defer e.sessMu.Unlock()
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
+	var landed []*update.Translation
+	e.scriptLanded = &landed
 	out, err := e.sess.ExecScript(script)
-	// Even a failed script may have executed a statement prefix;
-	// republish unconditionally.
-	e.publish(nil)
+	e.scriptLanded = nil
+	switch {
+	case slices.ContainsFunc(stmts, sqlish.Defines):
+		e.publish(nil)
+	case len(landed) > 0:
+		e.publish(landed)
+	}
 	return out, err
 }
 

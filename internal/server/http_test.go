@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -362,6 +364,44 @@ func TestHTTPExecRefusesHugeRange(t *testing.T) {
 	var out execReply
 	if code := doJSON(t, "POST", srv.URL+"/execz",
 		map[string]string{"script": "INSERT INTO EMP VALUES (4, 'NY');"}, &out); code != http.StatusOK || !out.OK {
+		t.Fatalf("execz after the refused scripts = %d %+v", code, out)
+	}
+}
+
+// TestHTTPExecRefusesFiles: /execz runs no SAVE and no LOAD — the one
+// would write the session journal to any path the server can write,
+// the other read any file it can read and echo its first word in the
+// error — and the engine's session keeps no journal for them.
+func TestHTTPExecRefusesFiles(t *testing.T) {
+	e, srv := newTestServer(t, nil)
+	dir := t.TempDir()
+	secret := filepath.Join(dir, "secret")
+	if err := os.WriteFile(secret, []byte("top secret\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(dir, "saved.sql")
+	for _, script := range []string{
+		"SAVE TO '" + saved + "';",
+		"LOAD FROM '" + secret + "';",
+		"INSERT INTO EMP VALUES (5, 'NY'); SAVE TO '" + saved + "';",
+	} {
+		var er errorReply
+		if code := doJSON(t, "POST", srv.URL+"/execz", map[string]string{"script": script}, &er); code != http.StatusBadRequest {
+			t.Fatalf("%s = %d %+v, want 400", script, code, er)
+		}
+		if strings.Contains(er.Error, "top") {
+			t.Errorf("%s: the error %q shows the file's contents", script, er.Error)
+		}
+	}
+	if _, err := os.Stat(saved); !os.IsNotExist(err) {
+		t.Errorf("SAVE over /execz wrote %s (stat: %v)", saved, err)
+	}
+	if n := len(e.sess.Journal()); n != 0 {
+		t.Errorf("the engine's session journaled %d statements, want none", n)
+	}
+	var out execReply
+	if code := doJSON(t, "POST", srv.URL+"/execz",
+		map[string]string{"script": "INSERT INTO EMP VALUES (6, 'NY');"}, &out); code != http.StatusOK || !out.OK {
 		t.Fatalf("execz after the refused scripts = %d %+v", code, out)
 	}
 }

@@ -255,19 +255,19 @@ func TestViewCachePatchedAcrossCommits(t *testing.T) {
 	}
 }
 
-// TestViewCacheDDLForcesRebuild pins the patch-vs-rebuild decision: DDL
-// goes through ExecScript, which bumps the version without patching, so
-// the next read rematerializes.
+// TestViewCacheDDLForcesRebuild pins the patch-vs-rebuild decision: a
+// script that defines anything bumps the version without patching, so
+// the next read rematerializes — even the rows its own DML moved.
 func TestViewCacheDDLForcesRebuild(t *testing.T) {
 	sink := metricsSink(t)
 	e := newIVMEngine(t, nil)
 	checkViewsFresh(t, e, "warmup")
 	before := sink.Metrics().Snapshot()
 
-	if _, err := e.ExecScript("INSERT INTO AB VALUES ('a5', 50);"); err != nil {
+	if _, err := e.ExecScript("CREATE VIEW A5 AS SELECT * FROM AB WHERE A = 'a5'; INSERT INTO AB VALUES ('a5', 50);"); err != nil {
 		t.Fatal(err)
 	}
-	checkViewsFresh(t, e, "after DDL-path script")
+	checkViewsFresh(t, e, "after a script with DDL")
 
 	after := sink.Metrics().Snapshot()
 	if after.Counters["server.ivm.rebuild"] <= before.Counters["server.ivm.rebuild"] {

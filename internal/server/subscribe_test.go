@@ -246,3 +246,68 @@ CREATE VIEW Brief AS SELECT No, Loc FROM STAFF;
 		t.Fatalf("first event after a hidden-only change = %+v, want the Loc change", ev)
 	}
 }
+
+// TestScriptDMLReachesSubscribers: a /execz script that only writes
+// rows publishes the statements' translations as a commit batch is
+// published — one version per statement, the rows pushed to /subscribe,
+// warm views patched rather than rebuilt — so its versions move as a
+// follower's do, which replays the statements' WAL records one publish
+// each.
+func TestScriptDMLReachesSubscribers(t *testing.T) {
+	sink := metricsSink(t)
+	p, srv := newTestServer(t, nil)
+	if err := insertKey(p, 1); err != nil {
+		t.Fatal(err)
+	}
+	f := newFollowerEngine(t, t.TempDir(), srv.URL, nil)
+	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return followerRows(t, f) == 1 })
+	// The deadline turns an event that never comes into a read error.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/subscribe/NY", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	readSSE(t, br, 1) // hello
+	// Warm NY: the script's rows must be patched into its memo.
+	if _, _, err := p.ReadView("NY"); err != nil {
+		t.Fatal(err)
+	}
+	_, pv := p.Snapshot()
+	_, fv := f.Snapshot()
+	rebuilds := sink.Metrics().Snapshot().Counters["server.ivm.rebuild"]
+
+	script := "INSERT INTO EMP VALUES (2, 'NY'); INSERT INTO EMP VALUES (3, 'SF'); DELETE FROM EMP WHERE EmpNo = 1;"
+	var out execReply
+	if code := doJSON(t, "POST", srv.URL+"/execz", map[string]string{"script": script}, &out); code != http.StatusOK || !out.OK {
+		t.Fatalf("execz = %d %+v", code, out)
+	}
+	// Like a commit batch, the script's statements reach subscribers as
+	// one event at the last of their versions; the SF row misses NY's
+	// selection but takes a version all the same.
+	ev := readSSE(t, br, 1)[0]
+	for _, want := range []string{`"version":` + strconv.FormatUint(pv+3, 10), `"removed":[["1","NY"]]`, `"added":[["2","NY"]]`} {
+		if !strings.Contains(ev.data, want) {
+			t.Errorf("change event = %s, want %s", ev.data, want)
+		}
+	}
+	if _, v := p.Snapshot(); v != pv+3 {
+		t.Errorf("a three-statement script moved the primary from version %d to %d, want %d", pv, v, pv+3)
+	}
+	waitUntil(t, 5*time.Second, "the follower replaying the script", func() bool {
+		_, v := f.Snapshot()
+		return v == fv+3
+	})
+	if got := sink.Metrics().Snapshot().Counters["server.ivm.rebuild"]; got != rebuilds {
+		t.Errorf("server.ivm.rebuild grew from %d to %d: the script threw warm rows away", rebuilds, got)
+	}
+	if set, _, err := p.ReadView("NY"); err != nil || set.Len() != 1 {
+		t.Errorf("NY after the script: %v rows, %v; want 1", set.Len(), err)
+	}
+}

@@ -371,13 +371,14 @@ func pruneOrphans(db *storage.Database, deps []schema.InclusionDependency) (int,
 		changed = false
 		for _, d := range deps {
 			parentExt := db.Extension(d.Parent)
-			for _, t := range db.Tuples(d.Child) {
+			var err error
+			db.Each(d.Child, func(t tuple.T) bool {
 				if _, gone := orphans[t.Encode()]; gone {
-					continue
+					return true
 				}
-				probe, err := probeFor(d, t)
-				if err != nil {
-					return 0, err
+				var probe string
+				if probe, err = probeFor(d, t); err != nil {
+					return false
 				}
 				alive := parentExt != nil && parentExt.ContainsKeyEncoding(probe) && !deadParents[probe]
 				if !alive {
@@ -385,6 +386,10 @@ func pruneOrphans(db *storage.Database, deps []schema.InclusionDependency) (int,
 					deadParents[t.Key()] = true
 					changed = true
 				}
+				return true
+			})
+			if err != nil {
+				return 0, err
 			}
 		}
 	}

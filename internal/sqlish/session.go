@@ -33,6 +33,7 @@ type Session struct {
 	journal   []string                          // replayable statement texts
 	explain   bool                              // render explain traces for view updates
 	tx        *txState                          // open transaction, when any
+	noFiles   bool                              // refuse SAVE and LOAD, keep no journal
 
 	// Durability hooks (see hooks.go). applier replaces the
 	// non-transactional apply path; schemaChanged fires after DDL grows
@@ -46,6 +47,10 @@ type Session struct {
 // already defined. Match with errors.Is; ExecScriptSkipExisting skips
 // statements failing with it.
 var ErrExists = errors.New("already exists")
+
+// errNoFiles refuses SAVE and LOAD in a session that RefuseFiles
+// readied for a network front door.
+var errNoFiles = errors.New("sqlish: SAVE and LOAD are refused here: they would write and read files on the server")
 
 // NewSession returns an empty session.
 func NewSession() *Session {
@@ -87,6 +92,11 @@ func (s *Session) ViewNames() []string {
 // default chain when the view has no configuration). Used by the
 // network serving layer, which translates outside the session.
 func (s *Session) Policy(name string) core.Policy { return s.policyFor(name) }
+
+// RefuseFiles readies the session for a network front door: SAVE and
+// LOAD are refused, because they would write and read files on the
+// serving host, and no journal is kept, SAVE being its only reader.
+func (s *Session) RefuseFiles() { s.noFiles = true }
 
 // SetExplain toggles explain mode: every view update is translated via
 // the traced pipeline and the rendered explain trace precedes the usual
@@ -175,7 +185,7 @@ func (s *Session) journalStmt(stmt Stmt, text string) {
 	case Select, Show, ShowCandidates, ShowEffects, Save, Load, Begin, Commit, Rollback:
 		return
 	}
-	if text == "" {
+	if text == "" || s.noFiles {
 		return
 	}
 	if s.tx != nil {
@@ -244,8 +254,22 @@ func (s *Session) Exec(stmt Stmt) (string, error) {
 	}
 }
 
+// Defines reports whether stmt defines something — a domain, a table,
+// a view, an index, a policy, a default — or may (LOAD runs a file),
+// rather than reading rows or writing them.
+func Defines(stmt Stmt) bool {
+	switch stmt.(type) {
+	case CreateDomain, CreateTable, CreateView, CreateJoinView, CreateIndex, SetPolicy, SetDefault, Load:
+		return true
+	}
+	return false
+}
+
 // execSave writes the journal as a replayable script.
 func (s *Session) execSave(st Save) (string, error) {
+	if s.noFiles {
+		return "", errNoFiles
+	}
 	var b strings.Builder
 	b.WriteString("-- vupdate session journal; replay with LOAD FROM or vupdate -f\n")
 	for _, line := range s.journal {
@@ -260,6 +284,9 @@ func (s *Session) execSave(st Save) (string, error) {
 
 // execLoad executes the statements in the file against this session.
 func (s *Session) execLoad(st Load) (string, error) {
+	if s.noFiles {
+		return "", errNoFiles
+	}
 	data, err := os.ReadFile(st.Path)
 	if err != nil {
 		return "", fmt.Errorf("sqlish: %w", err)
@@ -524,7 +551,7 @@ func (s *Session) uniqueBaseRow(rel *schema.Relation, where []EqTerm) (tuple.T, 
 	if len(where) == 0 {
 		return tuple.T{}, fmt.Errorf("sqlish: WHERE clause required")
 	}
-	matches, err := view.Filter(rel, s.cur().Tuples(rel.Name()), where)
+	matches, err := view.SelectBase(rel, s.cur(), where)
 	if err != nil {
 		return tuple.T{}, err
 	}
@@ -598,7 +625,7 @@ func (s *Session) execSelect(st Select) (string, error) {
 		rows, err = view.Select(v, s.cur(), st.Where)
 	} else if rel := s.sch.Relation(st.Target); rel != nil {
 		header = rel.AttributeNames()
-		rows, err = view.Filter(rel, s.cur().Tuples(st.Target), st.Where)
+		rows, err = view.SelectBase(rel, s.cur(), st.Where)
 	} else {
 		return "", fmt.Errorf("sqlish: unknown table or view %s", st.Target)
 	}

@@ -173,6 +173,28 @@ func (db *Database) Tuples(name string) []tuple.T {
 	return e.Tuples()
 }
 
+// Each implements Source. The tuples are gathered under the read lock
+// and visited after it is released, because fn may look keys up in db
+// (a join view resolves references inside its scan) and a read lock
+// taken again behind a waiting writer would deadlock.
+func (db *Database) Each(name string, fn func(tuple.T) bool) {
+	db.mu.RLock()
+	var ts []tuple.T
+	if e := db.exts[name]; e != nil {
+		ts = make([]tuple.T, 0, e.Len())
+		e.Each(func(t tuple.T) bool {
+			ts = append(ts, t)
+			return true
+		})
+	}
+	db.mu.RUnlock()
+	for _, t := range ts {
+		if !fn(t) {
+			return
+		}
+	}
+}
+
 // Len returns the number of tuples in the named relation.
 func (db *Database) Len(name string) int {
 	db.mu.RLock()

@@ -287,6 +287,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				db.Tuples("P")
+				// Each's callback may read db again while writers queue.
+				db.Each("P", func(tu tuple.T) bool {
+					_, ok := db.LookupKey(tu)
+					return ok
+				})
 				db.Contains(pt(t, p, 1, "u"))
 				db.TotalTuples()
 			}

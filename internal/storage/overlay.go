@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"viewupdate/internal/obs"
@@ -22,10 +23,11 @@ import (
 // Apply enforces exactly the constraints Database.Apply enforces (key
 // dependencies, exact-tuple deletes, inclusion dependencies checked as
 // deltas against the final state) and is atomic: on error the overlay
-// is unchanged. Unlike Database.Apply it mutates no extension and
-// performs no rollback, so it cannot poison anything; fault-injection
-// sites of the apply path are deliberately not wired in, because an
-// overlay apply is a pure validation + bookkeeping step.
+// is unchanged. Unlike Database.Apply it mutates no extension — undoing
+// a failed apply restores only the overlay's own maps — so it cannot
+// poison anything; fault-injection sites of the apply path are
+// deliberately not wired in, because an overlay apply is a pure
+// validation + bookkeeping step.
 //
 // An Overlay is safe for concurrent readers, but Apply must not run
 // concurrently with other method calls on the same Overlay. The base
@@ -36,39 +38,32 @@ type Overlay struct {
 	ints sourceInternals
 	// deltas holds the per-relation delta, keyed by relation name.
 	deltas map[string]*overlayDelta
-	// refDelta adjusts the base's reverse reference index, keyed by
-	// inclusion-dependency index then parent-key encoding: per parent
-	// key, the base referencers the overlay erased and the new ones it
-	// recorded. Set sizes adjust the reference counts the inclusion
-	// delta checks consume; the tuples themselves feed Referencers.
-	refDelta map[int]map[string]*refEdgeDelta
+	// refDelta adjusts the base's reverse reference index: per
+	// inclusion dependency and parent key, the base referencers the
+	// overlay erased and the new ones it recorded. Set sizes adjust the
+	// reference counts the inclusion delta checks consume; the tuples
+	// themselves feed Referencers.
+	refDelta map[refKey]*refEdgeDelta
+}
+
+// A refKey names one parent key's referencer set: the index of the
+// inclusion dependency and the parent key's encoding.
+type refKey struct {
+	dep    int
+	parent string
 }
 
 // refEdgeDelta is one parent key's referencer-set delta. Both maps are
-// keyed by the child tuple's Key(). Invariant: removed entries shadow
-// base referencers (matched by child key), added entries are referencers
-// the overlay introduced.
+// keyed by the child tuple's Key() and stay nil until written.
+// Invariant: removed entries shadow base referencers (matched by child
+// key), added entries are referencers the overlay introduced.
 type refEdgeDelta struct {
 	removed map[string]tuple.T
 	added   map[string]tuple.T
 }
 
-func newRefEdgeDelta() *refEdgeDelta {
-	return &refEdgeDelta{removed: map[string]tuple.T{}, added: map[string]tuple.T{}}
-}
-
 func (d *refEdgeDelta) clone() *refEdgeDelta {
-	out := &refEdgeDelta{
-		removed: make(map[string]tuple.T, len(d.removed)),
-		added:   make(map[string]tuple.T, len(d.added)),
-	}
-	for k, t := range d.removed {
-		out.removed[k] = t
-	}
-	for k, t := range d.added {
-		out.added[k] = t
-	}
-	return out
+	return &refEdgeDelta{removed: maps.Clone(d.removed), added: maps.Clone(d.added)}
 }
 
 func (d *refEdgeDelta) empty() bool { return len(d.removed) == 0 && len(d.added) == 0 }
@@ -82,30 +77,17 @@ func (d *refEdgeDelta) count() int {
 }
 
 // overlayDelta is one relation's delta. Both maps are keyed by
-// tuple.Key(). Invariants: every removed entry is an exact tuple
-// present in the base; every added entry's key is not effectively
-// present beneath it (hidden by removed, or absent from the base).
+// tuple.Key() and stay nil until written. Invariants: every removed
+// entry is an exact tuple present in the base; every added entry's key
+// is not effectively present beneath it (hidden by removed, or absent
+// from the base).
 type overlayDelta struct {
 	removed map[string]tuple.T
 	added   map[string]tuple.T
 }
 
-func newOverlayDelta() *overlayDelta {
-	return &overlayDelta{removed: map[string]tuple.T{}, added: map[string]tuple.T{}}
-}
-
 func (d *overlayDelta) clone() *overlayDelta {
-	out := &overlayDelta{
-		removed: make(map[string]tuple.T, len(d.removed)),
-		added:   make(map[string]tuple.T, len(d.added)),
-	}
-	for k, t := range d.removed {
-		out.removed[k] = t
-	}
-	for k, t := range d.added {
-		out.added[k] = t
-	}
-	return out
+	return &overlayDelta{removed: maps.Clone(d.removed), added: maps.Clone(d.added)}
 }
 
 func (d *overlayDelta) empty() bool { return len(d.removed) == 0 && len(d.added) == 0 }
@@ -126,13 +108,9 @@ func (o *Overlay) Snapshot() *Overlay {
 		out.deltas[rel] = d.clone()
 	}
 	if len(o.refDelta) > 0 {
-		out.refDelta = make(map[int]map[string]*refEdgeDelta, len(o.refDelta))
-		for i, m := range o.refDelta {
-			cp := make(map[string]*refEdgeDelta, len(m))
-			for k, d := range m {
-				cp[k] = d.clone()
-			}
-			out.refDelta[i] = cp
+		out.refDelta = make(map[refKey]*refEdgeDelta, len(o.refDelta))
+		for k, d := range o.refDelta {
+			out.refDelta[k] = d.clone()
 		}
 	}
 	return out
@@ -194,6 +172,35 @@ func (o *Overlay) Tuples(name string) []tuple.T {
 		out = append(out, d.added[addedKeys[ai]])
 	}
 	return out
+}
+
+// Each implements Source: the base tuples the overlay has not removed,
+// then the added ones.
+func (o *Overlay) Each(name string, fn func(tuple.T) bool) {
+	d := o.deltas[name]
+	if d == nil || d.empty() {
+		o.base.Each(name, fn)
+		return
+	}
+	stopped := false
+	o.base.Each(name, func(t tuple.T) bool {
+		if _, gone := d.removed[t.Key()]; gone {
+			return true
+		}
+		if !fn(t) {
+			stopped = true
+			return false
+		}
+		return true
+	})
+	if stopped {
+		return
+	}
+	for _, t := range d.added {
+		if !fn(t) {
+			return
+		}
+	}
 }
 
 // Len implements Source.
@@ -275,11 +282,11 @@ func (o *Overlay) internal() sourceInternals { return overlayInternals{o} }
 type overlayInternals struct{ o *Overlay }
 
 func (i overlayInternals) refCount(dep int, keyEnc string) int {
-	return i.o.ints.refCount(dep, keyEnc) + i.o.refDelta[dep][keyEnc].count()
+	return i.o.ints.refCount(dep, keyEnc) + i.o.refDelta[refKey{dep, keyEnc}].count()
 }
 
 func (i overlayInternals) eachReferencer(dep int, keyEnc string, fn func(tuple.T) bool) {
-	d := i.o.refDelta[dep][keyEnc]
+	d := i.o.refDelta[refKey{dep, keyEnc}]
 	if d == nil {
 		i.o.ints.eachReferencer(dep, keyEnc, fn)
 		return
@@ -328,133 +335,144 @@ func (i overlayInternals) hasRelation(name string) bool { return i.o.ints.hasRel
 
 func (i overlayInternals) inclusions() []schema.InclusionDependency { return i.o.ints.inclusions() }
 
-// applyScratch stages one Apply: deltas and reference adjustments are
-// cloned lazily for the relations and dependencies the translation
-// touches, so a failed apply leaves the overlay untouched.
-type applyScratch struct {
-	o      *Overlay
-	deltas map[string]*overlayDelta
-	refs   map[int]map[string]*refEdgeDelta
+// An undoEntry is one write an Apply made in place: a tuple slot of a
+// delta map (slot non-nil; old and had restore it), or else the
+// reference edge the apply created or emptied, dropped at the end if it
+// is empty then.
+type undoEntry struct {
+	slot map[string]tuple.T
+	key  string
+	old  tuple.T
+	had  bool
+	edge refKey
 }
 
-// delta returns the writable scratch delta for rel.
-func (s *applyScratch) delta(rel string) *overlayDelta {
-	if d, ok := s.deltas[rel]; ok {
-		return d
+// An overlayApply is one Apply in progress. It writes the overlay's
+// own deltas and logs what it overwrites, so a statement costs its own
+// size however much is staged beneath it, and a violation replays the
+// log backwards to leave the overlay as it was.
+type overlayApply struct {
+	o *Overlay
+	// fresh is set when the overlay held nothing as the apply began
+	// (the verifier's overlay per candidate): undoing is then emptying
+	// it, every edge is the apply's own, and nothing needs logging.
+	fresh bool
+	log   []undoEntry
+}
+
+// delta returns the overlay's delta for rel, creating it if need be.
+func (a *overlayApply) delta(rel string) *overlayDelta {
+	d := a.o.deltas[rel]
+	if d == nil {
+		d = &overlayDelta{}
+		a.o.deltas[rel] = d
 	}
-	var d *overlayDelta
-	if cur := s.o.deltas[rel]; cur != nil {
-		d = cur.clone()
-	} else {
-		d = newOverlayDelta()
-	}
-	s.deltas[rel] = d
 	return d
 }
 
-// peek returns the current delta for rel — scratch if touched, the
-// overlay's otherwise — without cloning. May be nil.
-func (s *applyScratch) peek(rel string) *overlayDelta {
-	if d, ok := s.deltas[rel]; ok {
-		return d
+// set writes (*m)[k] = t, making the map if it is still nil and
+// logging the slot's previous state.
+func (a *overlayApply) set(m *map[string]tuple.T, k string, t tuple.T) {
+	if *m == nil {
+		*m = make(map[string]tuple.T)
 	}
-	return s.o.deltas[rel]
+	a.logSlot(*m, k)
+	(*m)[k] = t
 }
 
-// refs(i) returns the writable scratch reference adjustment for dep i.
-func (s *applyScratch) refMap(dep int) map[string]*refEdgeDelta {
-	if m, ok := s.refs[dep]; ok {
-		return m
-	}
-	cur := s.o.refDelta[dep]
-	m := make(map[string]*refEdgeDelta, len(cur)+1)
-	for k, d := range cur {
-		m[k] = d.clone()
-	}
-	s.refs[dep] = m
-	return m
+// del deletes m[k], logging the slot's previous state.
+func (a *overlayApply) del(m map[string]tuple.T, k string) {
+	a.logSlot(m, k)
+	delete(m, k)
 }
 
-// refCount is the staged reference count for dep/keyEnc.
-func (s *applyScratch) refCount(dep int, keyEnc string) int {
-	base := s.o.ints.refCount(dep, keyEnc)
-	if m, ok := s.refs[dep]; ok {
-		return base + m[keyEnc].count()
+func (a *overlayApply) logSlot(m map[string]tuple.T, k string) {
+	if a.fresh {
+		return
 	}
-	return base + s.o.refDelta[dep][keyEnc].count()
+	old, had := m[k]
+	a.log = append(a.log, undoEntry{slot: m, key: k, old: old, had: had})
 }
 
-// adjustRefs mirrors Database.refAdjust on the scratch state: +1
-// records t as a referencer of the parent key it carries, -1 erases it
-// (cancelling a staged addition of the identical tuple, or shadowing a
-// base referencer otherwise).
-func (s *applyScratch) adjustRefs(t tuple.T, delta int) {
+// logEdge notes the reference edge k, just created or emptied, for
+// finish to drop if it is empty then. A fresh apply logs nothing:
+// finish walks every edge, all of them its own.
+func (a *overlayApply) logEdge(k refKey) {
+	if !a.fresh {
+		a.log = append(a.log, undoEntry{edge: k})
+	}
+}
+
+// adjustRefs mirrors Database.refAdjust on the overlay: +1 records t as
+// a referencer of the parent key it carries, -1 erases it (cancelling a
+// staged addition of the identical tuple, or shadowing a base
+// referencer otherwise).
+func (a *overlayApply) adjustRefs(t tuple.T, delta int) {
 	rel := t.Relation().Name()
-	for i, d := range s.o.ints.inclusions() {
+	for i, d := range a.o.ints.inclusions() {
 		if d.Child != rel {
 			continue
 		}
-		k := childRefKey(d, t)
-		m := s.refMap(i)
-		ed := m[k]
+		if a.o.refDelta == nil {
+			a.o.refDelta = make(map[refKey]*refEdgeDelta)
+		}
+		k := refKey{i, childRefKey(d, t)}
+		ed := a.o.refDelta[k]
 		if ed == nil {
-			ed = newRefEdgeDelta()
-			m[k] = ed
+			ed = &refEdgeDelta{}
+			a.o.refDelta[k] = ed
+			a.logEdge(k)
 		}
 		ck := t.Key()
 		if delta > 0 {
 			if cur, ok := ed.removed[ck]; ok && cur.Equal(t) {
-				delete(ed.removed, ck)
+				a.del(ed.removed, ck)
 			} else {
-				ed.added[ck] = t
+				a.set(&ed.added, ck, t)
 			}
 		} else {
 			if cur, ok := ed.added[ck]; ok && cur.Equal(t) {
-				delete(ed.added, ck)
+				a.del(ed.added, ck)
 			} else {
-				ed.removed[ck] = t
+				a.set(&ed.removed, ck, t)
 			}
 		}
 		if ed.empty() {
-			delete(m, k)
+			a.logEdge(k)
 		}
 	}
 }
 
-// parentKeyExists mirrors Database.parentKeyExists on the staged state.
-func (s *applyScratch) parentKeyExists(parent, keyEnc string) bool {
-	enc := keyEncProbe(parent, keyEnc)
-	if d := s.peek(parent); d != nil {
-		if _, ok := d.added[enc]; ok {
-			return true
-		}
-		if _, gone := d.removed[enc]; gone {
-			return false
+// finish ends the apply: a failed one first puts every logged slot
+// back, newest first. Either way the deltas and edges left empty are
+// dropped, so untouched-relation fast paths stay fast.
+func (a *overlayApply) finish(failed bool) {
+	o := a.o
+	if failed && a.fresh {
+		clear(o.deltas)
+		o.refDelta = nil
+		return
+	}
+	if failed {
+		for i := len(a.log) - 1; i >= 0; i-- {
+			switch u := a.log[i]; {
+			case u.slot == nil:
+			case u.had:
+				u.slot[u.key] = u.old
+			default:
+				delete(u.slot, u.key)
+			}
 		}
 	}
-	return s.o.ints.containsKeyEncoding(parent, enc)
-}
-
-// commit folds the scratch into the overlay. Empty deltas are dropped
-// so untouched-relation fast paths stay fast.
-func (s *applyScratch) commit() {
-	for rel, d := range s.deltas {
-		if d.empty() {
-			delete(s.o.deltas, rel)
-		} else {
-			s.o.deltas[rel] = d
+	if a.fresh {
+		maps.DeleteFunc(o.refDelta, func(_ refKey, ed *refEdgeDelta) bool { return ed.empty() })
+	}
+	for _, u := range a.log {
+		if ed := o.refDelta[u.edge]; u.slot == nil && ed != nil && ed.empty() {
+			delete(o.refDelta, u.edge)
 		}
 	}
-	for i, m := range s.refs {
-		if s.o.refDelta == nil {
-			s.o.refDelta = make(map[int]map[string]*refEdgeDelta)
-		}
-		if len(m) == 0 {
-			delete(s.o.refDelta, i)
-		} else {
-			s.o.refDelta[i] = m
-		}
-	}
+	maps.DeleteFunc(o.deltas, func(_ string, d *overlayDelta) bool { return d.empty() })
 }
 
 // Apply records the translation in the overlay, enforcing exactly the
@@ -477,34 +495,42 @@ func (o *Overlay) Apply(tr *update.Translation) error {
 		}
 	}
 
-	removed := tr.Removed().Slice()
-	added := tr.Added().Slice()
-	s := &applyScratch{o: o, deltas: map[string]*overlayDelta{}, refs: map[int]map[string]*refEdgeDelta{}}
+	a := &overlayApply{o: o, fresh: len(o.deltas) == 0 && len(o.refDelta) == 0}
+	err := a.apply(tr.Removed().Slice(), tr.Added().Slice())
+	a.finish(err != nil)
+	if err != nil {
+		return err
+	}
+	obs.Inc("storage.overlay.apply")
+	return nil
+}
 
+func (a *overlayApply) apply(removed, added []tuple.T) error {
+	o := a.o
 	// Phase 1: remove the removed set.
 	for _, t := range removed {
 		rel := t.Relation().Name()
-		d := s.delta(rel)
+		d := a.delta(rel)
 		k := t.Key()
 		if cur, ok := d.added[k]; ok {
 			if !cur.Equal(t) {
 				return fmt.Errorf("storage: %w: %s in %s", relation.ErrNotPresent, t, rel)
 			}
-			delete(d.added, k)
+			a.del(d.added, k)
 		} else if _, gone := d.removed[k]; gone {
 			return fmt.Errorf("storage: %w: %s in %s", relation.ErrNotPresent, t, rel)
 		} else if !o.base.Contains(t) {
 			return fmt.Errorf("storage: %w: %s in %s", relation.ErrNotPresent, t, rel)
 		} else {
-			d.removed[k] = t
+			a.set(&d.removed, k, t)
 		}
-		s.adjustRefs(t, -1)
+		a.adjustRefs(t, -1)
 	}
 
 	// Phase 2: add the added set.
 	for _, t := range added {
 		rel := t.Relation().Name()
-		d := s.delta(rel)
+		d := a.delta(rel)
 		k := t.Key()
 		if cur, ok := d.added[k]; ok {
 			return fmt.Errorf("storage: %w in %s: %s vs existing %s", relation.ErrKeyConflict, rel, t, cur)
@@ -514,11 +540,15 @@ func (o *Overlay) Apply(tr *update.Translation) error {
 				return fmt.Errorf("storage: %w in %s: %s vs existing %s", relation.ErrKeyConflict, rel, t, cur)
 			}
 		}
-		d.added[k] = t
-		s.adjustRefs(t, +1)
+		a.set(&d.added, k, t)
+		a.adjustRefs(t, +1)
 	}
 
 	// Phase 3: inclusion dependencies on the final state, as deltas.
+	staged := overlayInternals{o}
+	parentKeyExists := func(parent, keyEnc string) bool {
+		return staged.containsKeyEncoding(parent, keyEncProbe(parent, keyEnc))
+	}
 	deps := o.ints.inclusions()
 	for _, t := range added {
 		rel := t.Relation().Name()
@@ -526,7 +556,7 @@ func (o *Overlay) Apply(tr *update.Translation) error {
 			if d.Child != rel {
 				continue
 			}
-			if !s.parentKeyExists(d.Parent, childRefKey(d, t)) {
+			if !parentKeyExists(d.Parent, childRefKey(d, t)) {
 				return fmt.Errorf("%w %s violated: %s references missing %s key", ErrInclusion, d, t, d.Parent)
 			}
 		}
@@ -538,17 +568,14 @@ func (o *Overlay) Apply(tr *update.Translation) error {
 				continue
 			}
 			k := parentKeyEnc(t)
-			if s.parentKeyExists(d.Parent, k) {
+			if parentKeyExists(d.Parent, k) {
 				continue // key survived (replacement kept it)
 			}
-			if n := s.refCount(i, k); n > 0 {
+			if n := staged.refCount(i, k); n > 0 {
 				return fmt.Errorf("%w %s violated: removing %s leaves %d dangling references", ErrInclusion, d, t, n)
 			}
 		}
 	}
-
-	s.commit()
-	obs.Inc("storage.overlay.apply")
 	return nil
 }
 

@@ -22,8 +22,13 @@ type Source interface {
 	// Schema returns the database schema.
 	Schema() *schema.Database
 	// Tuples returns the named relation's tuples in deterministic
-	// (key-encoding) order.
+	// (key-encoding) order, sorted on every call: for output that is
+	// printed or persisted. A scan that only collects rows uses Each.
 	Tuples(name string) []tuple.T
+	// Each calls fn for every tuple of the named relation in
+	// unspecified order; fn returning false stops the scan. No lock is
+	// held while fn runs, so fn may call back into the source.
+	Each(name string, fn func(tuple.T) bool)
 	// Len returns the number of tuples in the named relation.
 	Len(name string) int
 	// Contains reports whether the exact tuple is present.

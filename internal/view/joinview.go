@@ -235,11 +235,12 @@ func (j *Join) NodeOfAttr(attr string) int {
 func (j *Join) Materialize(db storage.Source) *tuple.Set {
 	out := tuple.NewSet()
 	sc := j.newRowScratch()
-	for _, rt := range db.Tuples(j.root.SP.Base().Name()) {
+	db.Each(j.rootRel, func(rt tuple.T) bool {
 		if row, ok := j.rowForRoot(db, rt, sc); ok {
 			out.Add(row)
 		}
-	}
+		return true
+	})
 	return out
 }
 

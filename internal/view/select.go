@@ -2,6 +2,7 @@ package view
 
 import (
 	"fmt"
+	"sort"
 
 	"viewupdate/internal/schema"
 	"viewupdate/internal/storage"
@@ -37,15 +38,7 @@ func Select(v View, src storage.Source, eq []Eq) ([]tuple.T, error) {
 	if err := CheckEq(rel, eq); err != nil {
 		return nil, err
 	}
-	probe, keyed := keyProbe(rel, func(attr string) (value.Value, bool) {
-		for _, c := range eq {
-			if c.Attr == attr {
-				return c.Val, true
-			}
-		}
-		return value.Value{}, false
-	})
-	if keyed {
+	if probe, keyed := keyProbe(rel, bound(eq)); keyed {
 		if row, ok := v.Lookup(src, probe); ok {
 			return filter([]tuple.T{row}, eq), nil
 		}
@@ -60,14 +53,41 @@ func Select(v View, src storage.Source, eq []Eq) ([]tuple.T, error) {
 	return filter(rows.Slice(), eq), nil
 }
 
-// Filter is Select's matcher over tuples the caller already holds (a
-// base relation's, all of schema rel): the same checks on eq, then the
-// tuples of ts satisfying it, in order.
-func Filter(rel *schema.Relation, ts []tuple.T, eq []Eq) ([]tuple.T, error) {
+// SelectBase is Select over the base relation rel of src: the same
+// checks on eq, a key lookup when eq binds every key attribute, and
+// otherwise an unordered scan of the relation. Only the matches are
+// put in key order, for the caller to print.
+func SelectBase(rel *schema.Relation, src storage.Source, eq []Eq) ([]tuple.T, error) {
 	if err := CheckEq(rel, eq); err != nil {
 		return nil, err
 	}
-	return filter(ts, eq), nil
+	if probe, keyed := keyProbe(rel, bound(eq)); keyed {
+		if t, ok := src.LookupKey(probe); ok {
+			return filter([]tuple.T{t}, eq), nil
+		}
+		return nil, nil
+	}
+	var out []tuple.T
+	src.Each(rel.Name(), func(t tuple.T) bool {
+		if matches(t, eq) {
+			out = append(out, t)
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	return out, nil
+}
+
+// bound reports the value eq binds attr to, for keyProbe.
+func bound(eq []Eq) func(attr string) (value.Value, bool) {
+	return func(attr string) (value.Value, bool) {
+		for _, c := range eq {
+			if c.Attr == attr {
+				return c.Val, true
+			}
+		}
+		return value.Value{}, false
+	}
 }
 
 // CheckEq refuses a list of "attribute = value" terms that could never
@@ -98,14 +118,20 @@ func filter(ts []tuple.T, eq []Eq) []tuple.T {
 		return ts
 	}
 	var out []tuple.T
-next:
 	for _, t := range ts {
-		for _, c := range eq {
-			if got, _ := t.Get(c.Attr); got != c.Val {
-				continue next
-			}
+		if matches(t, eq) {
+			out = append(out, t)
 		}
-		out = append(out, t)
 	}
 	return out
+}
+
+// matches reports whether t satisfies every equality of eq.
+func matches(t tuple.T, eq []Eq) bool {
+	for _, c := range eq {
+		if got, _ := t.Get(c.Attr); got != c.Val {
+			return false
+		}
+	}
+	return true
 }

@@ -182,7 +182,7 @@ func TestSelectJoinParentHidden(t *testing.T) {
 
 // TestSelectRefusesMeaninglessEqualities: a conjunction nobody could
 // mean is an error naming the attribute, never an empty result — keyed
-// or not, and the same for Filter over base tuples.
+// or not, and the same for SelectBase over the base relation.
 func TestSelectRefusesMeaninglessEqualities(t *testing.T) {
 	w := workload.MustNewSP(workload.SPConfig{Keys: 8, Attrs: 2, DomainSize: 2, Tuples: 4, Seed: 1})
 	k := func(i int64) view.Eq { return view.Eq{Attr: "K", Val: value.NewInt(i)} }
@@ -200,8 +200,80 @@ func TestSelectRefusesMeaninglessEqualities(t *testing.T) {
 		if rows, err := view.Select(w.View, w.DB, tc.eq); err == nil {
 			t.Errorf("Select, %s: %d rows and no error", tc.name, len(rows))
 		}
-		if rows, err := view.Filter(w.Rel, w.DB.Tuples(w.Rel.Name()), tc.eq); err == nil {
-			t.Errorf("Filter, %s: %d tuples and no error", tc.name, len(rows))
+		if rows, err := view.SelectBase(w.Rel, w.DB, tc.eq); err == nil {
+			t.Errorf("SelectBase, %s: %d tuples and no error", tc.name, len(rows))
 		}
 	}
+}
+
+// runMaterializeChurn stages up to three of next's translations on an
+// overlay over db and applies the same ones to a clone of db, then
+// checks that Materialize — whose scan visits the base in no particular
+// order — returns the same set over both, and that SelectBase lists
+// every relation of the schema the way the clone's key-ordered Tuples
+// does. The first staged translation then lands on db.
+func runMaterializeChurn(t *testing.T, v view.View, db *storage.Database, iters int, next func() *update.Translation) {
+	t.Helper()
+	for i := 0; i < iters; i++ {
+		ov, eq := storage.NewOverlay(db), db.Clone()
+		var first *update.Translation
+		for n := 0; n < 3; n++ {
+			tr := next()
+			if tr.Len() == 0 || ov.Apply(tr) != nil {
+				continue
+			}
+			if err := eq.Apply(tr); err != nil {
+				t.Fatalf("iter %d: overlay accepted but the clone rejected %s: %v", i, tr, err)
+			}
+			if first == nil {
+				first = tr
+			}
+		}
+		if got, want := v.Materialize(ov), v.Materialize(eq); !got.Equal(want) {
+			t.Fatalf("iter %d: Materialize over the overlay = %d rows, over an equal database = %d", i, got.Len(), want.Len())
+		}
+		for _, name := range db.Schema().RelationNames() {
+			got, err := view.SelectBase(db.Schema().Relation(name), ov, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := eq.Tuples(name)
+			if len(got) != len(want) {
+				t.Fatalf("iter %d: SelectBase(%s) over the overlay = %d tuples, want %d", i, name, len(got), len(want))
+			}
+			for j := range got {
+				if !got[j].Equal(want[j]) {
+					t.Fatalf("iter %d: SelectBase(%s)[%d] = %s, want %s", i, name, j, got[j], want[j])
+				}
+			}
+		}
+		if first != nil {
+			if err := db.Apply(first); err != nil {
+				t.Fatalf("iter %d: overlay accepted but database rejected: %v", i, err)
+			}
+		}
+	}
+}
+
+func TestMaterializeOverOverlayMatchesDatabase(t *testing.T) {
+	t.Run("SP", func(t *testing.T) {
+		w := workload.MustNewSP(workload.SPConfig{
+			Keys: 64, Attrs: 3, DomainSize: 4, SelectingAttrs: 1, HiddenAttrs: 1,
+			Tuples: 40, Seed: 43,
+		})
+		rng := rand.New(rand.NewSource(47))
+		runMaterializeChurn(t, w.View, w.DB, 40, func() *update.Translation {
+			if op, ok := randomSPOp(w, rng); ok {
+				return update.NewTranslation(op)
+			}
+			return update.NewTranslation()
+		})
+	})
+	t.Run("Join", func(t *testing.T) {
+		w := workload.MustNewTree(workload.TreeConfig{
+			Depth: 2, Fanout: 2, Keys: 40, TuplesPerRelation: 24, Seed: 53,
+		})
+		s := &treeChurn{w: w, rng: rand.New(rand.NewSource(59))}
+		runMaterializeChurn(t, w.View, w.DB, 25, s.randomTranslation)
+	})
 }

@@ -144,11 +144,12 @@ func (v *SP) Materialize(db storage.Source) *tuple.Set {
 			return out
 		}
 	}
-	for _, t := range db.Tuples(base) {
+	db.Each(base, func(t tuple.T) bool {
 		if row, ok := v.RowFor(t); ok {
 			out.Add(row)
 		}
-	}
+		return true
+	})
 	return out
 }
 

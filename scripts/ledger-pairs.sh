@@ -2,7 +2,7 @@
 # "Within bound" as a command: run the ledger (bench/run.sh, end-to-end
 # metrics) on a parent revision and on the working tree in alternating
 # pairs and say, per workload and metric, whether the working tree is
-# worse, within bound or better.
+# worse, within bound or better by enough to claim.
 #
 #   bash scripts/ledger-pairs.sh PARENT [WORKLOADS] [PAIRS] [SECONDS]
 #   make ledger-pairs PARENT=<rev> [WORKLOADS="a b"] [PAIRS=3] [SECONDS=25]
@@ -16,9 +16,14 @@
 # parent first, odd pairs the working tree. The metrics, their direction
 # and their bounds are read from BENCHMARK.json.
 #
-# Verdict per workload and metric, on the medians over the pairs:
-#   worse   the working tree is worse than the parent by more than the bound
-#   better  it is better and won every pair
+# Per workload and metric it prints both medians, the parent's quartiles
+# (linear interpolation), the ratio, the pairs the working tree won
+# (ties count for neither side) and a verdict:
+#   worse   the working tree's median is worse than the parent's by more
+#           than the bound
+#   claim   a gain by the rule a claim is judged by: the working tree won
+#           at least 9 in 10 of the pairs, and its median is better than
+#           the parent's by more than the parent's interquartile range
 #   within  anything else
 # Exit status 1 if a run had a failed op or a failed check (bench/run.sh
 # exits non-zero and the comparison stops there) or any metric is worse;
@@ -77,21 +82,24 @@ done
 
 echo "parent $(git -C "$root" rev-parse --short "$rev") vs working tree, $pairs pairs of $secs s, seeds $(jq -s -c '[.[] | select(.side == "parent") | .seed]' "$runs")"
 jq -s -r --slurpfile bm "$manifest" '
-	def median: sort | if length % 2 == 1 then .[(length - 1) / 2] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	def quantile($q): sort | ((length - 1) * $q) as $i | ($i | floor) as $lo | .[$lo] + (.[$i | ceil] - .[$lo]) * ($i - $lo);
 	def side($s; $m): map(select(.side == $s)) | sort_by(.pair) | map(.result.metrics[$m].value);
-	(["workload", "metric", "parent", "change", "change/parent", "better", "bound", "won", "verdict"] | @tsv),
+	(["workload", "metric", "parent", "p_q1", "p_q3", "change", "change/parent", "better", "bound", "won", "verdict"] | @tsv),
 	(group_by(.workload)[] | . as $runs | $bm[0].end_to_end[] | . as $m
 	 | ($runs | side("parent"; $m.name)) as $p | ($runs | side("change"; $m.name)) as $c
 	 | (if $m.better == "lower" then 1 else -1 end) as $sign
 	 | ([range(0; $p | length) | select(($c[.] - $p[.]) * $sign < 0)] | length) as $won
-	 | (($c | median) / ($p | median)) as $ratio
-	 | (($ratio - 1) * $sign) as $loss
-	 | [$runs[0].workload, $m.name, ($p | median), ($c | median), $ratio, $m.better, $m.bound, "\($won)/\($p | length)",
-	    (if $loss > $m.bound then "worse" elif $loss < 0 and $won == ($p | length) then "better" else "within" end)]
+	 | ($p | quantile(0.5)) as $pm | ($c | quantile(0.5)) as $cm
+	 | ($p | quantile(0.25)) as $q1 | ($p | quantile(0.75)) as $q3
+	 | (($cm / $pm - 1) * $sign) as $loss
+	 | [$runs[0].workload, $m.name, $pm, $q1, $q3, $cm, $cm / $pm, $m.better, $m.bound, "\($won)/\($p | length)",
+	    (if $loss > $m.bound then "worse"
+	     elif $won * 10 >= ($p | length) * 9 and ($pm - $cm) * $sign > $q3 - $q1 then "claim"
+	     else "within" end)]
 	 | @tsv)
 ' "$runs" | awk -F'\t' '
-	NR == 1 { printf "%-20s %-21s %10s %10s %14s %7s %6s %5s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8, $9; next }
-	{ printf "%-20s %-21s %10.4f %10.4f %14.3f %7s %6s %5s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8, $9 }
-	$9 == "worse" { bad = 1 }
+	NR == 1 { printf "%-20s %-21s %10s %10s %10s %10s %14s %7s %6s %5s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8, $9, $10, $11; next }
+	{ printf "%-20s %-21s %10.4f %10.4f %10.4f %10.4f %14.3f %7s %6s %5s  %s\n", $1, $2, $3, $4, $5, $6, $7, $8, $9, $10, $11 }
+	$11 == "worse" { bad = 1 }
 	END { exit bad }
 '
