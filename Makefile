@@ -28,9 +28,9 @@ race:
 	$(GO) test -race ./...
 
 # race-core runs the translation pipeline's packages under the race
-# detector — the overlay, the delta-driven verifier, the parallel
-# candidate judging, the IVM layer (reverse reference index, join
-# delta maintenance, view-cache patching; see docs/PERFORMANCE.md),
+# detector — the overlay, the delta-driven verifier, the IVM layer
+# (reverse reference index, join delta maintenance, view-cache
+# patching; see docs/PERFORMANCE.md),
 # the sharded store (shard map, router, 2PC recovery), the
 # replication layer (WAL streaming, follower replay, subscriptions),
 # the sqlish session (its transactions stage on an overlay over a
@@ -51,12 +51,15 @@ race-core:
 # minimization: which of several bad attributes a body is refused for
 # follows map order, so coverage is not a function of the input and the
 # default minimizer would spend the whole window on one corpus entry.
+# FuzzSPJTheorem draws fresh trees and requests for the SPJ theorem's
+# oracle diff (EXPERIMENTS.md, E16) beyond its committed seeds.
 soak:
 	$(GO) test -race -run 'Crash|Recover|Churn|Torn|Fault|Broken' ./internal/wal/ ./internal/persist/ ./internal/workload/ ./internal/storage/ ./internal/server/
 	$(GO) test -fuzz FuzzScan -fuzztime 5s -run '^$$' ./internal/wal/
 	$(GO) test -fuzz FuzzLoad -fuzztime 5s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 100x -run '^$$' ./internal/sqlish/
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime 5s -fuzzminimizetime 100x -run '^$$' ./internal/server/
+	$(GO) test -fuzz FuzzSPJTheorem -fuzztime 30s -run '^$$' ./internal/bruteforce/
 
 # chaos-soak is the crash-contract gate (see docs/ROBUSTNESS.md). Part
 # one runs the deterministic in-process kill-point matrix: a live engine

@@ -201,7 +201,7 @@ func benchOracleVsGenerator(b *testing.B, mk func(v *SPView, u tuple.T) core.Req
 	})
 	b.Run("oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bruteforce.Search(db, v, r, bruteforce.Config{MaxOps: 2, Exact: true}); err != nil {
+			if _, err := bruteforce.Search(db, v, r, bruteforce.Config{MaxOps: 2}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -400,7 +400,7 @@ func BenchmarkE14Simplification(b *testing.B) {
 	r := core.InsertRequest(u)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bruteforce.CheckSimplification(db, v, r, bruteforce.Config{MaxOps: 2, Exact: true})
+		res, err := bruteforce.CheckSimplification(db, v, r, bruteforce.Config{MaxOps: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -425,7 +425,7 @@ func BenchmarkE13EnumVsBrute(b *testing.B) {
 	for _, maxOps := range []int{1, 2} {
 		b.Run(fmt.Sprintf("oracle-ops=%d", maxOps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := bruteforce.Search(db, v, r, bruteforce.Config{MaxOps: maxOps, Exact: true}); err != nil {
+				if _, err := bruteforce.Search(db, v, r, bruteforce.Config{MaxOps: maxOps}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,9 +30,6 @@ type Config struct {
 	// MaxUniverse aborts if the op universe exceeds this size
 	// (default 2000) — a guard against accidentally huge instances.
 	MaxUniverse int
-	// Exact selects the validity notion: exact view equality (SP
-	// semantics) when true, requested-changes-only otherwise.
-	Exact bool
 	// ValidOnly skips the five-criteria filter, returning every valid
 	// translation. Used by the simplification-theorem check.
 	ValidOnly bool
@@ -48,9 +45,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// allTuples enumerates the full extension space of rel (every
+// AllTuples enumerates the full extension space of rel (every
 // combination of domain values).
-func allTuples(rel *schema.Relation) []tuple.T {
+func AllTuples(rel *schema.Relation) []tuple.T {
 	attrs := rel.Attributes()
 	var out []tuple.T
 	vals := make([]value.Value, len(attrs))
@@ -82,7 +79,7 @@ func OpUniverse(db *storage.Database, relations []string) ([]update.Op, error) {
 			return nil, fmt.Errorf("bruteforce: unknown relation %s", rn)
 		}
 		present := db.Tuples(rn)
-		space := allTuples(rel)
+		space := AllTuples(rel)
 		for _, t := range present {
 			out = append(out, update.NewDelete(t))
 		}
@@ -108,23 +105,18 @@ type Result struct {
 	Translations []*update.Translation
 	// Universe is the size of the op universe searched.
 	Universe int
-	// Examined is the number of candidate translations tested.
+	// Examined is the number of candidate translations the search
+	// covers: every set of at most MaxOps ops of the universe.
 	Examined int
-}
-
-// Encodings returns the sorted canonical encodings of the result set.
-func (r *Result) Encodings() []string {
-	out := make([]string, len(r.Translations))
-	for i, tr := range r.Translations {
-		out[i] = tr.Encode()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Search exhaustively enumerates all translations of request r against
 // view v over db, up to cfg.MaxOps operations, returning those that are
-// valid and satisfy the five criteria.
+// valid and satisfy the five criteria. One op breaks criterion 1, or
+// one pair breaks 2 or 5, whatever else a translation holds, and every
+// proper superset of a valid translation breaks 3: the search skips
+// such sets, and sets that cannot apply, unjudged (ValidOnly skips only
+// the latter); the accepted set is the same.
 func Search(db *storage.Database, v view.View, r core.Request, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	rels := cfg.Relations
@@ -138,38 +130,101 @@ func Search(db *storage.Database, v view.View, r core.Request, cfg Config) (*Res
 	if len(universe) > cfg.MaxUniverse {
 		return nil, fmt.Errorf("bruteforce: op universe %d exceeds limit %d", len(universe), cfg.MaxUniverse)
 	}
-
-	validFn := func(tr *update.Translation) bool { return core.Valid(db, v, r, tr) }
-	if !cfg.Exact {
-		validFn = func(tr *update.Translation) bool { return core.ValidRequested(db, v, r, tr) }
+	res := &Result{Universe: len(universe), Examined: subsetsUpTo(len(universe), cfg.MaxOps) - 1}
+	valid := core.NewVerifier(db, v, r).Valid
+	opts := core.CheckOptions{Valid: valid}
+	ops, clash := universe, [][]bool(nil)
+	if !cfg.ValidOnly {
+		ops, clash = structural(v, r, universe)
 	}
-	opts := core.CheckOptions{Valid: validFn}
-
-	res := &Result{Universe: len(universe)}
-	idx := make([]int, 0, cfg.MaxOps)
+	var cur []int
 	var rec func(start int)
 	rec = func(start int) {
-		if len(idx) > 0 {
-			tr := update.NewTranslation()
-			for _, i := range idx {
-				tr.Add(universe[i])
+	next:
+		for i := start; i < len(ops); i++ {
+			for _, j := range cur {
+				if clash != nil && clash[j][i] {
+					continue next
+				}
 			}
-			res.Examined++
-			if validFn(tr) && (cfg.ValidOnly || len(core.CheckCriteria(db, v, r, tr, opts)) == 0) {
+			cur = append(cur, i)
+			tr := update.NewTranslation()
+			for _, j := range cur {
+				tr.Add(ops[j])
+			}
+			ok := applicable(db, tr.Ops()) && valid(tr)
+			if ok && (cfg.ValidOnly || len(core.CheckCriteria(db, v, r, tr, opts)) == 0) {
 				res.Translations = append(res.Translations, tr)
 			}
-		}
-		if len(idx) == cfg.MaxOps {
-			return
-		}
-		for i := start; i < len(universe); i++ {
-			idx = append(idx, i)
-			rec(i + 1)
-			idx = idx[:len(idx)-1]
+			if len(cur) < cfg.MaxOps && (cfg.ValidOnly || !ok) {
+				rec(i + 1)
+			}
+			cur = cur[:len(cur)-1]
 		}
 	}
 	rec(0)
 	return res, nil
+}
+
+// subsetsUpTo counts the subsets of at most k of n elements.
+func subsetsUpTo(n, k int) int {
+	total, c := 0, 1
+	for j := 0; j <= k && j <= n; j++ {
+		total += c
+		c = c * (n - j) / (j + 1)
+	}
+	return total
+}
+
+// structural keeps the ops of the universe that pass criterion 1 alone
+// and reports which pairs of them break criterion 2 or 5, or leave two
+// tuples with one key, which no state can apply.
+func structural(v view.View, r core.Request, universe []update.Op) (ops []update.Op, clash [][]bool) {
+	for _, o := range universe {
+		if len(core.CheckStructural(v, r, update.NewTranslation(o))) == 0 {
+			ops = append(ops, o)
+		}
+	}
+	clash = make([][]bool, len(ops))
+	for i, a := range ops {
+		clash[i] = make([]bool, len(ops))
+		for j, b := range ops[:i] {
+			c := a.Kind != update.Delete && b.Kind != update.Delete && leaves(a).Key() == leaves(b).Key() ||
+				len(core.CheckStructural(v, r, update.NewTranslation(a, b))) > 0
+			clash[i][j], clash[j][i] = c, c
+		}
+	}
+	return ops, clash
+}
+
+// leaves returns the tuple an insert or a replacement leaves in the
+// database (a deletion's tuple, for a deletion).
+func leaves(o update.Op) tuple.T {
+	if o.Kind == update.Replace {
+		return o.New
+	}
+	return o.Tuple
+}
+
+// applicable reports whether ops may apply: no tuple they insert or
+// replace into has a key the database holds, unless they remove the
+// holder.
+func applicable(db *storage.Database, ops []update.Op) bool {
+	freed := map[string]bool{}
+	for _, o := range ops {
+		switch o.Kind {
+		case update.Delete:
+			freed[o.Tuple.Key()] = true
+		case update.Replace:
+			freed[o.Old.Key()] = true
+		}
+	}
+	for _, o := range ops {
+		if _, held := db.LookupKey(leaves(o)); held && o.Kind != update.Delete && !freed[leaves(o).Key()] {
+			return false
+		}
+	}
+	return true
 }
 
 // SimplificationResult reports the outcome of CheckSimplification under
@@ -343,13 +398,35 @@ func simplificationSteps(tr *update.Translation) []*update.Translation {
 		if o.Kind != update.Replace {
 			continue
 		}
-		for _, alt := range core.SimplerReplacements(o, 0) {
+		for _, alt := range core.SimplerReplacements(o) {
 			next := without(i)
 			next.Add(alt)
 			out = append(out, next)
 		}
 	}
 	return out
+}
+
+// DiffGenerators diffs the oracle against the generators on one
+// request: it searches every translation with at most as many ops as
+// the largest generator candidate and returns Diff's two sides. A
+// request the generators refuse must have no acceptable translation of
+// up to two ops.
+func DiffGenerators(db *storage.Database, v view.View, r core.Request) (onlyOracle, onlyGenerated []string, err error) {
+	gen, _ := core.Enumerate(db, v, r)
+	maxOps := 0
+	for _, c := range gen {
+		maxOps = max(maxOps, c.Translation.Len())
+	}
+	if maxOps == 0 {
+		maxOps = 2
+	}
+	oracle, err := Search(db, v, r, Config{MaxOps: maxOps, MaxUniverse: 5000})
+	if err != nil {
+		return nil, nil, err
+	}
+	onlyOracle, onlyGenerated = Diff(oracle, gen)
+	return onlyOracle, onlyGenerated, nil
 }
 
 // Diff compares the oracle's result with a generated candidate set and

@@ -126,7 +126,7 @@ func TestInsertCompletenessI1(t *testing.T) {
 	db := f.loadState(t)
 	// Key 3 is fresh: extend-insert chooses S ∈ {s1,s2} × H ∈ {h1,h2}.
 	r := core.InsertRequest(f.viewTuple(t, 3, "x"))
-	mustAgree(t, db, f, r, Config{MaxOps: 2, Exact: true}, 4)
+	mustAgree(t, db, f, r, Config{MaxOps: 2}, 4)
 }
 
 // TestInsertCompletenessI2 validates the same theorem in the I-2
@@ -138,7 +138,7 @@ func TestInsertCompletenessI2(t *testing.T) {
 	// (hidden attr excluded): I-2 must set A:=x and flip S to s1 or s2,
 	// keeping H; exactly 2 translations.
 	r := core.InsertRequest(f.viewTuple(t, 2, "x"))
-	mustAgree(t, db, f, r, Config{MaxOps: 2, Exact: true}, 2)
+	mustAgree(t, db, f, r, Config{MaxOps: 2}, 2)
 }
 
 // TestDeleteCompleteness validates "the set of update translations that
@@ -150,7 +150,7 @@ func TestDeleteCompleteness(t *testing.T) {
 	// Deleting visible (1, x): D-1 (delete) + D-2 on A (y) + D-2 on S
 	// (s3) = 3 translations.
 	r := core.DeleteRequest(f.viewTuple(t, 1, "x"))
-	mustAgree(t, db, f, r, Config{MaxOps: 2, Exact: true}, 3)
+	mustAgree(t, db, f, r, Config{MaxOps: 2}, 3)
 }
 
 // TestReplaceCompleteness validates "the set of update translations
@@ -192,7 +192,7 @@ func TestReplaceCompleteness(t *testing.T) {
 
 	// Key-preserving replacement (1,b1) -> (1,b2): R-1 only.
 	r := core.ReplaceRequest(vt(1, "b1"), vt(1, "b2"))
-	oracle, err := Search(db, v, r, Config{MaxOps: 2, Exact: true})
+	oracle, err := Search(db, v, r, Config{MaxOps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestReplaceCompleteness(t *testing.T) {
 	// Key-changing replacement to fresh key 3: R-2 + R-4 (D-2 on S ×
 	// extend-insert S ∈ {s1,s2}) = 1 + 1*2 = 3.
 	r = core.ReplaceRequest(vt(1, "b1"), vt(3, "b1"))
-	oracle, err = Search(db, v, r, Config{MaxOps: 2, Exact: true})
+	oracle, err = Search(db, v, r, Config{MaxOps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestReplaceCompleteness(t *testing.T) {
 	// has one excluding value (s3); I-2 on hidden (2,b2,s3) must set
 	// B:=b1 and flip S: 2 choices. R-3: 2, R-5: 1×2=2. Total 4.
 	r = core.ReplaceRequest(vt(1, "b1"), vt(2, "b1"))
-	oracle, err = Search(db, v, r, Config{MaxOps: 2, Exact: true})
+	oracle, err = Search(db, v, r, Config{MaxOps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestReplaceCompletenessSize3(t *testing.T) {
 	f := newOracleFixture(t)
 	db := f.loadState(t)
 	r := core.ReplaceRequest(f.viewTuple(t, 1, "x"), f.viewTuple(t, 3, "x"))
-	mustAgree(t, db, f, r, Config{MaxOps: 3, Exact: true, MaxUniverse: 5000}, -1)
+	mustAgree(t, db, f, r, Config{MaxOps: 3, MaxUniverse: 5000}, -1)
 }
 
 // TestInsertCompletenessSize3 likewise for insertion.
@@ -270,7 +270,7 @@ func TestInsertCompletenessSize3(t *testing.T) {
 	f := newOracleFixture(t)
 	db := f.loadState(t)
 	r := core.InsertRequest(f.viewTuple(t, 3, "x"))
-	mustAgree(t, db, f, r, Config{MaxOps: 3, Exact: true, MaxUniverse: 5000}, 4)
+	mustAgree(t, db, f, r, Config{MaxOps: 3, MaxUniverse: 5000}, 4)
 }
 
 // TestSimplificationTheorem validates "for every valid translation,
@@ -289,7 +289,7 @@ func TestSimplificationTheorem(t *testing.T) {
 	}
 	sawStrictFailure := false
 	for _, r := range reqs {
-		res, err := CheckSimplification(db, f.v, r, Config{MaxOps: 2, Exact: true})
+		res, err := CheckSimplification(db, f.v, r, Config{MaxOps: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", r, err)
 		}
@@ -356,7 +356,7 @@ func TestInsertCompletenessDoubleFlip(t *testing.T) {
 	if len(gen) != 4 {
 		t.Fatalf("want 4 I-2 candidates, got %s", core.DescribeCandidates(gen))
 	}
-	oracle, err := Search(db, v, r, Config{MaxOps: 2, Exact: true})
+	oracle, err := Search(db, v, r, Config{MaxOps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

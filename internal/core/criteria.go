@@ -12,25 +12,17 @@ import (
 	"viewupdate/internal/view"
 )
 
-// Valid implements the paper's validity notion for SP views: a
-// translation is valid if applying it to the database yields exactly
-// the requested view state — V(DB′) = U(V(DB)), no view side effects.
-// It returns false both when the translation cannot be applied (absent
-// tuples, key conflicts, constraint violations) and when the resulting
-// view differs from the requested one.
+// Valid implements the paper's validity notion: on an SP view a
+// translation is valid iff applying it yields exactly the requested
+// view state, V(DB′) = U(V(DB)); on a join view it may also have the
+// view side effect §5 admits (see Verifier.Valid). It returns false
+// both when the translation cannot be applied (absent tuples, key
+// conflicts, constraint violations) and when the resulting view is not
+// the requested one.
 //
 // It is shorthand for NewVerifier(db, v, r).Valid(tr).
 func Valid(db storage.Source, v view.View, r Request, tr *update.Translation) bool {
 	return NewVerifier(db, v, r).Valid(tr)
-}
-
-// ValidRequested implements the relaxed validity applicable to join
-// views, which "may have update translators with side effects in the
-// view": the requested tuples must change as asked (added tuples
-// present, removed tuples absent afterwards), while other view rows may
-// change.
-func ValidRequested(db storage.Source, v view.View, r Request, tr *update.Translation) bool {
-	return NewVerifier(db, v, r).ValidRequested(tr)
 }
 
 // A Violation reports that a translation breaks one of the five
@@ -48,13 +40,16 @@ func (v Violation) Error() string {
 // CheckOptions parameterizes criteria checking.
 type CheckOptions struct {
 	// Valid decides validity of an alternative translation; criteria 3
-	// and 4 quantify over alternatives. If nil, criteria 3 and 4 are
-	// checked with core.Valid (exact view semantics).
+	// and 4 quantify over alternatives. A caller judging many
+	// candidates passes its Verifier's Valid; nil builds one.
 	Valid func(tr *update.Translation) bool
-	// MaxAlternativeSpace bounds the number of alternative replacement
-	// tuples criterion 4 may enumerate per replace op; 0 means 4096.
-	MaxAlternativeSpace int
 }
+
+// maxAlternativeSpace bounds the alternative replacement tuples
+// criterion 4 enumerates per key-changing replace op: a relation whose
+// non-key space is larger is not searched for key-preserving
+// alternatives.
+const maxAlternativeSpace = 4096
 
 // CheckCriteria evaluates the five criteria of §3 on a candidate
 // translation for request r against view v over db. The returned slice
@@ -65,31 +60,37 @@ func CheckCriteria(db storage.Source, v view.View, r Request, tr *update.Transla
 	span := obs.StartSpan("core.criteria.check")
 	defer span.End()
 	obs.Inc("core.criteria.checked")
-	var out []Violation
 	valid := opts.Valid
 	if valid == nil {
 		valid = NewVerifier(db, v, r).Valid
 	}
-	if viol := checkCriterion1(v, r, tr); viol != nil {
-		out = append(out, *viol)
-	}
-	if viol := checkCriterion2(tr); viol != nil {
-		out = append(out, *viol)
-	}
-	if viol := checkCriterion3(tr, valid); viol != nil {
-		out = append(out, *viol)
-	}
-	if viol := checkCriterion4(tr, valid, opts.MaxAlternativeSpace); viol != nil {
-		out = append(out, *viol)
-	}
-	if viol := checkCriterion5(tr); viol != nil {
-		out = append(out, *viol)
-	}
+	out := violations(checkCriterion1(v, r, tr), checkCriterion2(tr),
+		checkCriterion3(tr, valid), checkCriterion4(tr, valid), checkCriterion5(tr))
 	if len(out) == 0 {
 		obs.Inc("core.criteria.pass")
 	} else {
 		for _, viol := range out {
 			countViolation(viol.Criterion)
+		}
+	}
+	return out
+}
+
+// CheckStructural evaluates the criteria that quantify over no other
+// translation, and so need no validity: 1 (no database side effects),
+// 2 (only one-step changes) and 5 (no delete-insert pairs). A
+// translation breaks one of them iff one of its ops, or one pair of its
+// ops, does; the oracle prunes its search by that.
+func CheckStructural(v view.View, r Request, tr *update.Translation) []Violation {
+	return violations(checkCriterion1(v, r, tr), checkCriterion2(tr), checkCriterion5(tr))
+}
+
+// violations lists the criteria broken, in order.
+func violations(vs ...*Violation) []Violation {
+	var out []Violation
+	for _, viol := range vs {
+		if viol != nil {
+			out = append(out, *viol)
 		}
 	}
 	return out
@@ -234,12 +235,9 @@ func checkCriterion3(tr *update.Translation, valid func(*update.Translation) boo
 // key while the original does, or one that makes the same changes on a
 // proper subset of the changed attributes — while keeping the
 // translation valid.
-func checkCriterion4(tr *update.Translation, valid func(*update.Translation) bool, maxSpace int) *Violation {
-	if maxSpace <= 0 {
-		maxSpace = 4096
-	}
+func checkCriterion4(tr *update.Translation, valid func(*update.Translation) bool) *Violation {
 	for _, op := range tr.Replacements() {
-		for _, alt := range simplerReplacements(op, maxSpace) {
+		for _, alt := range SimplerReplacements(op) {
 			cand := update.NewTranslation()
 			for _, o := range tr.Ops() {
 				if o.Encode() != op.Encode() {
@@ -275,19 +273,12 @@ func keyChanges(old, new tuple.T) bool { return old.Key() != new.Key() }
 //  1. same changes on a proper non-empty subset of the changed
 //     attributes;
 //  2. if op changes the key: any replacement keeping the key, obtained
-//     by varying non-key attributes over their domains (bounded by
-//     maxSpace alternatives; 0 means 4096).
+//     by varying non-key attributes over their domains (skipped when
+//     that space exceeds maxAlternativeSpace).
 //
 // It is used by the criterion-4 checker and by the oracle's
 // simplification-chain search.
-func SimplerReplacements(op update.Op, maxSpace int) []update.Op {
-	if maxSpace <= 0 {
-		maxSpace = 4096
-	}
-	return simplerReplacements(op, maxSpace)
-}
-
-func simplerReplacements(op update.Op, maxSpace int) []update.Op {
+func SimplerReplacements(op update.Op) []update.Op {
 	var out []update.Op
 	old := op.Old
 	changed := changedAttrs(old, op.New)
@@ -306,19 +297,19 @@ func simplerReplacements(op update.Op, maxSpace int) []update.Op {
 	}
 	if keyChanges(old, op.New) {
 		// Any key-preserving replacement is simpler. Enumerate the
-		// non-key attribute space up to maxSpace alternatives.
+		// non-key attribute space up to maxAlternativeSpace
+		// alternatives.
 		rel := old.Relation()
 		nonKey := rel.NonKeyAttributes()
 		space := 1
 		for _, a := range nonKey {
 			attr, _ := rel.Attribute(a)
 			space *= attr.Domain.Size()
-			if space > maxSpace {
-				space = maxSpace + 1
+			if space > maxAlternativeSpace {
 				break
 			}
 		}
-		if space <= maxSpace {
+		if space <= maxAlternativeSpace {
 			alts := enumerateAssignments(rel, nonKey)
 			for _, vals := range alts {
 				t := old

@@ -102,24 +102,20 @@ func TestCriteriaIndependence(t *testing.T) {
 	})
 
 	t.Run("criterion3", func(t *testing.T) {
-		// Join view: deleting the root row while also rewriting the
-		// referenced parent (whose key appears in the request) performs
-		// an unnecessary extra step — but no database side effect, no
-		// multi-step tuple, no simplifiable replacement, no
-		// delete-insert pair.
-		fx := fixtures.NewABCXD()
-		db := storage.Open(fx.Schema)
-		if err := db.LoadAll(fx.ABTuple("a", 1), fx.CXDTuple("c1", "a", 3)); err != nil {
-			t.Fatal(err)
-		}
-		row := fx.ViewTuple("c1", "a", 3, 1)
-		r := DeleteRequest(row)
+		// Join view: inserting a root row under an existing parent while
+		// also rewriting the parent's hidden attribute (its key appears
+		// in the request) performs an unnecessary extra step — but no
+		// database side effect, no multi-step tuple, no simplifiable
+		// replacement, no delete-insert pair.
+		fx := fixtures.NewSelABCXD(false)
+		db := fx.Load(fx.ABTuple("a", 1, "h1"), fx.CXDTuple("c1", "a", 1))
+		r := InsertRequest(fx.ViewTuple("c2", "a", 2, 1))
 		tr := update.NewTranslation(
-			update.NewDelete(fx.CXDTuple("c1", "a", 3)),
-			update.NewReplace(fx.ABTuple("a", 1), fx.ABTuple("a", 2)),
+			update.NewInsert(fx.CXDTuple("c2", "a", 2)),
+			update.NewReplace(fx.ABTuple("a", 1, "h1"), fx.ABTuple("a", 1, "h2")),
 		)
 		if !Valid(db, fx.View, r, tr) {
-			t.Fatal("witness should be valid (c1 is the only referencing row)")
+			t.Fatal("witness should be valid (the parent's view row is unchanged)")
 		}
 		wantOnly(t, violatedSet(db, fx.View, r, tr), 3)
 	})

@@ -179,60 +179,58 @@ func (r Request) ApplyToViewSet(s *tuple.Set) (*tuple.Set, error) {
 //     is not, both satisfy the selection condition, and any existing
 //     view tuple with the replacement's key is the replaced tuple.
 func ValidateRequest(db storage.Source, v view.View, r Request) error {
+	var selects func(t tuple.T) error
 	switch vv := v.(type) {
 	case *view.SP:
-		return validateSPRequest(db, vv, r)
+		selects = func(t tuple.T) error {
+			if !vv.Selection().MatchesProjected(t) {
+				return fmt.Errorf("core: %s does not satisfy the selection condition of %s", t, v.Name())
+			}
+			return nil
+		}
 	case *view.Join:
-		return validateJoinRequest(db, vv, r)
+		selects = func(t tuple.T) error {
+			if err := vv.JoinConsistent(t); err != nil {
+				return err
+			}
+			for i, n := range vv.Nodes() {
+				if !n.SP.Selection().MatchesProjected(vv.ProjectNode(i, t)) {
+					return fmt.Errorf("core: %s fails the selection of node %s of %s", t, n.SP.Name(), v.Name())
+				}
+			}
+			return nil
+		}
 	default:
 		return fmt.Errorf("core: unsupported view type %T", v)
 	}
-}
-
-func checkSchema(v view.View, ts ...tuple.T) error {
-	for _, t := range ts {
-		if t.IsZero() || t.Relation() != v.Schema() {
-			return fmt.Errorf("core: tuple %s is not of view %s's schema", t, v.Name())
-		}
+	if err := checkSchema(v, r.Mentioned()...); err != nil {
+		return err
 	}
-	return nil
-}
-
-func validateSPRequest(db storage.Source, v *view.SP, r Request) error {
+	inView := func(t tuple.T) bool {
+		row, ok := v.Lookup(db, t)
+		return ok && row.Equal(t)
+	}
 	switch r.Kind {
 	case update.Insert:
-		if err := checkSchema(v, r.Tuple); err != nil {
+		if err := selects(r.Tuple); err != nil {
 			return err
-		}
-		if !v.Selection().MatchesProjected(r.Tuple) {
-			return fmt.Errorf("core: %s does not satisfy the selection condition of %s", r.Tuple, v.Name())
 		}
 		if row, ok := v.Lookup(db, r.Tuple); ok {
 			return fmt.Errorf("core: view %s already contains %s with the key of %s", v.Name(), row, r.Tuple)
 		}
-		return nil
 	case update.Delete:
-		if err := checkSchema(v, r.Tuple); err != nil {
-			return err
-		}
-		row, ok := v.Lookup(db, r.Tuple)
-		if !ok || !row.Equal(r.Tuple) {
+		if !inView(r.Tuple) {
 			return fmt.Errorf("core: %s is not currently in view %s", r.Tuple, v.Name())
 		}
-		return nil
 	case update.Replace:
-		if err := checkSchema(v, r.Old, r.New); err != nil {
-			return err
-		}
 		if r.Old.Equal(r.New) {
 			return fmt.Errorf("core: replacement does not change the tuple")
 		}
-		row, ok := v.Lookup(db, r.Old)
-		if !ok || !row.Equal(r.Old) {
+		if !inView(r.Old) {
 			return fmt.Errorf("core: replaced tuple %s is not in view %s", r.Old, v.Name())
 		}
-		if !v.Selection().MatchesProjected(r.New) {
-			return fmt.Errorf("core: replacement %s does not satisfy the selection condition of %s", r.New, v.Name())
+		if err := selects(r.New); err != nil {
+			return err
 		}
 		if newRow, ok := v.Lookup(db, r.New); ok {
 			if newRow.Equal(r.New) {
@@ -242,70 +240,17 @@ func validateSPRequest(db storage.Source, v *view.SP, r Request) error {
 				return fmt.Errorf("core: view %s contains %s conflicting with the replacement's key", v.Name(), newRow)
 			}
 		}
-		return nil
 	default:
 		return fmt.Errorf("core: invalid request kind")
 	}
+	return nil
 }
 
-func validateJoinRequest(db storage.Source, j *view.Join, r Request) error {
-	selOK := func(t tuple.T) error {
-		if err := j.JoinConsistent(t); err != nil {
-			return err
+func checkSchema(v view.View, ts ...tuple.T) error {
+	for _, t := range ts {
+		if t.IsZero() || t.Relation() != v.Schema() {
+			return fmt.Errorf("core: tuple %s is not of view %s's schema", t, v.Name())
 		}
-		for i, n := range j.Nodes() {
-			p := j.ProjectNode(i, t)
-			if !n.SP.Selection().MatchesProjected(p) {
-				return fmt.Errorf("core: %s fails the selection of node %s of %s", t, n.SP.Name(), j.Name())
-			}
-		}
-		return nil
 	}
-	switch r.Kind {
-	case update.Insert:
-		if err := checkSchema(j, r.Tuple); err != nil {
-			return err
-		}
-		if err := selOK(r.Tuple); err != nil {
-			return err
-		}
-		if row, ok := j.Lookup(db, r.Tuple); ok {
-			return fmt.Errorf("core: view %s already contains %s with the key of %s", j.Name(), row, r.Tuple)
-		}
-		return nil
-	case update.Delete:
-		if err := checkSchema(j, r.Tuple); err != nil {
-			return err
-		}
-		row, ok := j.Lookup(db, r.Tuple)
-		if !ok || !row.Equal(r.Tuple) {
-			return fmt.Errorf("core: %s is not currently in view %s", r.Tuple, j.Name())
-		}
-		return nil
-	case update.Replace:
-		if err := checkSchema(j, r.Old, r.New); err != nil {
-			return err
-		}
-		if r.Old.Equal(r.New) {
-			return fmt.Errorf("core: replacement does not change the tuple")
-		}
-		row, ok := j.Lookup(db, r.Old)
-		if !ok || !row.Equal(r.Old) {
-			return fmt.Errorf("core: replaced tuple %s is not in view %s", r.Old, j.Name())
-		}
-		if err := selOK(r.New); err != nil {
-			return err
-		}
-		if newRow, ok := j.Lookup(db, r.New); ok {
-			if newRow.Equal(r.New) {
-				return fmt.Errorf("core: replacement tuple %s is already in view %s", r.New, j.Name())
-			}
-			if !newRow.Equal(r.Old) {
-				return fmt.Errorf("core: view %s contains %s conflicting with the replacement's key", j.Name(), newRow)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("core: invalid request kind")
-	}
+	return nil
 }

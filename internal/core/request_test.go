@@ -5,6 +5,7 @@ import (
 
 	"viewupdate/internal/algebra"
 	"viewupdate/internal/fixtures"
+	"viewupdate/internal/schema"
 	"viewupdate/internal/storage"
 	"viewupdate/internal/tuple"
 	"viewupdate/internal/update"
@@ -138,24 +139,43 @@ func TestJoinCartesianProductCount(t *testing.T) {
 }
 
 // TestCriterion4CapSkipsHugeEnumeration verifies the alternative-space
-// cap: with a tiny cap the key-change clause of criterion 4 skips
+// cap: on a relation whose non-key space (100 × 100) exceeds
+// maxAlternativeSpace, the key-change clause of criterion 4 skips
 // enumeration instead of exploding, and the check still passes on a
 // legitimate candidate.
 func TestCriterion4CapSkipsHugeEnumeration(t *testing.T) {
-	f := fixtures.NewEmp(20)
-	db := f.PaperInstance()
-	old := f.ViewTuple(f.ViewP, 17, "Susan", "New York", true)
-	new := f.ViewTuple(f.ViewP, 11, "Susan", "New York", true)
-	r := ReplaceRequest(old, new)
-	cands, err := Enumerate(db, f.ViewP, r)
+	kDom, err := schema.IntRangeDomain("K", 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := CheckOptions{MaxAlternativeSpace: 1}
-	for _, c := range cands {
-		if viols := CheckCriteria(db, f.ViewP, r, c.Translation, opts); len(viols) != 0 {
-			t.Fatalf("capped check should still pass: %v", viols)
-		}
+	big, err := schema.IntRangeDomain("Big", 1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := schema.MustRelation("R", []schema.Attribute{
+		{Name: "K", Domain: kDom}, {Name: "A", Domain: big}, {Name: "B", Domain: big},
+	}, []string{"K"})
+	sch := schema.NewDatabase()
+	if err := sch.AddRelation(rel); err != nil {
+		t.Fatal(err)
+	}
+	v := view.Identity("V", rel)
+	db := storage.Open(sch)
+	if err := db.Load("R", tuple.MustNew(rel, value.NewInt(1), value.NewInt(7), value.NewInt(9))); err != nil {
+		t.Fatal(err)
+	}
+	old := tuple.MustNew(v.Schema(), value.NewInt(1), value.NewInt(7), value.NewInt(9))
+	new := tuple.MustNew(v.Schema(), value.NewInt(2), value.NewInt(7), value.NewInt(9))
+	r := ReplaceRequest(old, new)
+	cands, err := Enumerate(db, v, r)
+	if err != nil || len(cands) != 1 {
+		t.Fatalf("want the one R-2 candidate, got %v (err %v)", cands, err)
+	}
+	if alts := SimplerReplacements(cands[0].Translation.Ops()[0]); len(alts) != 0 {
+		t.Fatalf("a 10,000-tuple non-key space should be skipped, got %d alternatives", len(alts))
+	}
+	if viols := CheckCriteria(db, v, r, cands[0].Translation, CheckOptions{}); len(viols) != 0 {
+		t.Fatalf("capped check should still pass: %v", viols)
 	}
 }
 
@@ -165,13 +185,13 @@ func TestSimplerReplacementsExported(t *testing.T) {
 	old := f.Tuple(1, "Alice", "New York", false)
 	// Key-preserving, two changed attributes: one proper subset each.
 	new := f.Tuple(1, "Bob", "San Francisco", false)
-	alts := SimplerReplacements(update.NewReplace(old, new), 0)
+	alts := SimplerReplacements(update.NewReplace(old, new))
 	if len(alts) != 2 {
 		t.Fatalf("want 2 same-changes subsets, got %d", len(alts))
 	}
 	// Key-changing: subsets plus all key-preserving rewrites.
 	moved := f.Tuple(2, "Alice", "New York", false)
-	alts = SimplerReplacements(update.NewReplace(old, moved), 0)
+	alts = SimplerReplacements(update.NewReplace(old, moved))
 	// Changed = {EmpNo} only: no proper subsets; key-preserving space =
 	// 11 names × 2 locations × 2 bools − 1 (identity) = 43.
 	if len(alts) != 43 {

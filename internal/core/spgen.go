@@ -291,6 +291,13 @@ func EnumerateSPReplace(db storage.Source, v *view.SP, old, new tuple.T) ([]Cand
 	if err := ValidateRequest(db, v, ReplaceRequest(old, new)); err != nil {
 		return nil, err
 	}
+	return enumerateSPReplace(db, v, old, new)
+}
+
+// enumerateSPReplace is EnumerateSPReplace without the request check:
+// a tuple holding new's key is R-3's and R-5's conflict even if v
+// selects it, as SPJ-R needs at a root whose row a parent hides.
+func enumerateSPReplace(db storage.Source, v *view.SP, old, new tuple.T) ([]Candidate, error) {
 	base1, ok := v.BaseForKey(db, old)
 	if !ok {
 		return nil, fmt.Errorf("core: no base tuple for %s", old)
@@ -311,23 +318,26 @@ func EnumerateSPReplace(db storage.Source, v *view.SP, old, new tuple.T) ([]Cand
 
 	if base2, conflict := v.BaseForKey(db, new); conflict {
 		// ALGORITHM CLASS R-3: rewrite the hidden conflicting tuple to
-		// become the replacement view tuple and delete the replaced one.
+		// become the replacement view tuple (unless a parent hides its
+		// join-view row and it already is) and delete the replaced one.
+		rewrite := func(trans *update.Translation, e extension) *update.Translation {
+			if !e.base.Equal(base2) {
+				trans.Add(update.NewReplace(base2, e.base))
+			}
+			return trans
+		}
 		for _, e := range extendI2All(v, base2, new) {
 			out = append(out, Candidate{
-				Class: "R-3",
-				Translation: update.NewTranslation(
-					update.NewReplace(base2, e.base),
-					update.NewDelete(base1),
-				),
-				Choices: cloneChoices("new.", e.choices),
+				Class:       "R-3",
+				Translation: rewrite(update.NewTranslation(update.NewDelete(base1)), e),
+				Choices:     cloneChoices("new.", e.choices),
 			})
 		}
 		// ALGORITHM CLASS R-5: D-2 the replaced tuple out of the view
 		// and rewrite the hidden conflicting tuple.
 		for _, d := range d2s {
 			for _, e := range extendI2All(v, base2, new) {
-				trans := d.Translation.Clone()
-				trans.Add(update.NewReplace(base2, e.base))
+				trans := rewrite(d.Translation.Clone(), e)
 				out = append(out, Candidate{
 					Class:       "R-5",
 					Translation: trans,

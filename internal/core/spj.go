@@ -140,9 +140,12 @@ func countNodeVisit(node string) {
 // EnumerateJoinInsert implements ALGORITHM CLASS SPJ-I (§5-2): project
 // the new join-view tuple onto each node's SP view and, per node,
 //
-//	Case 1: the projection already exists exactly — reject at the root
-//	        (it would violate the view's functional dependency), no-op
-//	        elsewhere;
+//	Case 1: the projection already exists exactly — no-op. The paper
+//	        rejects at the root, where the view row would already exist
+//	        and the insertion would violate the view's functional
+//	        dependency; ValidateRequest refuses that state, so a root in
+//	        Case 1 is one whose row a parent's selection hides, and it
+//	        is kept like any other node (see EXPERIMENTS.md, E16);
 //	Case 2: the projection's key is absent from the SP view — perform
 //	        an SP view insertion (classes I-1/I-2);
 //	Case 3: a tuple with the projection's key exists with different
@@ -166,9 +169,6 @@ func EnumerateJoinInsert(db storage.Source, j *view.Join, u tuple.T) ([]Candidat
 		row, hasKey := spv.Lookup(db, p)
 		switch {
 		case hasKey && row.Equal(p): // Case 1
-			if i == 0 {
-				return nil, fmt.Errorf("core: SPJ-I rejected: root projection %s already in %s — the insertion violates an FD in the view", p, spv.Name())
-			}
 			steps = append(steps, noopStep())
 		case !hasKey: // Case 2
 			cands, err := EnumerateSPInsert(db, spv, p)
@@ -201,11 +201,14 @@ const (
 // (Case R-1); equal keys with different values perform a key-preserving
 // SP replacement and descend in State I (Case R-2); differing keys can
 // only happen at the root, perform a (key-changing) SP replacement and
-// descend in State I (Case R-3). In State I: matching keys re-enter
-// State R at the same node (Case I-1); a new key absent from the SP
-// view is inserted (Case I-2); an exactly-matching projection is a
-// no-op (Case I-3); a conflicting tuple with the new key is replaced
-// (Case I-4); all descend in State I.
+// descend in State I (Case R-3); a root tuple that holds the new key
+// while a parent's selection hides its row is the SP replacement's
+// hidden conflict (R-3, R-5), though the root's SP view selects it. In
+// State I: matching keys re-enter State R at the same node (Case I-1);
+// a new key absent from the SP view is inserted (Case I-2); an
+// exactly-matching projection is a no-op (Case I-3); a conflicting
+// tuple with the new key is replaced (Case I-4); all descend in State
+// I.
 func EnumerateJoinReplace(db storage.Source, j *view.Join, old, new tuple.T) ([]Candidate, error) {
 	span := obs.StartSpan("core.spj.replace")
 	defer span.End()
@@ -250,7 +253,7 @@ func EnumerateJoinReplace(db storage.Source, j *view.Join, old, new tuple.T) ([]
 				if idx != 0 {
 					return nodeStep{}, stateI, fmt.Errorf("core: SPJ-R internal error: key change in non-root node %s", spv.Name())
 				}
-				cands, err := EnumerateSPReplace(db, spv, pOld, pNew)
+				cands, err := enumerateSPReplace(db, spv, pOld, pNew)
 				if err != nil {
 					return nodeStep{}, stateI, fmt.Errorf("core: SPJ-R replacing in root %s: %w", spv.Name(), err)
 				}
@@ -321,20 +324,6 @@ func EnumerateJoinReplace(db storage.Source, j *view.Join, old, new tuple.T) ([]
 	return composeSteps("SPJ-R", steps)
 }
 
-// EnumerateJoin dispatches on the request kind.
-func EnumerateJoin(db storage.Source, j *view.Join, r Request) ([]Candidate, error) {
-	switch r.Kind {
-	case update.Insert:
-		return EnumerateJoinInsert(db, j, r.Tuple)
-	case update.Delete:
-		return EnumerateJoinDelete(db, j, r.Tuple)
-	case update.Replace:
-		return EnumerateJoinReplace(db, j, r.Old, r.New)
-	default:
-		return nil, fmt.Errorf("core: invalid request kind")
-	}
-}
-
 // Enumerate returns every candidate translation of the request against
 // the view: the complete generator set of the paper's theorems.
 func Enumerate(db storage.Source, v view.View, r Request) ([]Candidate, error) {
@@ -342,7 +331,15 @@ func Enumerate(db storage.Source, v view.View, r Request) ([]Candidate, error) {
 	case *view.SP:
 		return EnumerateSP(db, vv, r)
 	case *view.Join:
-		return EnumerateJoin(db, vv, r)
+		switch r.Kind {
+		case update.Insert:
+			return EnumerateJoinInsert(db, vv, r.Tuple)
+		case update.Delete:
+			return EnumerateJoinDelete(db, vv, r.Tuple)
+		case update.Replace:
+			return EnumerateJoinReplace(db, vv, r.Old, r.New)
+		}
+		return nil, fmt.Errorf("core: invalid request kind")
 	default:
 		return nil, fmt.Errorf("core: unsupported view type %T", v)
 	}

@@ -127,12 +127,29 @@ func TestSPJInsertCases(t *testing.T) {
 	}
 }
 
-// TestSPJInsertCase1RootRejects builds the one state where SPJ-I's
-// Case 1 fires at the root: the root projection exists exactly but the
-// view row is hidden by a parent selection. The insertion is a valid
-// view request, yet SPJ-I rejects it "as it violates an FD in the
-// view".
+// TestSPJInsertCase1RootRejects pins where the paper's rejection of
+// SPJ-I's Case 1 at the root still holds: the root projection exists
+// exactly and so does its view row, so the insertion "violates an FD in
+// the view" and is refused before any node is visited.
 func TestSPJInsertCase1RootRejects(t *testing.T) {
+	f := fixtures.NewABCXD()
+	db := f.PaperInstance()
+	// Row (c1, a, 3, a, 1) is in the view; the insert reuses its key
+	// and root projection with another parent.
+	u := f.ViewTuple("c1", "a", 3, 9)
+	if _, err := EnumerateJoinInsert(db, f.View, u); err == nil ||
+		!strings.Contains(err.Error(), "already contains") {
+		t.Fatalf("root case 1 over a visible row should reject, got %v", err)
+	}
+}
+
+// TestSPJInsertCase1RootIsNoOp builds the one state where SPJ-I's Case
+// 1 fires at the root: the root projection exists exactly but the view
+// row is hidden by a parent selection. The insertion is a valid view
+// request. The paper rejects Case 1 at the root "as it violates an FD
+// in the view", which holds only when the row is visible; here the
+// root is kept like any other node and the parent is made to match.
+func TestSPJInsertCase1RootIsNoOp(t *testing.T) {
 	f := fixtures.NewABCXD()
 	// Parent SP view selects B ∈ {1}.
 	selAB := algebra.NewSelection(f.AB).MustAddTerm("B", value.NewInt(1))
@@ -154,12 +171,20 @@ func TestSPJInsertCase1RootRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateRequest(db, jv, InsertRequest(u)); err != nil {
+	r := InsertRequest(u)
+	if err := ValidateRequest(db, jv, r); err != nil {
 		t.Fatalf("request should be valid: %v", err)
 	}
-	if _, err := EnumerateJoinInsert(db, jv, u); err == nil ||
-		!strings.Contains(err.Error(), "FD") {
-		t.Fatalf("root case 1 should reject with FD violation, got %v", err)
+	cands, err := EnumerateJoinInsert(db, jv, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := update.NewTranslation(update.NewReplace(f.ABTuple("a", 2), f.ABTuple("a", 1)))
+	if len(cands) != 1 || !cands[0].Translation.Equal(want) {
+		t.Fatalf("want the one parent replace %s, got:\n%s", want, DescribeCandidates(cands))
+	}
+	if err := CheckCandidates(db, jv, r, cands, false); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -191,17 +216,15 @@ func TestSPJInsertSideEffectOnSiblings(t *testing.T) {
 	if !after.Contains(f.ViewTuple("c1", "a", 3, 9)) {
 		t.Fatal("sibling should now show B=9")
 	}
-	// Exact-validity fails (side effects), requested-validity holds.
+	// The side effect is the one §5 admits (Case 3 replaces a needed
+	// parent in place), so the translation is valid.
 	db2 := f.PaperInstance()
 	cands, err := EnumerateJoinInsert(db2, f.View, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Valid(db2, f.View, InsertRequest(u), cands[0].Translation) {
-		t.Fatal("side-effecting translation cannot be exactly valid")
-	}
-	if !ValidRequested(db2, f.View, InsertRequest(u), cands[0].Translation) {
-		t.Fatal("translation should satisfy requested-changes validity")
+	if !Valid(db2, f.View, InsertRequest(u), cands[0].Translation) {
+		t.Fatal("Case 3's in-place parent replace should be valid")
 	}
 }
 
@@ -564,11 +587,46 @@ func TestSPJReplaceComposesRootAlternatives(t *testing.T) {
 			sawR4 = true
 		}
 		// Every candidate realizes the replacement.
-		if !ValidRequested(db, jv, ReplaceRequest(old, new), c.Translation) {
+		if !Valid(db, jv, ReplaceRequest(old, new), c.Translation) {
 			t.Fatalf("candidate %s does not realize the replacement", c)
 		}
 	}
 	if !sawR2 || !sawR4 {
 		t.Fatalf("missing classes: R-2=%v R-4=%v", sawR2, sawR4)
+	}
+}
+
+// TestSPJReplaceKeyAndSharedParentAllAccepted pins one judge for the
+// served path and the explain trace. Rows c1 and c2 share parent
+// AB(a,1,h1); the request moves c1 to key c3 and changes the parent's B
+// to 2. SPJ-R offers R-2 and R-4 at the root, each with the in-place
+// parent replace, whose side effect on c2 is the one §5 admits. Both
+// must be accepted. The requested-changes notion rejected R-4 by
+// criterion 3, because its subset without the root's flip leaves c1 in
+// the view with B=2, and exact validity rejected R-2 for c2's change.
+func TestSPJReplaceKeyAndSharedParentAllAccepted(t *testing.T) {
+	f := fixtures.NewSelABCXD(false)
+	db := f.Load(f.ABTuple("a", 1, "h1"), f.CXDTuple("c1", "a", 1), f.CXDTuple("c2", "a", 2))
+	r := ReplaceRequest(f.ViewTuple("c1", "a", 1, 1), f.ViewTuple("c3", "a", 1, 2))
+	cands, err := Enumerate(db, f.View, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckCandidates(db, f.View, r, cands, false); err != nil {
+		t.Fatal(err)
+	}
+	_, trace, err := TraceTranslate(db, f.View, nil, r, TraceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawR4 := false
+	for _, c := range trace.Candidates {
+		sawR4 = sawR4 || strings.Contains(c.Class, "R-4")
+		if c.Verdict != VerdictAccepted {
+			t.Errorf("explain marks the served candidate [%s] %s %s: %s", c.Class, c.Translation, c.Verdict, c.Detail)
+		}
+	}
+	if !sawR4 || len(trace.Candidates) != len(cands) {
+		t.Fatalf("want every candidate, R-4 among them, in the trace; got:\n%s", DescribeCandidates(cands))
 	}
 }

@@ -31,9 +31,6 @@ type Trace struct {
 	Request string `json:"request"`
 	// Policy names the policy that chose among the accepted candidates.
 	Policy string `json:"policy"`
-	// Exact records the validity notion used: exact view equality for
-	// SP views, requested-changes-only for join views.
-	Exact bool `json:"exact_validity"`
 	// Phases times the pipeline stages (enumerate, criteria, probes,
 	// policy) in nanoseconds.
 	Phases []TracePhase `json:"phases,omitempty"`
@@ -139,16 +136,6 @@ func (t *Translator) TranslateTraced(db storage.Source, r Request) (Candidate, *
 	return TraceTranslate(db, t.View, t.Policy, r, TraceOptions{Probes: true})
 }
 
-// ValidFn returns the validity predicate matching the view class: exact
-// validity for SP views, requested-changes validity for join views (the
-// Exact field of the trace).
-func (vf *Verifier) ValidFn() func(*update.Translation) bool {
-	if _, isJoin := vf.v.(*view.Join); isJoin {
-		return vf.ValidRequested
-	}
-	return vf.Valid
-}
-
 // TraceTranslate runs the traced pipeline: enumerate, verify each
 // candidate against validity and the five criteria, synthesize and
 // judge probe alternatives, then let the policy choose. The database is
@@ -156,12 +143,10 @@ func (vf *Verifier) ValidFn() func(*update.Translation) bool {
 // is non-nil even on failure and records what happened.
 func TraceTranslate(db storage.Source, v view.View, p Policy, r Request, opts TraceOptions) (Candidate, *Trace, error) {
 	p = orDefault(p)
-	_, isJoin := v.(*view.Join)
 	tr := &Trace{
 		View:        v.Name(),
 		Request:     r.String(),
 		Policy:      p.Name(),
-		Exact:       !isJoin,
 		ChosenIndex: -1,
 	}
 	span := obs.StartSpan("core.trace.translate")
@@ -184,9 +169,8 @@ func TraceTranslate(db storage.Source, v view.View, p Policy, r Request, opts Tr
 	}
 
 	// One verifier for the whole request: candidates are judged by row
-	// delta against copy-on-write overlays. The verifier is immutable,
-	// so judging is safe to parallelize.
-	validFn := NewVerifier(db, v, r).ValidFn()
+	// delta against copy-on-write overlays.
+	valid := NewVerifier(db, v, r).Valid
 
 	judge := func(c Candidate, source string) TraceCandidate {
 		tc := TraceCandidate{
@@ -195,12 +179,12 @@ func TraceTranslate(db storage.Source, v view.View, p Policy, r Request, opts Tr
 			Translation: c.Translation.String(),
 			Choices:     choiceStrings(c),
 		}
-		if !validFn(c.Translation) {
+		if !valid(c.Translation) {
 			tc.Verdict = VerdictInvalid
 			tc.Detail = "not a valid translation of the request"
 			return tc
 		}
-		viols := CheckCriteria(db, v, r, c.Translation, CheckOptions{Valid: validFn})
+		viols := CheckCriteria(db, v, r, c.Translation, CheckOptions{Valid: valid})
 		if len(viols) == 0 {
 			tc.Verdict = VerdictAccepted
 			return tc
@@ -211,40 +195,25 @@ func TraceTranslate(db storage.Source, v view.View, p Policy, r Request, opts Tr
 		return tc
 	}
 
-	// Candidates are judged on a bounded worker pool; results land in
-	// their candidate's slot, and the trace appends them in enumeration
-	// order, so the output is byte-identical to a sequential run.
-	//
-	// acceptedIdx maps trace indices back into cands for the policy.
-	var acceptedIdx []int
+	var accepted []Candidate
 	phase("criteria", func() {
-		judged := make([]TraceCandidate, len(cands))
-		runParallel(len(cands), func(i int) {
-			judged[i] = judge(cands[i], "generator")
-		})
-		for i, tc := range judged {
+		for _, c := range cands {
+			tc := judge(c, "generator")
 			tr.Candidates = append(tr.Candidates, tc)
 			if tc.Verdict == VerdictAccepted {
-				acceptedIdx = append(acceptedIdx, i)
+				accepted = append(accepted, c)
 			}
 		}
 	})
 
 	if opts.Probes {
 		phase("probes", func() {
-			probes := buildProbes(db, v, r, cands, maxProbes)
-			judged := make([]TraceCandidate, len(probes))
-			runParallel(len(probes), func(i int) {
-				judged[i] = judge(probes[i], "probe")
-			})
-			tr.Candidates = append(tr.Candidates, judged...)
+			for _, c := range buildProbes(db, v, r, cands, maxProbes) {
+				tr.Candidates = append(tr.Candidates, judge(c, "probe"))
+			}
 		})
 	}
 
-	accepted := make([]Candidate, len(acceptedIdx))
-	for i, idx := range acceptedIdx {
-		accepted[i] = cands[idx]
-	}
 	var chosen Candidate
 	var chooseErr error
 	phase("policy", func() {

@@ -120,32 +120,18 @@ func MustRow(rel *schema.Relation, raw ...interface{}) tuple.T {
 }
 
 // CheckCandidates verifies that every candidate is valid and satisfies
-// the five criteria under the given validity semantics, returning a
-// descriptive error for the first failure. Used by the paranoid mode of
-// the CLI and by tests; the paper's theorems say this never fails for
-// generator output on SP views.
-func CheckCandidates(db storage.Source, v view.View, r Request, cands []Candidate, exact bool) error {
-	vf := NewVerifier(db, v, r)
-	validFn := vf.Valid
-	if !exact {
-		validFn = vf.ValidRequested
-	}
-	// Candidates are independent; check them on the worker pool and
-	// report the first failure in input order, as a sequential run would.
-	errs := make([]error, len(cands))
-	runParallel(len(cands), func(i int) {
-		c := cands[i]
-		if !validFn(c.Translation) {
-			errs[i] = fmt.Errorf("core: candidate %s is not a valid translation of %s", c, r)
-			return
+// the five criteria, returning a descriptive error for the first
+// failure; the paper's theorems say it never fails for generator
+// output. The last parameter is unused (there is one validity notion)
+// until a benchmark PR drops it from the call in bench/trace.go.
+func CheckCandidates(db storage.Source, v view.View, r Request, cands []Candidate, _ bool) error {
+	valid := NewVerifier(db, v, r).Valid
+	for _, c := range cands {
+		if !valid(c.Translation) {
+			return fmt.Errorf("core: candidate %s is not a valid translation of %s", c, r)
 		}
-		if viols := CheckCriteria(db, v, r, c.Translation, CheckOptions{Valid: validFn}); len(viols) > 0 {
-			errs[i] = fmt.Errorf("core: candidate %s: %v", c, viols[0])
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+		if viols := CheckCriteria(db, v, r, c.Translation, CheckOptions{Valid: valid}); len(viols) > 0 {
+			return fmt.Errorf("core: candidate %s: %v", c, viols[0])
 		}
 	}
 	return nil

@@ -76,18 +76,16 @@ func TestTranslatorApplyRejectsInvalid(t *testing.T) {
 func TestCheckCandidatesRelaxedMode(t *testing.T) {
 	f := fixtures.NewABCXD()
 	db := f.PaperInstance()
-	// A side-effecting join insert: exact mode fails, relaxed passes.
+	// A side-effecting join insert: the side effect is the one §5
+	// admits, so the candidates pass.
 	u := f.ViewTuple("c4", "a", 6, 9) // parent (a,1) conflicts -> Case 3
 	r := core.InsertRequest(u)
 	cands, err := core.EnumerateJoinInsert(db, f.View, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.CheckCandidates(db, f.View, r, cands, true); err == nil {
-		t.Fatal("exact mode should reject side-effecting join translations")
-	}
 	if err := core.CheckCandidates(db, f.View, r, cands, false); err != nil {
-		t.Fatalf("relaxed mode should accept: %v", err)
+		t.Fatalf("Case 3 candidates should pass: %v", err)
 	}
 }
 
@@ -227,8 +225,8 @@ func TestPropertyJoinCandidatesApplyCleanly(t *testing.T) {
 			if len(cands) != 1 {
 				t.Fatalf("identity tree wants 1 candidate, got %d", len(cands))
 			}
-			if !core.ValidRequested(w.DB, w.View, r, cands[0].Translation) {
-				t.Fatalf("shape %d seed %d: delete candidate not requested-valid", si, seed)
+			if !core.Valid(w.DB, w.View, r, cands[0].Translation) {
+				t.Fatalf("shape %d seed %d: delete candidate not valid", si, seed)
 			}
 			// Insert.
 			if r, ok := w.InsertRequestForFreshRoot(); ok {
@@ -236,8 +234,8 @@ func TestPropertyJoinCandidatesApplyCleanly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !core.ValidRequested(w.DB, w.View, r, cands[0].Translation) {
-					t.Fatalf("shape %d seed %d: insert candidate not requested-valid", si, seed)
+				if !core.Valid(w.DB, w.View, r, cands[0].Translation) {
+					t.Fatalf("shape %d seed %d: insert candidate not valid", si, seed)
 				}
 				if err := w.DB.Apply(cands[0].Translation); err != nil {
 					t.Fatalf("shape %d seed %d: apply: %v", si, seed, err)

@@ -15,7 +15,7 @@ import (
 
 // An Experiment is one reproducible exhibit.
 type Experiment struct {
-	// ID is the experiment identifier from DESIGN.md (E1..E13).
+	// ID is the experiment identifier from DESIGN.md (E1..E16).
 	ID string
 	// Title describes the exhibit.
 	Title string
@@ -44,6 +44,7 @@ func All() []Experiment {
 		E13EnumVsBrute(),
 		E14Simplification(),
 		E15DAGExtension(),
+		E16SPJTheoremOracle(),
 	}
 	sort.Slice(es, func(i, j int) bool { return idNum(es[i].ID) < idNum(es[j].ID) })
 	return es

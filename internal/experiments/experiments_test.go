@@ -12,8 +12,8 @@ func TestAllExperimentsPass(t *testing.T) {
 		t.Skip("experiments skipped in -short mode")
 	}
 	es := All()
-	if len(es) != 15 {
-		t.Fatalf("want 15 experiments, got %d", len(es))
+	if len(es) != 16 {
+		t.Fatalf("want 16 experiments, got %d", len(es))
 	}
 	seen := map[string]bool{}
 	for _, e := range es {

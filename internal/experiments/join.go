@@ -3,10 +3,14 @@ package experiments
 import (
 	"fmt"
 
+	"viewupdate/internal/bruteforce"
 	"viewupdate/internal/core"
 	"viewupdate/internal/fixtures"
 	"viewupdate/internal/report"
+	"viewupdate/internal/storage"
 	"viewupdate/internal/update"
+	"viewupdate/internal/value"
+	"viewupdate/internal/view"
 	"viewupdate/internal/workload"
 )
 
@@ -144,70 +148,147 @@ func E15DAGExtension() Experiment {
 
 // E9SPJUniqueness validates the uniqueness theorems of §5-2: with
 // identity SP views, SPJ-D/I/R each admit exactly one translation
-// satisfying the criteria, across tree shapes.
+// satisfying the criteria, across tree shapes — and the exhaustive
+// oracle finds that one translation and no other.
 func E9SPJUniqueness() Experiment {
 	return Experiment{
 		ID:      "E9",
 		Title:   "Uniqueness of SPJ-D/I/R on identity trees",
 		Exhibit: "§5-2 theorems",
 		Run: func() (*report.Table, bool, error) {
-			t := report.New("E9 — candidate counts over random reference trees",
-				"depth", "fanout", "relations", "delete", "insert", "replace", "unique")
+			t := report.New("E9 — candidate counts over random reference trees, diffed against the oracle",
+				"depth", "fanout", "relations", "delete", "insert", "replace", "oracle_agrees", "unique")
 			allOK := true
 			for _, shape := range []struct{ depth, fanout int }{
 				{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 1},
 			} {
 				w, err := workload.NewTree(workload.TreeConfig{
 					Depth: shape.depth, Fanout: shape.fanout,
-					Keys: 60, TuplesPerRelation: 12, Seed: int64(31 + shape.depth*7 + shape.fanout),
+					Keys: 3, TuplesPerRelation: 2, PayloadDomain: 2,
+					Seed: int64(31 + shape.depth*7 + shape.fanout),
 				})
 				if err != nil {
 					return nil, false, err
 				}
-				counts := map[update.Kind]int{}
-				// Delete a random row.
 				row, ok := w.RandomRow()
 				if !ok {
 					return nil, false, fmt.Errorf("E9: empty view")
 				}
-				cands, err := core.EnumerateJoinDelete(w.DB, w.View, row)
-				if err != nil {
-					return nil, false, err
+				// Replace: change the root payload of a row.
+				pAttr := w.Relations[0].Attributes()[1].Name
+				moved := row.MustWith(pAttr, value.NewInt(1-row.MustGet(pAttr).Int()))
+				reqs := map[update.Kind]core.Request{
+					update.Delete:  core.DeleteRequest(row),
+					update.Replace: core.ReplaceRequest(row, moved),
 				}
-				counts[update.Delete] = len(cands)
-				// Insert under a fresh root key.
 				if r, ok := w.InsertRequestForFreshRoot(); ok {
+					reqs[update.Insert] = r
+				}
+				counts := map[update.Kind]int{}
+				agrees := true
+				for kind, r := range reqs {
 					cands, err := core.Enumerate(w.DB, w.View, r)
 					if err != nil {
 						return nil, false, err
 					}
-					counts[update.Insert] = len(cands)
-				}
-				// Replace: change the root payload of a row.
-				row2, _ := w.RandomRow()
-				pAttr := fmt.Sprintf("P%d", 0)
-				cur := row2.MustGet(pAttr)
-				var newRow = row2
-				for _, v := range w.Relations[0].Attributes()[1].Domain.Values() {
-					if v != cur {
-						newRow = row2.MustWith(pAttr, v)
-						break
+					counts[kind] = len(cands)
+					onlyO, onlyG, err := bruteforce.DiffGenerators(w.DB, w.View, r)
+					if err != nil {
+						return nil, false, err
 					}
+					agrees = agrees && len(onlyO) == 0 && len(onlyG) == 0
 				}
-				cands, err = core.EnumerateJoinReplace(w.DB, w.View, row2, newRow)
-				if err != nil {
-					return nil, false, err
-				}
-				counts[update.Replace] = len(cands)
 
 				unique := counts[update.Delete] == 1 && counts[update.Insert] == 1 && counts[update.Replace] == 1
-				allOK = allOK && unique
+				allOK = allOK && unique && agrees
 				t.AddRow(shape.depth, shape.fanout, len(w.Relations),
 					counts[update.Delete], counts[update.Insert], counts[update.Replace],
-					passFail(unique))
+					passFail(agrees), passFail(unique))
 			}
-			t.Note = "identity SP views leave no arbitrary choices: each SPJ algorithm is 'the only algorithm'"
+			t.Note = "identity SP views leave no arbitrary choices: each SPJ algorithm is 'the only algorithm', and the oracle finds no other"
 			return t, allOK, nil
 		},
 	}
+}
+
+// E16SPJTheoremOracle diffs SPJ-D/I/R against the exhaustive oracle,
+// in both directions, on small random trees whose nodes select and hide
+// attributes, and reports how the rooted-DAG extension differs.
+func E16SPJTheoremOracle() Experiment {
+	return Experiment{
+		ID:      "E16",
+		Title:   "SPJ theorem vs the exhaustive oracle",
+		Exhibit: "§5 theorems",
+		Run: func() (*report.Table, bool, error) {
+			t := report.New("E16 — oracle vs SPJ-D/I/R under the one validity notion",
+				"instances", "requests", "agree", "oracle_extra", "generator_extra", "asserted")
+			var trees diffTally
+			for seed := int64(1000); seed < 1040; seed++ {
+				w, err := workload.SmallTree(seed)
+				if err != nil {
+					return nil, false, err
+				}
+				for _, kind := range []update.Kind{update.Insert, update.Delete, update.Replace} {
+					if r, ok := w.RandomRequest(kind); ok {
+						if err := trees.add(w.DB, w.View, r); err != nil {
+							return nil, false, err
+						}
+					}
+				}
+			}
+			t.AddRow("40 trees, depth 1-2, node selections and hidden attributes",
+				trees.requests, trees.agree, trees.oracleExtra, trees.generatorExtra, "yes")
+
+			d := fixtures.NewDiamondOver(2, 2)
+			db := d.Load()
+			rows := d.View.Materialize(db).Slice()
+			var reqs []core.Request
+			for _, u := range bruteforce.AllTuples(d.View.Schema()) {
+				reqs = append(reqs, core.InsertRequest(u))
+				for _, old := range rows {
+					reqs = append(reqs, core.ReplaceRequest(old, u))
+				}
+			}
+			for _, old := range rows {
+				reqs = append(reqs, core.DeleteRequest(old))
+			}
+			var dag diffTally
+			for _, r := range reqs {
+				if core.ValidateRequest(db, d.View, r) == nil {
+					if err := dag.add(db, d.View, r); err != nil {
+						return nil, false, err
+					}
+				}
+			}
+			t.AddRow("diamond DAG over keys {1,2}, every valid request",
+				dag.requests, dag.agree, dag.oracleExtra, dag.generatorExtra, "no")
+			t.Note = "the one admitted view side effect is a row following an in-place replace of a non-root tuple it references; on a DAG that replace can split a row's paths and drop the row, which the predicate refuses"
+			return t, trees.agree == trees.requests, nil
+		},
+	}
+}
+
+// diffTally counts requests diffed against the oracle: all of them,
+// those where both sides agree, and those where the oracle or the
+// generators hold a translation the other lacks.
+type diffTally struct {
+	requests, agree, oracleExtra, generatorExtra int
+}
+
+func (n *diffTally) add(db *storage.Database, v view.View, r core.Request) error {
+	onlyO, onlyG, err := bruteforce.DiffGenerators(db, v, r)
+	if err != nil {
+		return err
+	}
+	n.requests++
+	if len(onlyO) > 0 {
+		n.oracleExtra++
+	}
+	if len(onlyG) > 0 {
+		n.generatorExtra++
+	}
+	if len(onlyO)+len(onlyG) == 0 {
+		n.agree++
+	}
+	return nil
 }

@@ -152,7 +152,7 @@ func E13EnumVsBrute() Experiment {
 
 				startO := time.Now()
 				oracle, err := bruteforce.Search(db, v, r, bruteforce.Config{
-					MaxOps: 2, Exact: true, MaxUniverse: 100000,
+					MaxOps: 2, MaxUniverse: 100000,
 				})
 				if err != nil {
 					return nil, false, err

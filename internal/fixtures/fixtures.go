@@ -186,6 +186,73 @@ func (f *ABCXD) PaperInstance() *storage.Database {
 	return db
 }
 
+// SelABCXD is the §5-1 figure with a selection at each node:
+// CXD(C*, X, D) under D ∈ {1, 2}, and AB(A*, B, H) with H hidden and,
+// when the parent is selected, B ∈ {1}. Every domain holds two or three
+// values, so exhaustive search over an instance is cheap.
+type SelABCXD struct {
+	Schema *schema.Database
+	AB     *schema.Relation
+	CXD    *schema.Relation
+	View   *view.Join
+}
+
+// NewSelABCXD builds the figure; parentSelected adds B ∈ {1} to the
+// parent's SP view.
+func NewSelABCXD(parentSelected bool) *SelABCXD {
+	aDom := schema.MustDomain("SelADom", value.NewString("a"), value.NewString("a2"))
+	bDom := schema.MustDomain("SelBDom", value.NewInt(1), value.NewInt(2))
+	hDom := schema.MustDomain("SelHDom", value.NewString("h1"), value.NewString("h2"))
+	cDom := schema.MustDomain("SelCDom", value.NewString("c1"), value.NewString("c2"), value.NewString("c3"))
+	dDom := schema.MustDomain("SelDDom", value.NewInt(1), value.NewInt(2), value.NewInt(3))
+	ab := schema.MustRelation("AB", []schema.Attribute{
+		{Name: "A", Domain: aDom}, {Name: "B", Domain: bDom}, {Name: "H", Domain: hDom},
+	}, []string{"A"})
+	cxd := schema.MustRelation("CXD", []schema.Attribute{
+		{Name: "C", Domain: cDom}, {Name: "X", Domain: aDom}, {Name: "D", Domain: dDom},
+	}, []string{"C"})
+	sch := schema.NewDatabase()
+	must(sch.AddRelation(ab))
+	must(sch.AddRelation(cxd))
+	must(sch.AddInclusion(schema.InclusionDependency{Child: "CXD", ChildAttrs: []string{"X"}, Parent: "AB"}))
+
+	abSel := algebra.NewSelection(ab)
+	if parentSelected {
+		abSel.MustAddTerm("B", value.NewInt(1))
+	}
+	parent := &view.Node{SP: view.MustNewSP("ABv", abSel, []string{"A", "B"})}
+	cxdSel := algebra.NewSelection(cxd).MustAddTerm("D", value.NewInt(1), value.NewInt(2))
+	root := &view.Node{
+		SP:   view.MustNewSP("CXDv", cxdSel, cxd.AttributeNames()),
+		Refs: []view.Ref{{Attrs: []string{"X"}, Target: parent}},
+	}
+	return &SelABCXD{Schema: sch, AB: ab, CXD: cxd, View: view.MustNewJoin("CXD_AB", sch, root)}
+}
+
+// ABTuple builds an AB tuple.
+func (f *SelABCXD) ABTuple(a string, b int64, h string) tuple.T {
+	return tuple.MustNew(f.AB, value.NewString(a), value.NewInt(b), value.NewString(h))
+}
+
+// CXDTuple builds a CXD tuple.
+func (f *SelABCXD) CXDTuple(c, x string, d int64) tuple.T {
+	return tuple.MustNew(f.CXD, value.NewString(c), value.NewString(x), value.NewInt(d))
+}
+
+// ViewTuple builds a view tuple (C, X, D, A, B) with X = A.
+func (f *SelABCXD) ViewTuple(c, x string, d, b int64) tuple.T {
+	return tuple.MustNew(f.View.Schema(),
+		value.NewString(c), value.NewString(x), value.NewInt(d),
+		value.NewString(x), value.NewInt(b))
+}
+
+// Load opens a database holding ts.
+func (f *SelABCXD) Load(ts ...tuple.T) *storage.Database {
+	db := storage.Open(f.Schema)
+	must(db.LoadAll(ts...))
+	return db
+}
+
 // University bundles a three-level tree: ENROLL(EID*, SID, CID, Grade)
 // references STUDENT(SID*, SName, Year) and COURSE(CID*, Title, Dept);
 // COURSE references DEPT(Dept*, Building). The join view is rooted at
@@ -358,13 +425,18 @@ type Diamond struct {
 	ANode, BNode    *view.Node
 }
 
-// NewDiamond builds the diamond schema and view.
-func NewDiamond() *Diamond {
-	keyDom, err := schema.IntRangeDomain("DiaKeyDom", 1, 9)
+// NewDiamond builds the diamond schema and view over keys 1..9 and
+// payloads 0..9.
+func NewDiamond() *Diamond { return NewDiamondOver(9, 10) }
+
+// NewDiamondOver builds the diamond over keys 1..keys and payloads
+// 0..payloads-1.
+func NewDiamondOver(keys, payloads int64) *Diamond {
+	keyDom, err := schema.IntRangeDomain("DiaKeyDom", 1, keys)
 	if err != nil {
 		panic(err)
 	}
-	payDom, err := schema.IntRangeDomain("DiaPayDom", 0, 9)
+	payDom, err := schema.IntRangeDomain("DiaPayDom", 0, payloads-1)
 	if err != nil {
 		panic(err)
 	}
@@ -458,4 +530,18 @@ func must(err error) {
 	if err != nil {
 		panic(fmt.Sprintf("fixtures: %v", err))
 	}
+}
+
+// Load opens a database over the diamond's schema holding, on keys 1
+// and 2: C 1 and C 2, each A and B key pointing at the C of its number,
+// ROOT 1 whose paths meet at C 1, and ROOT 2 whose paths diverge.
+func (d *Diamond) Load() *storage.Database {
+	db := storage.Open(d.Schema)
+	must(db.LoadAll(
+		d.CTuple(1, 0), d.CTuple(2, 1),
+		d.ATuple(1, 1), d.ATuple(2, 2),
+		d.BTuple(1, 1), d.BTuple(2, 2),
+		d.RootTuple(1, 1, 1), d.RootTuple(2, 1, 2),
+	))
+	return db
 }

@@ -17,11 +17,7 @@ import (
 func RenderTrace(t *core.Trace) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "explain trace: %s on %s\n", t.Request, t.View)
-	validity := "requested-changes (join views may have view side effects)"
-	if t.Exact {
-		validity = "exact (V(DB') = U(V(DB)))"
-	}
-	fmt.Fprintf(&b, "  policy: %s; validity: %s\n", t.Policy, validity)
+	fmt.Fprintf(&b, "  policy: %s; validity: V(DB') = U(V(DB)), save rows that follow an in-place replace of a non-root tuple (§5)\n", t.Policy)
 	if len(t.Phases) > 0 {
 		parts := make([]string, len(t.Phases))
 		for i, p := range t.Phases {

@@ -24,8 +24,10 @@ import (
 //     State I — the conservative join of the paper's per-edge states;
 //   - updates to a shared node affect view rows through every path, so
 //     translations may have more view side effects than on trees (the
-//     criteria relaxation the footnote alludes to); exact validity is
-//     checked with ValidRequested, as for all join views.
+//     criteria relaxation the footnote alludes to). core.Verifier.Valid
+//     judges DAG views as it judges trees, and refuses a translation
+//     that splits some row's paths and so drops it; EXPERIMENTS.md
+//     (E16) reports where that differs from SPJ-I and SPJ-R.
 
 // NewJoinDAG validates and builds a join view over a rooted DAG: like
 // NewJoin, but a node may be the target of several references. Cycles,

@@ -277,9 +277,23 @@ type TreeConfig struct {
 	Keys int64
 	// TuplesPerRelation is the number of tuples loaded per relation.
 	TuplesPerRelation int
+	// PayloadDomain is the size of every payload domain, whose values
+	// are 0..PayloadDomain-1 (0 means 100).
+	PayloadDomain int64
+	// Selected names, by preorder node index, the nodes whose SP view
+	// selects the lower half of its payload domain (at least one
+	// value); nodes past its end select nothing.
+	Selected []bool
+	// Hidden names, by preorder node index, the nodes whose relation
+	// carries one more attribute H<i> over {0, 1} that its SP view
+	// projects out.
+	Hidden []bool
 	// Seed drives all pseudo-random choices.
 	Seed int64
 }
+
+// flag reports whether node i is set in a per-node flag list.
+func flag(fs []bool, i int) bool { return i < len(fs) && fs[i] }
 
 // TreeWorkload bundles a generated join-view instance.
 type TreeWorkload struct {
@@ -293,15 +307,22 @@ type TreeWorkload struct {
 }
 
 // NewTree generates a rooted reference tree of the given shape: each
-// relation has an int key, one payload attribute, and Fanout foreign
-// keys to its children in the tree (which are its parents in the
-// reference direction).
+// relation has an int key, one payload attribute, an optional hidden
+// attribute, and Fanout foreign keys to its children in the tree (which
+// are its parents in the reference direction). Each node's SP view
+// projects out the hidden attribute and may select on the payload.
 func NewTree(cfg TreeConfig) (*TreeWorkload, error) {
 	if cfg.Depth < 0 || cfg.Fanout < 0 || cfg.Keys <= 0 {
 		return nil, fmt.Errorf("workload: bad tree config %+v", cfg)
 	}
 	if cfg.TuplesPerRelation <= 0 || int64(cfg.TuplesPerRelation) > cfg.Keys {
 		return nil, fmt.Errorf("workload: tuples per relation out of range in %+v", cfg)
+	}
+	if cfg.PayloadDomain == 0 {
+		cfg.PayloadDomain = 100
+	}
+	if cfg.PayloadDomain < 0 {
+		return nil, fmt.Errorf("workload: bad payload domain in %+v", cfg)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sch := schema.NewDatabase()
@@ -311,7 +332,11 @@ func NewTree(cfg TreeConfig) (*TreeWorkload, error) {
 	if err != nil {
 		return nil, err
 	}
-	payloadDom, err := schema.IntRangeDomain("PayDom", 0, 99)
+	payloadDom, err := schema.IntRangeDomain("PayDom", 0, cfg.PayloadDomain-1)
+	if err != nil {
+		return nil, err
+	}
+	hiddenDom, err := schema.IntRangeDomain("HidDom", 0, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -325,6 +350,9 @@ func NewTree(cfg TreeConfig) (*TreeWorkload, error) {
 		attrs := []schema.Attribute{
 			{Name: fmt.Sprintf("K%d", id), Domain: keyDom},
 			{Name: fmt.Sprintf("P%d", id), Domain: payloadDom},
+		}
+		if flag(cfg.Hidden, id) {
+			attrs = append(attrs, schema.Attribute{Name: fmt.Sprintf("H%d", id), Domain: hiddenDom})
 		}
 		var children []*view.Node
 		var fkAttrs []string
@@ -357,7 +385,11 @@ func NewTree(cfg TreeConfig) (*TreeWorkload, error) {
 			}
 			refs[i] = view.Ref{Attrs: []string{fkAttrs[i]}, Target: child}
 		}
-		return &view.Node{SP: view.Identity(name+"v", rel), Refs: refs}, nil
+		sp, err := nodeView(name+"v", rel, flag(cfg.Selected, id))
+		if err != nil {
+			return nil, err
+		}
+		return &view.Node{SP: sp, Refs: refs}, nil
 	}
 	root, err := build(0)
 	if err != nil {
@@ -379,6 +411,49 @@ func NewTree(cfg TreeConfig) (*TreeWorkload, error) {
 		return nil, err
 	}
 	return w, nil
+}
+
+// nodeView builds a tree node's SP view over rel: every attribute but
+// the hidden one, selecting the lower half of the payload domain when
+// selected is set.
+func nodeView(name string, rel *schema.Relation, selected bool) (*view.SP, error) {
+	sel := algebra.NewSelection(rel)
+	var proj []string
+	for _, a := range rel.Attributes() {
+		switch a.Name[0] {
+		case 'H':
+			continue
+		case 'P':
+			if selected {
+				vals := a.Domain.Values()
+				if err := sel.AddTerm(a.Name, vals[:max(1, len(vals)/2)]...); err != nil {
+					return nil, err
+				}
+			}
+		}
+		proj = append(proj, a.Name)
+	}
+	return view.NewSP(name, sel, proj)
+}
+
+// SmallTree builds the small tree instance a seed names, sized for
+// exhaustive search: depth 1 or 2, three keys and two payload values
+// per relation, two tuples loaded per relation, and a random selection
+// and hidden attribute per node.
+func SmallTree(seed int64) (*TreeWorkload, error) {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := TreeConfig{
+		Depth: 1 + rng.Intn(2), Fanout: 1, Keys: 3, TuplesPerRelation: 2,
+		PayloadDomain: 2, Seed: seed,
+	}
+	if cfg.Depth == 1 {
+		cfg.Fanout = 1 + rng.Intn(2)
+	}
+	for i := 0; i < 3; i++ {
+		cfg.Selected = append(cfg.Selected, rng.Intn(2) == 0)
+		cfg.Hidden = append(cfg.Hidden, rng.Intn(2) == 0)
+	}
+	return NewTree(cfg)
 }
 
 // MustNewTree is NewTree, panicking on error.
@@ -413,8 +488,9 @@ func (w *TreeWorkload) populate() error {
 				switch {
 				case ai == 0:
 					vals[ai] = value.NewInt(k)
-				case a.Name[0] == 'P':
-					vals[ai] = value.NewInt(int64(w.rng.Intn(100)))
+				case a.Name[0] == 'P' || a.Name[0] == 'H':
+					dom := a.Domain.Values()
+					vals[ai] = dom[w.rng.Intn(len(dom))]
 				default:
 					// Foreign key: pick a loaded key of the referenced
 					// relation.
@@ -483,4 +559,65 @@ func (w *TreeWorkload) InsertRequestForFreshRoot() (core.Request, bool) {
 	u := row.MustWith(rootKeyAttr, value.NewInt(k))
 	countRequest(update.Insert)
 	return core.InsertRequest(u), true
+}
+
+// RandomRequest returns a random valid request of the given kind
+// against the current state, or ok=false after 64 draws. Inserts and
+// replacements draw join-consistent rows that every node's selection
+// passes, over the whole key domains, so they meet every case of SPJ-I
+// and SPJ-R: absent, exactly present, and conflicting node tuples.
+func (w *TreeWorkload) RandomRequest(kind update.Kind) (core.Request, bool) {
+	for attempt := 0; attempt < 64; attempt++ {
+		var r core.Request
+		switch kind {
+		case update.Insert:
+			r = core.InsertRequest(w.randomViewRow(tuple.T{}))
+		case update.Delete, update.Replace:
+			old, ok := w.RandomRow()
+			if !ok {
+				return core.Request{}, false
+			}
+			r = core.DeleteRequest(old)
+			if kind == update.Replace {
+				r = core.ReplaceRequest(old, w.randomViewRow(old))
+			}
+		default:
+			return core.Request{}, false
+		}
+		if core.ValidateRequest(w.DB, w.View, r) == nil {
+			countRequest(kind)
+			return r, true
+		}
+	}
+	return core.Request{}, false
+}
+
+// randomViewRow draws a join-consistent row of the view whose node
+// projections pass their selections. Given a row from, each node keeps
+// from's projection with probability 1/2.
+func (w *TreeWorkload) randomViewRow(from tuple.T) tuple.T {
+	vals := map[string]value.Value{}
+	for _, n := range w.View.Nodes() {
+		keep := !from.IsZero() && w.rng.Intn(2) == 0
+		for _, a := range n.SP.Schema().Attributes() {
+			if keep {
+				vals[a.Name] = from.MustGet(a.Name)
+				continue
+			}
+			pool := n.SP.Selection().SelectingValues(a.Name)
+			vals[a.Name] = pool[w.rng.Intn(len(pool))]
+		}
+	}
+	for _, n := range w.View.Nodes() {
+		for _, ref := range n.Refs {
+			for i, a := range ref.Attrs {
+				vals[a] = vals[ref.Target.SP.Base().Key()[i]]
+			}
+		}
+	}
+	row, err := tuple.FromMap(w.View.Schema(), vals)
+	if err != nil {
+		panic(fmt.Sprintf("workload: assembling a row of %s: %v", w.View.Name(), err))
+	}
+	return row
 }

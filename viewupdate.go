@@ -182,10 +182,8 @@ var (
 	Enumerate = core.Enumerate
 	// ValidateRequest checks a request's applicability conditions.
 	ValidateRequest = core.ValidateRequest
-	// Valid reports exact (no-view-side-effect) validity.
+	// Valid reports validity: V(DB') = U(V(DB)), save the view side effect §5 admits on join views.
 	Valid = core.Valid
-	// ValidRequested reports relaxed validity for join views.
-	ValidRequested = core.ValidRequested
 	// CheckCriteria evaluates the paper's five criteria.
 	CheckCriteria = core.CheckCriteria
 	// SideEffects reports a translation's view changes beyond the
