@@ -53,6 +53,9 @@ race-core:
 # default minimizer would spend the whole window on one corpus entry.
 # FuzzSPJTheorem draws fresh trees and requests for the SPJ theorem's
 # oracle diff (EXPERIMENTS.md, E16) beyond its committed seeds.
+# FuzzDifferential runs the translator ≡ primary ≡ follower ≡
+# subscriber harness (docs/REPLICATION.md) on fresh seeds; each input
+# boots an engine, a follower and two subscribers, so two workers.
 soak:
 	$(GO) test -race -run 'Crash|Recover|Churn|Torn|Fault|Broken' ./internal/wal/ ./internal/persist/ ./internal/workload/ ./internal/storage/ ./internal/server/
 	$(GO) test -fuzz FuzzScan -fuzztime 5s -run '^$$' ./internal/wal/
@@ -60,6 +63,7 @@ soak:
 	$(GO) test -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 100x -run '^$$' ./internal/sqlish/
 	$(GO) test -fuzz FuzzDecodeUpdate -fuzztime 5s -fuzzminimizetime 100x -run '^$$' ./internal/server/
 	$(GO) test -fuzz FuzzSPJTheorem -fuzztime 30s -run '^$$' ./internal/bruteforce/
+	$(GO) test -fuzz FuzzDifferential -fuzztime 30s -parallel 2 -run '^$$' ./internal/server/
 
 # chaos-soak is the crash-contract gate (see docs/ROBUSTNESS.md). Part
 # one runs the deterministic in-process kill-point matrix: a live engine

@@ -21,29 +21,58 @@ import (
 
 	"viewupdate/internal/core"
 	"viewupdate/internal/storage"
+	"viewupdate/internal/tuple"
 	"viewupdate/internal/update"
 	"viewupdate/internal/value"
 	"viewupdate/internal/view"
 	"viewupdate/internal/workload"
 )
 
-// cloneValid is the pre-overlay validity check: clone the whole
-// database, apply, rematerialize the whole view, compare. One full
-// copy of the state per call — and the criteria checkers call the
-// validity predicate repeatedly per candidate.
-func cloneValid(db *storage.Database, v view.View, r core.Request, exact bool) func(*update.Translation) bool {
+// cloneValid is the clone-based reference of core.Verifier.Valid, the
+// one validity predicate: clone the whole database, apply,
+// rematerialize the whole view, compare. One full copy of the state
+// per call — and the criteria checkers call the predicate repeatedly
+// per candidate. A translation is valid iff it applies and (1) the
+// requested rows enter and leave the view; (2) every op on a non-root
+// node inserts or replaces in place the projection of the request's
+// new row; (3) every other row that changes keeps its root key: not a
+// requested key, still in the view, root tuple untouched. On an SP
+// view (2) and (3) admit nothing, so this is V(DB′) = U(V(DB)).
+func cloneValid(db *storage.Database, v view.View, r core.Request) func(*update.Translation) bool {
+	before := v.Materialize(db)
+	var nodes []*view.SP
+	rootBase := func(src storage.Source, row tuple.T) (tuple.T, bool) {
+		return v.(*view.SP).BaseForKey(src, row)
+	}
+	switch vv := v.(type) {
+	case *view.SP:
+		nodes = []*view.SP{vv}
+	case *view.Join:
+		for _, n := range vv.Nodes() {
+			nodes = append(nodes, n.SP)
+		}
+		rootBase = vv.RootBaseForKey
+	}
+	keyOf := func(t tuple.T) string {
+		k, _ := t.ProjectEncode(t.Relation().Key())
+		return k
+	}
+	requested := map[string]bool{}
+	for _, t := range r.Mentioned() {
+		requested[keyOf(t)] = true
+	}
 	return func(tr *update.Translation) bool {
 		clone := db.Clone()
 		if err := clone.Apply(tr); err != nil {
 			return false
 		}
 		after := v.Materialize(clone)
-		if exact {
-			want, err := r.ApplyToViewSet(v.Materialize(db))
-			if err != nil {
-				return false
-			}
-			return after.Equal(want)
+		if r.Kind == update.Replace && r.Old.Equal(r.New) {
+			return after.Equal(before) && before.Contains(r.Old)
+		}
+		want, err := r.ApplyToViewSet(before)
+		if err != nil {
+			return false
 		}
 		for _, t := range r.AddedTuples() {
 			if !after.Contains(t) {
@@ -55,7 +84,72 @@ func cloneValid(db *storage.Database, v view.View, r core.Request, exact bool) f
 				return false
 			}
 		}
+		for _, o := range tr.Ops() {
+			t := o.Tuple
+			if o.Kind == update.Replace {
+				t = o.New
+			}
+			for i, n := range nodes {
+				if i == 0 || n.Base() != t.Relation() {
+					continue
+				}
+				if r.Kind == update.Delete || o.Kind == update.Delete ||
+					(o.Kind == update.Replace && o.Old.Key() != o.New.Key()) {
+					return false
+				}
+				row, ok := n.RowFor(t)
+				proj, _ := n.Projection().Apply(n.Schema(), r.AddedTuples()[0])
+				if !ok || !row.Equal(proj) {
+					return false
+				}
+			}
+		}
+		afterKeys := map[string]bool{}
+		for _, t := range after.Slice() {
+			afterKeys[keyOf(t)] = true
+		}
+		other := func(row tuple.T) bool {
+			b1, ok1 := rootBase(db, row)
+			b2, ok2 := rootBase(clone, row)
+			return !requested[keyOf(row)] && afterKeys[keyOf(row)] && ok1 == ok2 && b1.Equal(b2)
+		}
+		for _, row := range want.Slice() {
+			if !after.Contains(row) && !other(row) {
+				return false
+			}
+		}
+		for _, row := range after.Slice() {
+			if !want.Contains(row) && !other(row) {
+				return false
+			}
+		}
 		return true
+	}
+}
+
+// TestCloneValidIsTheVerifier pins the clone baseline to the predicate
+// it stands in for: on both benchmark request streams, cloneValid and
+// core.Verifier.Valid judge every generated candidate alike.
+func TestCloneValidIsTheVerifier(t *testing.T) {
+	sp, spReqs := spBenchRequests(t)
+	tree, treeReqs := spjBenchRequests(t)
+	for _, c := range []struct {
+		db   *storage.Database
+		v    view.View
+		reqs []core.Request
+	}{{sp.DB, sp.View, spReqs}, {tree.DB, tree.View, treeReqs}} {
+		for _, r := range c.reqs {
+			cands, err := core.Enumerate(c.db, c.v, r)
+			if err != nil {
+				continue
+			}
+			ref, valid := cloneValid(c.db, c.v, r), core.NewVerifier(c.db, c.v, r).Valid
+			for _, cand := range cands {
+				if got, want := ref(cand.Translation), valid(cand.Translation); got != want {
+					t.Errorf("%s, %s: clone baseline says %v, the verifier %v", r, cand.Translation, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -67,8 +161,7 @@ func clonePipeline(db *storage.Database, v view.View, r core.Request) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	_, isJoin := v.(*view.Join)
-	valid := cloneValid(db, v, r, !isJoin)
+	valid := cloneValid(db, v, r)
 	var accepted []core.Candidate
 	for _, c := range cands {
 		if !valid(c.Translation) {
@@ -198,7 +291,7 @@ func runTranslateBench(b *testing.B, name string, db *storage.Database, v view.V
 
 // spBenchRequests pre-generates a fixed request stream on
 // BenchmarkObsPipeline's workload, shared by both modes.
-func spBenchRequests(b *testing.B) (*workload.SPWorkload, []core.Request) {
+func spBenchRequests(b testing.TB) (*workload.SPWorkload, []core.Request) {
 	b.Helper()
 	w := workload.MustNewSP(workload.SPConfig{
 		Keys: 400, Attrs: 4, DomainSize: 6,
@@ -231,7 +324,7 @@ func BenchmarkTranslateSP(b *testing.B) {
 
 // spjBenchRequests pre-generates deletes, root-payload replaces and
 // fresh-root inserts on a depth-2 reference tree.
-func spjBenchRequests(b *testing.B) (*workload.TreeWorkload, []core.Request) {
+func spjBenchRequests(b testing.TB) (*workload.TreeWorkload, []core.Request) {
 	b.Helper()
 	w := workload.MustNewTree(workload.TreeConfig{
 		Depth: 2, Fanout: 2, Keys: 300, TuplesPerRelation: 80, Seed: 7,

@@ -57,7 +57,7 @@ func main() {
 	syncMode := flag.String("sync", "commit", "WAL sync policy: commit|always|never")
 	maxInFlight := flag.Int("max-in-flight", 64, "bounded commit queue; beyond it requests get 429")
 	maxBatch := flag.Int("max-batch", 32, "max commits per group-commit WAL append")
-	batchDelay := flag.Duration("batch-delay", 200*time.Microsecond, "adaptive group-commit window: max wait for more commits before fsync under load (0 disables; idle commits never wait)")
+	batchDelay := flag.Duration("batch-delay", 200*time.Microsecond, "adaptive group-commit window: max wait for more commits before fsync under load (0 disables; idle commits never wait). The timer is the Go runtime's: with nothing else runnable, a sub-millisecond wait sleeps in the netpoller, which rounds it up to about 1 ms")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	logLevel := flag.String("log-level", "info", "log level: debug|info|warn|error")

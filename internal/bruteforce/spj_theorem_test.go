@@ -1,6 +1,7 @@
 package bruteforce
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -117,5 +118,54 @@ func TestSPJTheoremFigureShapes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDiamondOffersOnlyAcceptableTranslations: on the rooted-DAG
+// diamond over keys {1,2}, for every valid request E16 draws, every
+// candidate Enumerate offers is in the oracle's acceptable set, and a
+// request whose generated candidates all have a view side effect is
+// refused rather than translated: four insertions, whose SPJ-I
+// candidates replace a shared A or B tuple in place and so drop another
+// row from the view, and four key-moving replaces, whose SPJ-R
+// candidates all delete ROOT 1. The oracle accepts translations of
+// three of those replaces that SPJ-R does not generate; E16 reports
+// them.
+func TestDiamondOffersOnlyAcceptableTranslations(t *testing.T) {
+	d := fixtures.NewDiamondOver(2, 2)
+	db := d.Load()
+	rows := d.View.Materialize(db).Slice()
+	var reqs []core.Request
+	for _, u := range AllTuples(d.View.Schema()) {
+		reqs = append(reqs, core.InsertRequest(u))
+		for _, old := range rows {
+			reqs = append(reqs, core.ReplaceRequest(old, u))
+		}
+	}
+	for _, old := range rows {
+		reqs = append(reqs, core.DeleteRequest(old))
+	}
+	valid, refused := 0, 0
+	for _, r := range reqs {
+		if core.ValidateRequest(db, d.View, r) != nil {
+			continue
+		}
+		valid++
+		_, onlyGenerated, err := DiffGenerators(db, d.View, r)
+		if err != nil {
+			t.Fatalf("%s: %v", r, err)
+		}
+		if len(onlyGenerated) > 0 {
+			t.Errorf("%s: offers translations the oracle rejects: %q", r, onlyGenerated)
+		}
+		if _, err := core.NewTranslator(d.View, nil).Translate(db, r); err != nil {
+			if !errors.Is(err, core.ErrNoCandidates) {
+				t.Fatalf("%s: %v", r, err)
+			}
+			refused++
+		}
+	}
+	if valid != 48 || refused != 8 {
+		t.Fatalf("%d valid requests, %d refused; want 48 and 8", valid, refused)
 	}
 }

@@ -331,18 +331,45 @@ func Enumerate(db storage.Source, v view.View, r Request) ([]Candidate, error) {
 	case *view.SP:
 		return EnumerateSP(db, vv, r)
 	case *view.Join:
+		var cands []Candidate
+		var err error
 		switch r.Kind {
 		case update.Insert:
-			return EnumerateJoinInsert(db, vv, r.Tuple)
+			cands, err = EnumerateJoinInsert(db, vv, r.Tuple)
 		case update.Delete:
-			return EnumerateJoinDelete(db, vv, r.Tuple)
+			cands, err = EnumerateJoinDelete(db, vv, r.Tuple)
 		case update.Replace:
-			return EnumerateJoinReplace(db, vv, r.Old, r.New)
+			cands, err = EnumerateJoinReplace(db, vv, r.Old, r.New)
+		default:
+			return nil, fmt.Errorf("core: invalid request kind")
 		}
-		return nil, fmt.Errorf("core: invalid request kind")
+		if err != nil || !vv.IsDAG() {
+			return cands, err
+		}
+		return acceptedOnly(db, vv, r, cands)
 	default:
 		return nil, fmt.Errorf("core: unsupported view type %T", v)
 	}
+}
+
+// acceptedOnly keeps the candidates that are valid and satisfy the
+// five criteria, refusing a request left with none. The paper proves
+// SPJ-D, SPJ-I and SPJ-R for trees; on a rooted DAG an in-place replace
+// of a shared tuple can split another row's reference paths and drop
+// that row from the view, and a key-moving replace may be generated
+// only together with the deletion of a root tuple the request keeps.
+func acceptedOnly(db storage.Source, v view.View, r Request, cands []Candidate) ([]Candidate, error) {
+	valid := NewVerifier(db, v, r).Valid
+	out := cands[:0]
+	for _, c := range cands {
+		if rejection(db, v, r, valid, c) == nil {
+			out = append(out, c)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%w for %s: every SPJ candidate has a view side effect on DAG view %s", ErrNoCandidates, r, v.Name())
+	}
+	return out, nil
 }
 
 // DescribeCandidates renders a candidate list, one per line.

@@ -8,6 +8,7 @@ import (
 	"viewupdate/internal/schema"
 	"viewupdate/internal/storage"
 	"viewupdate/internal/tuple"
+	"viewupdate/internal/update"
 	"viewupdate/internal/value"
 	"viewupdate/internal/view"
 )
@@ -127,12 +128,22 @@ func MustRow(rel *schema.Relation, raw ...interface{}) tuple.T {
 func CheckCandidates(db storage.Source, v view.View, r Request, cands []Candidate, _ bool) error {
 	valid := NewVerifier(db, v, r).Valid
 	for _, c := range cands {
-		if !valid(c.Translation) {
-			return fmt.Errorf("core: candidate %s is not a valid translation of %s", c, r)
+		if err := rejection(db, v, r, valid, c); err != nil {
+			return err
 		}
-		if viols := CheckCriteria(db, v, r, c.Translation, CheckOptions{Valid: valid}); len(viols) > 0 {
-			return fmt.Errorf("core: candidate %s: %v", c, viols[0])
-		}
+	}
+	return nil
+}
+
+// rejection returns why c is not an acceptable translation of r — it is
+// not valid, or it violates a criterion — or nil when it is. valid is
+// NewVerifier(db, v, r).Valid, built once per request.
+func rejection(db storage.Source, v view.View, r Request, valid func(*update.Translation) bool, c Candidate) error {
+	if !valid(c.Translation) {
+		return fmt.Errorf("core: candidate %s is not a valid translation of %s", c, r)
+	}
+	if viols := CheckCriteria(db, v, r, c.Translation, CheckOptions{Valid: valid}); len(viols) > 0 {
+		return fmt.Errorf("core: candidate %s: %v", c, viols[0])
 	}
 	return nil
 }

@@ -261,9 +261,9 @@ func E16SPJTheoremOracle() Experiment {
 				}
 			}
 			t.AddRow("diamond DAG over keys {1,2}, every valid request",
-				dag.requests, dag.agree, dag.oracleExtra, dag.generatorExtra, "no")
-			t.Note = "the one admitted view side effect is a row following an in-place replace of a non-root tuple it references; on a DAG that replace can split a row's paths and drop the row, which the predicate refuses"
-			return t, trees.agree == trees.requests, nil
+				dag.requests, dag.agree, dag.oracleExtra, dag.generatorExtra, "generator_extra = 0")
+			t.Note = "the one admitted view side effect is a row following an in-place replace of a non-root tuple it references; on a DAG that replace can split a row's paths and drop the row, which the predicate refuses — so on a DAG view Enumerate keeps only the candidates the predicate and the criteria accept, and refuses a request left with none; oracle_extra counts translations no generator makes"
+			return t, trees.agree == trees.requests && dag.generatorExtra == 0, nil
 		},
 	}
 }

@@ -77,6 +77,14 @@ const (
 	// exists for CallNth crash triggers — a crash armed here must
 	// recover with the cross-shard commit applied.
 	SiteShardDecision = "shard.decision"
+	// SiteStreamSend fires before each commit frame is queued on a
+	// /wal/stream tail; an injected error sheds the tail as an overrun
+	// would, and the follower resumes from its watermark.
+	SiteStreamSend = "replica.stream.send"
+	// SiteSubscribeSend fires before each change event is queued on a
+	// /subscribe tail; an injected error sheds the subscriber as an
+	// overrun would, and it resumes with Last-Event-ID.
+	SiteSubscribeSend = "server.subscribe.send"
 )
 
 // A rule decides whether one hit at a site fails, or — for callback

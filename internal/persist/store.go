@@ -106,7 +106,7 @@ type Store struct {
 	// onCommit, when set, receives the translation records of every
 	// durable commit, in commit order, immediately after their WAL
 	// append succeeded (still under the store lock, so delivery order
-	// is commit order). The serving layer feeds its replication hub
+	// is commit order). The serving layer feeds its replication stream
 	// with it. The callback must be fast and must not call back into
 	// the store.
 	onCommit func(recs []wal.Record)
@@ -269,7 +269,7 @@ func (s *Store) SnapshotSeq() uint64 {
 // key) of every commit, in commit order, immediately after the commit
 // became durable. Delivery runs under the store lock — fn must be
 // fast, must not block, and must not call back into the store. The
-// serving layer points this at its replication hub. Pass nil to
+// serving layer points this at its replication stream. Pass nil to
 // detach.
 func (s *Store) SetOnCommit(fn func(recs []wal.Record)) {
 	s.mu.Lock()

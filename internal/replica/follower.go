@@ -20,7 +20,7 @@ import (
 type Config struct {
 	// Primary is the source's base URL (primary, or an upstream follower
 	// — the protocol cascades, since a follower's own store feeds its
-	// hub exactly like a primary's).
+	// stream exactly like a primary's).
 	Primary string
 	// Dir, when non-empty, makes the follower durable: its replayed
 	// state lives in a persist.Store there, and a restart resumes from

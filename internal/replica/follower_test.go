@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"viewupdate/internal/faultinject"
 	"viewupdate/internal/fixtures"
 	"viewupdate/internal/persist"
 	"viewupdate/internal/storage"
@@ -190,14 +192,14 @@ func TestFollowerPrefixByteEquivalence(t *testing.T) {
 }
 
 // testSource is a minimal replication source: a durable store feeding a
-// hub, served over the two replication endpoints. The real server
+// feed, served over the two replication endpoints. The real server
 // endpoints add WAL gap-fill and metrics; this keeps the follower tests
 // self-contained in this package.
 type testSource struct {
-	mu  sync.Mutex
-	st  *persist.Store
-	hub *Hub
-	srv *httptest.Server
+	mu   sync.Mutex
+	st   *persist.Store
+	feed *Feed
+	srv  *httptest.Server
 }
 
 func newTestSource(t *testing.T, db *storage.Database) *testSource {
@@ -206,10 +208,11 @@ func newTestSource(t *testing.T, db *storage.Database) *testSource {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &testSource{st: st, hub: NewHub(64 << 20)}
+	src := &testSource{st: st, feed: NewFeed(FeedSpec{Backlog: 64 << 20, Tail: 1024,
+		Site: faultinject.SiteStreamSend, Shed: "replica.hub.tail_overrun"}, 0)}
 	st.SetOnCommit(func(recs []wal.Record) {
 		for _, rec := range recs {
-			src.hub.Publish(rec)
+			PublishRecord(src.feed, rec)
 		}
 	})
 	mux := http.NewServeMux()
@@ -232,24 +235,25 @@ func newTestSource(t *testing.T, db *storage.Database) *testSource {
 			http.Error(w, "snapshot required", http.StatusGone)
 			return
 		}
-		backlog, tail, covered := src.hub.Attach(from)
+		tail, covered := src.feed.Attach(from)
 		if !covered {
 			http.Error(w, "backlog gap", http.StatusInternalServerError)
 			return
 		}
-		defer src.hub.Detach(tail)
+		defer src.feed.Detach(tail)
 		fl := w.(http.Flusher)
-		for _, frame := range backlog {
-			w.Write(frame)
+		for _, fr := range tail.Replay {
+			w.Write(fr.Buf)
 		}
 		fl.Flush()
 		for {
 			select {
-			case frame, ok := <-tail.C:
+			case fr, ok := <-tail.C:
 				if !ok {
 					return
 				}
-				w.Write(frame)
+				w.Write(fr.Buf)
+				fr.Release()
 				fl.Flush()
 			case <-r.Context().Done():
 				return
@@ -259,7 +263,7 @@ func newTestSource(t *testing.T, db *storage.Database) *testSource {
 	src.srv = httptest.NewServer(mux)
 	t.Cleanup(func() {
 		src.srv.Close()
-		src.hub.Close()
+		src.feed.Close()
 		st.Close()
 	})
 	return src
@@ -404,18 +408,23 @@ func TestFollowerReconnectsThroughDrops(t *testing.T) {
 	run := make(chan error, 1)
 	go func() { run <- f.Run(ctx, deliver) }()
 
+	// Every tenth frame sent sheds the tail it was meant for: the
+	// follower sees a clean close and must resume.
+	plan := faultinject.NewPlan(1).FailEveryNth(faultinject.SiteStreamSend, 10, -1, errors.New("shed"))
+	faultinject.Enable(plan)
+	defer faultinject.Disable()
 	for i, tr := range genWorkload(fx, 30) {
-		src.apply(t, "", tr)
-		if i%10 == 9 {
-			// Shed every attached tail: the follower sees a clean close
-			// and must resume.
-			waitFor(t, "tail attach", func() bool { return src.hub.Tails() > 0 })
-			src.hub.ShedTails()
+		if i%10 == 0 {
+			waitFor(t, "tail attach", func() bool { return src.feed.Tails() > 0 })
 		}
+		src.apply(t, "", tr)
 	}
 	waitFor(t, "convergence through drops", func() bool {
 		return f.AppliedSeq() == src.st.CommittedSeq()
 	})
+	if plan.Fired(faultinject.SiteStreamSend) == 0 {
+		t.Fatal("no tail was shed")
+	}
 	cancel()
 	if err := <-run; err != nil {
 		t.Fatalf("run: %v", err)

@@ -42,9 +42,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -298,16 +300,17 @@ type Engine struct {
 	idem idemTable
 	brk  *breaker
 
-	// Replication. repHub fans durable commits out to /wal/stream tails
+	// Replication. stream fans durable commits out to /wal/stream tails
 	// (non-nil exactly when the engine is durable — a replication
 	// source); hbStop stops the heartbeat ticker. See walstream.go and
 	// docs/REPLICATION.md.
-	repHub *replica.Hub
+	stream *replica.Feed
 	hbStop chan struct{}
 
-	// subs fans per-commit view deltas out to /subscribe streams; see
-	// subscribe.go. Zero value ready; closed after the pipeline drains.
-	subs subHub
+	// subs holds the change feed of each subscribed view, fed per
+	// commit and served to /subscribe streams; see subscribe.go. Closed
+	// after the pipeline drains.
+	subs viewFeeds
 
 	// Follower mode (Config.Follow): fol replays the source's WAL
 	// stream, folCancel stops it, folMu/folFatal record a fatal
@@ -339,6 +342,10 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 	e.sess.RefuseFiles()
 	e.disc = &syncDiscipline{e: e, apply: e.applyMemory}
 	e.txs.ttl = txTTL
+	// A random run tag, so two boots of one node or two nodes of a fleet
+	// never issue the same subscription event id.
+	e.subs.run = strconv.FormatUint(rand.Uint64(), 36)
+	e.subs.linger, e.subs.feeds = subLinger, map[string]*viewFeed{}
 	e.idem.cap = cfg.IdemCapacity
 	if cfg.Shards > 1 && cfg.Dir == "" {
 		return nil, fmt.Errorf("server: Shards requires a store directory")
@@ -361,18 +368,20 @@ func NewEngine(cfg Config, initScript string) (*Engine, error) {
 	e.db = e.sess.DB()
 	if cfg.Dir != "" {
 		// A durable engine is a replication source: durable commits feed
-		// the stream hub in commit order — the init script's included. The
-		// hub's watermark is seeded with the recovered committed seq, so a
-		// follower resuming below it is served from the WAL on disk instead
-		// of silently skipped.
-		e.repHub = replica.NewHub(0)
+		// the stream in commit order — the init script's included. The
+		// feed starts after the recovered committed seq, so a follower
+		// resuming below it is served from the WAL on disk instead of
+		// silently skipped.
+		e.stream = replica.NewFeed(replica.FeedSpec{
+			Backlog: walBacklogBytes, Tail: walTailBuffer,
+			Site: faultinject.SiteStreamSend, Shed: "replica.hub.tail_overrun",
+		}, e.dur.CommittedSeq())
 		e.hbStop = make(chan struct{})
 		e.dur.SetOnCommit(func(recs []wal.Record) {
 			for _, rec := range recs {
-				e.repHub.Publish(rec)
+				replica.PublishRecord(e.stream, rec)
 			}
 		})
-		e.repHub.SeedWatermark(e.dur.CommittedSeq())
 		go e.runHeartbeats()
 	}
 	if e.fol == nil {
@@ -813,8 +822,8 @@ func (e *Engine) Health() Healthz {
 		Role:         "primary",
 	}
 	sort.Strings(h.Views)
-	if e.repHub != nil {
-		h.WalStreamTails = e.repHub.Tails()
+	if e.stream != nil {
+		h.WalStreamTails = e.stream.Tails()
 	}
 	if e.fol != nil {
 		h.Role = "follower"

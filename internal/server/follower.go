@@ -17,7 +17,7 @@ import (
 // a source engine's, replayed commit by commit from the source's WAL
 // stream. The write API answers ErrReadOnly; the group-commit pipeline
 // never starts. A durable follower (Config.Dir set) is itself a
-// replication source — its store feeds a hub exactly like a primary's
+// replication source — its store feeds a stream exactly like a primary's
 // — so followers cascade. See docs/REPLICATION.md.
 
 // ErrReadOnly marks a write against a follower: the view-update API
@@ -46,7 +46,7 @@ func (e *Engine) openFollower() error {
 	// only writer of a follower's state is the replication stream.
 	e.sess.SetApplier(func(*update.Translation) error { return ErrReadOnly })
 	// A durable follower exposes its store as THE engine store: the
-	// idempotency replay, the replication-source hub (cascading), the
+	// idempotency replay, the replication-source stream (cascading), the
 	// drain checkpoint and Health all go through e.dur and work
 	// unchanged. Memory-only followers keep noStore (and serve 404 on
 	// /wal/stream — nothing durable to resume from).

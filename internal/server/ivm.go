@@ -19,8 +19,8 @@ import (
 // out are never mutated.
 //
 // The same per-view deltas drive live subscriptions (subscribe.go):
-// each commit's row changes fan out to /subscribe/{view} tails, for
-// subscribed views whether or not any reader has warmed them.
+// each commit's row changes go to the feed of every subscribed view,
+// whether or not any reader has warmed it.
 
 // publish builds the next published state whole and stores it once: a
 // copy-on-write clone of the live database (extensions are shared and
@@ -38,7 +38,9 @@ import (
 // admin script that may have run DDL: the next snapshot takes one
 // version and starts with an empty memo, which is the invalidate-on-DDL
 // rule. Subscribers hear each subscribed view's delta after the store,
-// so an event never precedes the state it describes.
+// so an event never precedes the state it describes; a subscribed view
+// that DDL dropped or rebound has its feed cut, and so has one whose
+// last subscriber left more than its linger ago.
 //
 // Callers hold stateMu (or are the only goroutine, at boot). Reading
 // e.sess without sessMu is safe here: DDL mutation (ExecScript)
@@ -50,7 +52,12 @@ func (e *Engine) publish(landed []*update.Translation) {
 		v        view.View
 		rem, add []tuple.T
 	}
-	var fanout []delta
+	type change struct {
+		fd *viewFeed
+		delta
+	}
+	feeds := e.subs.active()
+	var fanout []change
 	switch {
 	case prev == nil: // boot: version 0
 	case len(landed) == 0:
@@ -68,17 +75,12 @@ func (e *Engine) publish(landed []*update.Translation) {
 			}
 			return d
 		}
-		// A live subscription needs the row changes even when no reader
-		// has materialized the view; a warm view reuses them below.
-		for _, name := range e.subs.active() {
-			v := e.sess.View(name)
-			if v == nil {
-				// View dropped since the subscribers attached; cut them loose
-				// so they notice and re-subscribe (or give up).
-				e.subs.drop(name)
-				continue
+		// A subscribed view needs the row changes even when no reader
+		// has materialized it; a warm view reuses them below.
+		for _, fd := range feeds {
+			if e.sess.View(fd.name) == fd.v {
+				fanout = append(fanout, change{fd, deltaOf(fd.v)})
 			}
-			fanout = append(fanout, deltaOf(v))
 		}
 		prev.mu.Lock()
 		warm := maps.Clone(prev.views)
@@ -94,8 +96,17 @@ func (e *Engine) publish(landed []*update.Translation) {
 	}
 	obs.SetGauge("server.viewcache.entries", int64(len(next.views)))
 	e.snap.Store(next) // from here on readers may fill next.views
-	for _, d := range fanout {
-		e.subs.publish(d.v.Name(), d.v, next.version, d.rem, d.add)
+	for _, c := range fanout {
+		c.fd.publish(next.version, c.rem, c.add)
+	}
+	for _, fd := range feeds {
+		// A view dropped or rebound since its feed opened cuts the
+		// feed's subscribers loose, so they notice and re-subscribe (or
+		// give up); a feed whose last subscriber is gone for good stops
+		// costing commits.
+		if e.sess.View(fd.name) != fd.v || fd.Idle(e.subs.linger) {
+			e.subs.drop(fd)
+		}
 	}
 }
 

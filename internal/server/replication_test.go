@@ -120,8 +120,9 @@ func TestFollowerEndToEnd(t *testing.T) {
 // resumes from its recovered watermark — across a primary crash —
 // without re-bootstrapping or double-applying; the commits its resume
 // point trails the restarted primary's in-memory backlog by are served
-// from the WAL on disk (the hub watermark seeding + gap-fill path).
+// from the WAL on disk (the stream feed's starting seq + gap-fill path).
 func TestFollowerResumeAndGapFill(t *testing.T) {
+	sink := metricsSink(t)
 	dirP, dirF := t.TempDir(), t.TempDir()
 
 	// The follower must find the restarted primary at the same URL:
@@ -146,7 +147,7 @@ func TestFollowerResumeAndGapFill(t *testing.T) {
 	}
 
 	// Commits the stopped follower misses, then a primary crash: the
-	// WAL keeps its tail, the restarted hub starts empty above them.
+	// WAL keeps its tail, the restarted feed starts empty above them.
 	for k := 4; k <= 5; k++ {
 		if err := insertKey(p1, k); err != nil {
 			t.Fatal(err)
@@ -156,12 +157,18 @@ func TestFollowerResumeAndGapFill(t *testing.T) {
 	p2 := newTestEngine(t, dirP, nil)
 	cur.Store(p2)
 
-	// The follower recovers watermark 3 and resumes; 4 and 5 are below
-	// the restarted hub's seeded watermark and must gap-fill from the
-	// primary's WAL. Then a live commit streams on top.
+	// The follower recovers watermark 3 from its own store, not a fresh
+	// bootstrap, and resumes; 4 and 5 are below the restarted feed's
+	// starting seq and must gap-fill from the primary's WAL. Then a live
+	// commit streams on top. The live AppliedSeq may already have moved
+	// past 3 by the time it is read; the recovery report cannot.
+	bootstraps := sink.Metrics().Snapshot().Counters["replica.bootstrap"]
 	f2 := newFollowerEngine(t, dirF, srv.URL, nil)
-	if got := f2.Health().Replica.AppliedSeq; got != 3 {
-		t.Fatalf("recovered watermark = %d, want 3 (re-bootstrapped?)", got)
+	if rep := f2.fol.Store().Report(); max(rep.SnapshotSeq, rep.MaxSeq) != 3 {
+		t.Fatalf("recovered watermark = %d (%s), want 3", max(rep.SnapshotSeq, rep.MaxSeq), rep)
+	}
+	if got := sink.Metrics().Snapshot().Counters["replica.bootstrap"]; got != bootstraps {
+		t.Fatalf("the restarted follower bootstrapped from a snapshot (replica.bootstrap %d -> %d)", bootstraps, got)
 	}
 	if err := insertKey(p2, 6); err != nil {
 		t.Fatal(err)
@@ -253,7 +260,7 @@ func TestFollowerMemoryOnly(t *testing.T) {
 
 // TestFollowerCascade: a follower of a durable follower — the stream
 // protocol composes, since a durable follower's store feeds its own
-// hub exactly like a primary's.
+// stream exactly like a primary's.
 func TestFollowerCascade(t *testing.T) {
 	p := newTestEngine(t, t.TempDir(), nil)
 	srv := httptest.NewServer(NewHandler(p))

@@ -1,14 +1,19 @@
 package server
 
 import (
+	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"viewupdate/internal/faultinject"
 	"viewupdate/internal/obs"
+	"viewupdate/internal/replica"
 	"viewupdate/internal/tuple"
 	"viewupdate/internal/value"
 	"viewupdate/internal/view"
@@ -16,228 +21,175 @@ import (
 
 // Live view subscriptions: GET /subscribe/{view} holds a Server-Sent
 // Events stream open and pushes each commit's view-row delta — the
-// same O(delta) changes incremental view maintenance computes — to
-// every subscriber. The fan-out path is allocation-free in steady
-// state: one pooled event buffer is encoded per (commit, view) and
-// shared by reference count across that view's subscribers; per-
-// subscriber queues are bounded, and a subscriber that cannot keep up
-// is shed (its channel closed) rather than allowed to stall the commit
-// pipeline. See docs/REPLICATION.md.
+// O(delta) changes incremental view maintenance computes — as a change
+// event. Each subscribed view has one replica.Feed keyed by snapshot
+// version, the type /wal/stream serves followers from. A subscriber
+// that cannot keep up is shed rather than allowed to stall the commit
+// pipeline, and reconnects with Last-Event-ID to replay what it missed.
+// Versions restart at 0 on every boot and each node counts its own, so
+// an event's id is <run>.<version>, run drawn at random per engine, and
+// an id another run issued is never replayed. See docs/REPLICATION.md.
 
 const (
 	// subBuffer is each subscriber's queue: commits it lags behind by
 	// more than this many events shed it.
 	subBuffer = 256
+	// subBacklogBytes bounds each view's retained events: the window a
+	// shed or disconnected subscriber can resume within.
+	subBacklogBytes = 1 << 20
+	// subLinger is how long a view's feed outlives its last subscriber
+	// so a reconnect can resume; after it, the next commit drops the
+	// feed rather than keep computing deltas nobody reads.
+	subLinger = 30 * time.Second
 	// subKeepalive is the comment-ping interval keeping idle streams'
 	// connections (and intermediaries) from timing out.
 	subKeepalive = 15 * time.Second
-	// maxPooledEventBuf caps the buffer capacity returned to the event
-	// pool; a rare huge delta is handed to the GC instead of pinning
-	// its footprint forever.
-	maxPooledEventBuf = 1 << 16
 )
 
-// A subEvent is one encoded SSE frame, shared by every subscriber of
-// the view it belongs to. The publisher sets refs to the number of
-// queues it was placed on; the last release returns it to the pool.
-type subEvent struct {
-	refs atomic.Int32
-	buf  []byte
+// A viewFeed is the change feed of one subscribed view, pinned to the
+// view value it was opened against: if DDL drops or rebinds the name,
+// the feed is cut (the rows it carried deltas for no longer exist).
+type viewFeed struct {
+	name, run string
+	v         view.View
+	*replica.Feed
 }
 
-var subEventPool = sync.Pool{New: func() any { return new(subEvent) }}
-
-// release drops one reference, recycling the event when it was the
-// last.
-func (ev *subEvent) release() {
-	if ev.refs.Add(-1) != 0 {
-		return
-	}
-	if cap(ev.buf) > maxPooledEventBuf {
-		ev.buf = nil
-	}
-	subEventPool.Put(ev)
-}
-
-// A subscriber is one open /subscribe stream: a bounded event queue
-// the publisher feeds and the handler drains. The publisher closes ch
-// to shed a slow consumer or on shutdown; only the publisher ever
-// closes it.
-type subscriber struct {
-	view string
-	ch   chan *subEvent
-}
-
-// viewSubs is the fan-out set of one view, pinned to the view value
-// the subscribers attached against — if DDL rebinds the name, the set
-// is cut loose (the rows they were promised deltas for no longer
-// exist).
-type viewSubs struct {
-	v    view.View
-	subs map[*subscriber]struct{}
-}
-
-// subHub fans view deltas out to subscribers. The zero value is ready
-// to use. total is kept redundantly so the per-commit fast path — no
-// subscribers anywhere — is one atomic load, no lock.
-type subHub struct {
-	total  atomic.Int32
-	mu     sync.Mutex
-	views  map[string]*viewSubs
-	closed bool
-}
-
-// attach registers a new subscriber of the named view. Returns nil
-// when the hub is already closed (engine shutting down). If the name
-// was rebound since earlier subscribers attached, they are shed and
-// the entry re-pinned to v.
-func (h *subHub) attach(name string, v view.View) *subscriber {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil
-	}
-	if h.views == nil {
-		h.views = make(map[string]*viewSubs)
-	}
-	entry := h.views[name]
-	if entry != nil && entry.v != v {
-		h.dropLocked(name, entry)
-		entry = nil
-	}
-	if entry == nil {
-		entry = &viewSubs{v: v, subs: make(map[*subscriber]struct{})}
-		h.views[name] = entry
-	}
-	s := &subscriber{view: name, ch: make(chan *subEvent, subBuffer)}
-	entry.subs[s] = struct{}{}
-	h.total.Add(1)
-	obs.SetGauge("server.replica.subscribers", int64(h.total.Load()))
-	return s
-}
-
-// detach removes s from the hub (idempotent; a shed subscriber is
-// already gone). The caller must drain s.ch afterwards — events queued
-// before detach still hold references.
-func (h *subHub) detach(s *subscriber) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	entry := h.views[s.view]
-	if entry == nil {
-		return
-	}
-	if _, ok := entry.subs[s]; !ok {
-		return
-	}
-	delete(entry.subs, s)
-	if len(entry.subs) == 0 {
-		delete(h.views, s.view)
-	}
-	h.total.Add(-1)
-	obs.SetGauge("server.replica.subscribers", int64(h.total.Load()))
-}
-
-// active returns the names of views with at least one subscriber (nil
-// when there are none — the common case, answered without the lock).
-func (h *subHub) active() []string {
-	if h.total.Load() == 0 {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.views) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(h.views))
-	for name := range h.views {
-		names = append(names, name)
-	}
-	return names
-}
-
-// drop sheds every subscriber of the named view (dropped or redefined
-// views).
-func (h *subHub) drop(name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if entry := h.views[name]; entry != nil {
-		h.dropLocked(name, entry)
-	}
-}
-
-func (h *subHub) dropLocked(name string, entry *viewSubs) {
-	for s := range entry.subs {
-		close(s.ch)
-		h.total.Add(-1)
-	}
-	delete(h.views, name)
-	obs.SetGauge("server.replica.subscribers", int64(h.total.Load()))
-}
-
-// publish fans one commit's delta for the named view out to its
-// subscribers: encode once into a pooled event, reference-count it
-// across the queues, shed whoever's queue is full. Steady state this
-// allocates nothing. Called from the commit path (under stateMu);
-// sends never block.
-func (h *subHub) publish(name string, v view.View, version uint64, rem, add []tuple.T) {
-	if h.total.Load() == 0 {
-		return
-	}
+// publish encodes one commit's delta for the view into a pooled frame
+// and hands it to the feed. Steady state this allocates nothing.
+func (fd *viewFeed) publish(version uint64, rem, add []tuple.T) {
 	if len(rem) == 0 && len(add) == 0 {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	entry := h.views[name]
-	if entry == nil || len(entry.subs) == 0 {
-		return
+	fr := replica.NewFrame()
+	fr.Key = version
+	fr.Buf = appendChangeEvent(fr.Buf, fd.run, fd.name, version, rem, add)
+	fd.Publish(fr)
+}
+
+// viewFeeds holds the feed of every subscribed view. n mirrors
+// len(feeds), so the per-commit fast path — no feed anywhere — is one
+// atomic load, no lock. A feed outlives its last subscriber for linger,
+// or until its window rolls past where that subscriber left. run tags
+// every event id. NewEngine sets run, linger and feeds.
+type viewFeeds struct {
+	n      atomic.Int32
+	run    string
+	linger time.Duration
+	mu     sync.Mutex
+	feeds  map[string]*viewFeed
+	closed bool
+}
+
+// open returns the named view's feed, creating it — keyed after
+// version — on first use. Returns nil once the engine is shutting down.
+// Callers hold stateMu, so version is the published one, no delta is
+// in flight, and publish has cut any feed DDL left behind.
+func (s *viewFeeds) open(name string, v view.View, version uint64) *viewFeed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
 	}
-	if entry.v != v {
-		// The name was rebound under the subscribers; their row state is
-		// no longer meaningful. Cut them loose to re-subscribe.
-		h.dropLocked(name, entry)
-		return
+	if fd := s.feeds[name]; fd != nil {
+		return fd
 	}
-	ev := subEventPool.Get().(*subEvent)
-	ev.buf = appendChangeEvent(ev.buf[:0], name, version, rem, add)
-	ev.refs.Store(int32(len(entry.subs)))
-	shed := false
-	for s := range entry.subs {
-		select {
-		case s.ch <- ev:
-		default:
-			// Slow consumer: drop it rather than block commits or buffer
-			// without bound. The handler sees the closed channel, drains
-			// what it had queued, and ends the stream.
-			ev.release()
-			delete(entry.subs, s)
-			close(s.ch)
-			h.total.Add(-1)
-			obs.Inc("server.replica.dropped_events")
-			shed = true
-		}
+	s.n.Add(1)
+	fd := &viewFeed{name: name, run: s.run, v: v, Feed: replica.NewFeed(replica.FeedSpec{
+		Backlog: subBacklogBytes, Tail: subBuffer,
+		Site: faultinject.SiteSubscribeSend, Shed: "server.replica.dropped_events",
+	}, version)}
+	s.feeds[name] = fd
+	return fd
+}
+
+// active returns every open feed (nil when there are none — the common
+// case, answered without the lock).
+func (s *viewFeeds) active() []*viewFeed {
+	if s.n.Load() == 0 {
+		return nil
 	}
-	if shed {
-		if len(entry.subs) == 0 {
-			delete(h.views, name)
-		}
-		obs.SetGauge("server.replica.subscribers", int64(h.total.Load()))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*viewFeed, 0, len(s.feeds))
+	for _, fd := range s.feeds {
+		out = append(out, fd)
+	}
+	return out
+}
+
+// drop closes fd, ending its subscribers' streams, and forgets it.
+func (s *viewFeeds) drop(fd *viewFeed) {
+	s.mu.Lock()
+	if s.feeds[fd.name] == fd {
+		delete(s.feeds, fd.name)
+		s.n.Add(-1)
+	}
+	s.mu.Unlock()
+	fd.Close()
+}
+
+// close drops every feed and refuses new ones. Called once at engine
+// shutdown, after the commit pipeline drained.
+func (s *viewFeeds) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	for _, fd := range s.active() {
+		s.drop(fd)
 	}
 }
 
-// close sheds every subscriber and refuses new ones. Called once at
-// engine shutdown, after the commit pipeline drained.
-func (h *subHub) close() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
+// pump writes a tail's frames to w — the replayed window first, then
+// live frames, one flush per burst — until the tail is shed or closed,
+// the client goes away, or a write fails. ping, when non-nil, paces
+// keepalive comments; sent, when non-nil, counts each frame's bytes.
+func pump(ctx context.Context, w io.Writer, flush func(), t *replica.Tail, ping <-chan time.Time, sent func(n int)) {
+	write := func(fr *replica.Frame) bool {
+		_, err := w.Write(fr.Buf)
+		if err == nil && sent != nil {
+			sent(len(fr.Buf))
+		}
+		fr.Release()
+		return err == nil
 	}
-	h.closed = true
-	for name, entry := range h.views {
-		h.dropLocked(name, entry)
+	for len(t.Replay) > 0 {
+		fr := t.Replay[0]
+		t.Replay = t.Replay[1:]
+		if !write(fr) {
+			return
+		}
 	}
-	h.views = nil
+	flush()
+	for {
+		select {
+		case fr, ok := <-t.C:
+			// Write whatever is already queued before paying one flush
+			// for the lot. A closed queue ends the stream: shed (slow
+			// consumer), feed cut, or shutdown.
+			for ok && fr != nil {
+				if !write(fr) {
+					return
+				}
+				fr = nil
+				select {
+				case fr, ok = <-t.C:
+				default:
+				}
+			}
+			flush()
+			if !ok {
+				return
+			}
+		case <-ping:
+			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
+				return
+			}
+			flush()
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 // --- SSE encoding -----------------------------------------------------
@@ -275,13 +227,9 @@ func appendJSONString(dst []byte, s string) []byte {
 func appendWireValue(dst []byte, v value.Value) []byte {
 	switch v.Kind() {
 	case value.Int:
-		dst = append(dst, '"')
-		dst = strconv.AppendInt(dst, v.Int(), 10)
-		return append(dst, '"')
+		return append(strconv.AppendInt(append(dst, '"'), v.Int(), 10), '"')
 	case value.Bool:
-		dst = append(dst, '"')
-		dst = strconv.AppendBool(dst, v.Bool())
-		return append(dst, '"')
+		return append(strconv.AppendBool(append(dst, '"'), v.Bool()), '"')
 	case value.String:
 		return appendJSONString(dst, v.Str())
 	default:
@@ -309,12 +257,24 @@ func appendRowArray(dst []byte, rows []tuple.T) []byte {
 	return append(dst, ']')
 }
 
-// appendChangeEvent appends one complete SSE change frame.
-func appendChangeEvent(dst []byte, view string, version uint64, rem, add []tuple.T) []byte {
-	dst = append(dst, "event: change\ndata: {\"view\":"...)
+// appendEventHead appends an SSE event's id (<run>.<version>) and name
+// lines and opens its JSON data with the view and the version.
+func appendEventHead(dst []byte, run, event, view string, version uint64) []byte {
+	dst = append(dst, "id: "...)
+	dst = append(dst, run...)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, version, 10)
+	dst = append(dst, "\nevent: "...)
+	dst = append(dst, event...)
+	dst = append(dst, "\ndata: {\"view\":"...)
 	dst = appendJSONString(dst, view)
 	dst = append(dst, ",\"version\":"...)
-	dst = strconv.AppendUint(dst, version, 10)
+	return strconv.AppendUint(dst, version, 10)
+}
+
+// appendChangeEvent appends one complete SSE change frame.
+func appendChangeEvent(dst []byte, run, view string, version uint64, rem, add []tuple.T) []byte {
+	dst = appendEventHead(dst, run, "change", view, version)
 	dst = append(dst, ",\"removed\":"...)
 	dst = appendRowArray(dst, rem)
 	dst = append(dst, ",\"added\":"...)
@@ -322,15 +282,11 @@ func appendChangeEvent(dst []byte, view string, version uint64, rem, add []tuple
 	return append(dst, "}\n\n"...)
 }
 
-// appendHelloEvent appends the stream-opening frame: the view's
-// columns (so clients can map row arrays) and the snapshot version the
-// stream is live from — changes the client read at or below it are
-// already reflected in a fresh GET /views/{name}.
-func appendHelloEvent(dst []byte, view string, version uint64, cols []string) []byte {
-	dst = append(dst, "event: hello\ndata: {\"view\":"...)
-	dst = appendJSONString(dst, view)
-	dst = append(dst, ",\"version\":"...)
-	dst = strconv.AppendUint(dst, version, 10)
+// appendOpenEvent appends the stream-opening frame, hello or resync:
+// the view's columns (so clients can map row arrays) and the version
+// the stream's changes follow.
+func appendOpenEvent(dst []byte, run, event, view string, version uint64, cols []string) []byte {
+	dst = appendEventHead(dst, run, event, view, version)
 	dst = append(dst, ",\"columns\":["...)
 	for i, c := range cols {
 		if i > 0 {
@@ -344,39 +300,53 @@ func appendHelloEvent(dst []byte, view string, version uint64, cols []string) []
 // --- handler ----------------------------------------------------------
 
 // handleSubscribe holds a Server-Sent Events stream open on the named
-// view and pushes each commit's row delta ("change" events: removed
-// and added rows at a version). The stream opens with a "hello" event
-// carrying the columns and the version it is live from. Slow
-// consumers and redefined views get the stream closed; clients
-// re-read and re-subscribe. Exempt from the per-request deadline.
+// view. It opens with a "hello" event carrying the columns and the
+// version V the stream is live after; then come "change" events, each
+// the removed and added rows at its version, with id: <run>.<version>.
+// A request carrying Last-Event-ID L resumes: hello at L, then the
+// retained changes after L. If L is no longer retained, or another run
+// (an earlier boot, another node) issued it, the stream opens with one
+// "resync" event at V instead — re-read the view and apply only the
+// changes after the version read. A dropped or
+// redefined view closes the stream. Exempt from the per-request
+// deadline.
 func (e *Engine) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("view")
-	v, _, err := e.lookupView(name, nil)
-	if err != nil {
-		writeError(w, err)
-		return
+	// Under stateMu no commit is publishing: the version read and the
+	// attach point agree, and the name is bound to what DDL last left.
+	e.stateMu.Lock()
+	v := e.sess.View(name)
+	version := e.snap.Load().version
+	var fd *viewFeed
+	if v != nil {
+		fd = e.subs.open(name, v, version)
 	}
-	sub := e.subs.attach(name, v)
-	if sub == nil {
+	var tail *replica.Tail
+	at, event := version, "hello"
+	if fd != nil {
+		if h := r.Header.Get("Last-Event-ID"); h != "" {
+			event = "resync"
+			run, id, _ := strings.Cut(h, ".")
+			if from, err := strconv.ParseUint(id, 10, 64); err == nil && run == e.subs.run && from <= version {
+				if tail, _ = fd.Attach(from); tail != nil {
+					at, event = from, "hello"
+				}
+			}
+		}
+		if tail == nil {
+			tail, _ = fd.Attach(version)
+		}
+	}
+	e.stateMu.Unlock()
+	switch {
+	case v == nil:
+		writeError(w, fmt.Errorf("%w: %s", ErrNoView, name))
+		return
+	case fd == nil:
 		writeError(w, ErrDraining)
 		return
 	}
-	defer func() {
-		e.subs.detach(sub)
-		// Events queued before detach still hold references; put them
-		// back. After detach (or a shed close) nothing sends on ch.
-		for {
-			select {
-			case ev, ok := <-sub.ch:
-				if !ok {
-					return
-				}
-				ev.release()
-			default:
-				return
-			}
-		}
-	}()
+	defer fd.Detach(tail)
 	flush := func() {}
 	if fl, ok := w.(http.Flusher); ok {
 		flush = fl.Flush
@@ -385,54 +355,13 @@ func (e *Engine) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	obs.Inc("server.subscribe.opened")
+	obs.AddGauge("server.replica.subscribers", 1)
+	defer obs.AddGauge("server.replica.subscribers", -1)
 
-	_, version := e.Snapshot()
-	hello := appendHelloEvent(nil, name, version, v.Schema().AttributeNames())
-	if _, err := w.Write(hello); err != nil {
+	if _, err := w.Write(appendOpenEvent(nil, e.subs.run, event, name, at, v.Schema().AttributeNames())); err != nil {
 		return
 	}
-	flush()
-
 	ping := time.NewTicker(subKeepalive)
 	defer ping.Stop()
-	ctx := r.Context()
-	for {
-		select {
-		case ev, ok := <-sub.ch:
-			if !ok {
-				return // shed (slow consumer), view redefined, or shutdown
-			}
-			_, werr := w.Write(ev.buf)
-			ev.release()
-			if werr != nil {
-				return
-			}
-			// Drain whatever is already queued before paying one flush
-			// for the lot.
-			for drained := false; !drained; {
-				select {
-				case more, ok := <-sub.ch:
-					if !ok {
-						flush()
-						return
-					}
-					_, werr := w.Write(more.buf)
-					more.release()
-					if werr != nil {
-						return
-					}
-				default:
-					drained = true
-				}
-			}
-			flush()
-		case <-ping.C:
-			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			flush()
-		case <-ctx.Done():
-			return
-		}
-	}
+	pump(r.Context(), w, flush, tail, ping.C, nil)
 }

@@ -3,45 +3,456 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"viewupdate/internal/faultinject"
+	"viewupdate/internal/replica"
 	"viewupdate/internal/tuple"
 	"viewupdate/internal/update"
 	"viewupdate/internal/value"
 )
 
-// sseEvent is one parsed server-sent event.
+// sseEvent is one parsed server-sent event; its id, <run>.<version>,
+// is split into run and id.
 type sseEvent struct {
+	run  string
+	id   uint64
 	name string
 	data string
 }
 
-// readSSE parses events off the stream, skipping comment keepalives.
-func readSSE(t *testing.T, r *bufio.Reader, n int) []sseEvent {
-	t.Helper()
-	var out []sseEvent
+// nextSSE parses the next event off the stream, skipping comment
+// keepalives.
+func nextSSE(r *bufio.Reader) (sseEvent, error) {
 	var cur sseEvent
-	for len(out) < n {
+	for {
 		line, err := r.ReadString('\n')
 		if err != nil {
-			t.Fatalf("reading SSE after %d events: %v", len(out), err)
+			return sseEvent{}, err
 		}
 		line = strings.TrimRight(line, "\n")
 		switch {
+		case strings.HasPrefix(line, "id: "):
+			run, version, ok := strings.Cut(strings.TrimPrefix(line, "id: "), ".")
+			if !ok {
+				return sseEvent{}, fmt.Errorf("event id %q has no run", line)
+			}
+			cur.run = run
+			if cur.id, err = strconv.ParseUint(version, 10, 64); err != nil {
+				return sseEvent{}, err
+			}
 		case strings.HasPrefix(line, "event: "):
 			cur.name = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
 			cur.data = strings.TrimPrefix(line, "data: ")
 		case line == "" && cur.name != "":
-			out = append(out, cur)
-			cur = sseEvent{}
+			return cur, nil
 		}
 	}
+}
+
+// readSSE parses n events off the stream.
+func readSSE(t *testing.T, r *bufio.Reader, n int) []sseEvent {
+	t.Helper()
+	var out []sseEvent
+	for len(out) < n {
+		ev, err := nextSSE(r)
+		if err != nil {
+			t.Fatalf("reading SSE after %d events: %v", len(out), err)
+		}
+		out = append(out, ev)
+	}
 	return out
+}
+
+// A mirror rebuilds one view from its /subscribe events alone, as an
+// SSE client would: it opens the stream (hello), applies each change
+// strictly — ids of one run, strictly increasing; removed rows
+// present, added rows absent; so a gap or a duplicate cannot pass
+// unseen — and whenever the stream ends, reconnects with Last-Event-ID.
+// Rows are cells joined by commas.
+type mirror struct {
+	url    string
+	mu     sync.Mutex
+	rows   map[string]bool
+	tag    string // the run of the first hello's id
+	last   uint64
+	opens  []string // the event that opened each connection
+	err    error
+	cancel context.CancelFunc
+	done   chan struct{}
+}
+
+// startMirror subscribes to url and returns once the stream is open.
+func startMirror(t *testing.T, url string) *mirror {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	m := &mirror{url: url, rows: map[string]bool{}, cancel: cancel, done: make(chan struct{})}
+	body, br, err := m.connect(ctx)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	go m.run(ctx, body, br)
+	t.Cleanup(m.stop)
+	return m
+}
+
+func (m *mirror) stop() {
+	m.cancel()
+	<-m.done
+}
+
+// connect opens one stream — resuming after the last id seen, once
+// there is one — and reads its opening event.
+func (m *mirror) connect(ctx context.Context) (io.ReadCloser, *bufio.Reader, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	m.mu.Lock()
+	resume := len(m.opens) > 0
+	if resume {
+		req.Header.Set("Last-Event-ID", eventID(m.tag, m.last))
+	}
+	m.mu.Unlock()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		return nil, nil, fmt.Errorf("subscribe %s: status %d", m.url, resp.StatusCode)
+	}
+	br := bufio.NewReader(resp.Body)
+	ev, err := nextSSE(br)
+	if err != nil {
+		resp.Body.Close()
+		return nil, nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.opens = append(m.opens, ev.name)
+	switch {
+	case ev.name == "hello" && !resume:
+		m.tag, m.last = ev.run, ev.id
+	case ev.name == "hello" && (ev.run != m.tag || ev.id != m.last):
+		m.fail(fmt.Errorf("resumed after %d, hello says %d", m.last, ev.id))
+	case ev.name != "hello":
+		m.fail(fmt.Errorf("stream opened with %s (%s)", ev.name, ev.data))
+	}
+	return resp.Body, br, nil
+}
+
+func (m *mirror) run(ctx context.Context, body io.ReadCloser, br *bufio.Reader) {
+	defer close(m.done)
+	for {
+		ev, err := nextSSE(br)
+		if err == nil {
+			m.apply(ev)
+			continue
+		}
+		body.Close()
+		if ctx.Err() != nil {
+			return
+		}
+		for body, br, err = m.connect(ctx); err != nil; body, br, err = m.connect(ctx) {
+			if ctx.Err() != nil {
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+func (m *mirror) apply(ev sseEvent) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var ch struct {
+		Version        uint64
+		Removed, Added [][]string
+	}
+	switch {
+	case ev.name != "change":
+		m.fail(fmt.Errorf("unexpected %s event mid-stream", ev.name))
+	case json.Unmarshal([]byte(ev.data), &ch) != nil || ch.Version != ev.id || ev.run != m.tag:
+		m.fail(fmt.Errorf("change %s.%d: bad data %s", ev.run, ev.id, ev.data))
+	case ev.id <= m.last:
+		m.fail(fmt.Errorf("change %d after %d: duplicate or out of order", ev.id, m.last))
+	}
+	for _, row := range ch.Removed {
+		if k := strings.Join(row, ","); !m.rows[k] {
+			m.fail(fmt.Errorf("change %d removes absent row %s", ev.id, k))
+		} else {
+			delete(m.rows, k)
+		}
+	}
+	for _, row := range ch.Added {
+		if k := strings.Join(row, ","); m.rows[k] {
+			m.fail(fmt.Errorf("change %d adds present row %s", ev.id, k))
+		} else {
+			m.rows[k] = true
+		}
+	}
+	m.last = max(m.last, ev.id)
+}
+
+func (m *mirror) fail(err error) {
+	if m.err == nil {
+		m.err = err
+	}
+}
+
+// state returns the rebuilt rows, sorted, and the first error seen.
+func (m *mirror) state() ([]string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rows := make([]string, 0, len(m.rows))
+	for k := range m.rows {
+		rows = append(rows, k)
+	}
+	sort.Strings(rows)
+	return rows, m.err
+}
+
+// waitFor waits until the rebuilt rows equal want (sorted), failing on
+// the first error the mirror saw.
+func (m *mirror) waitFor(t *testing.T, what string, want []string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, err := m.state()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if slices.Equal(got, want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: rebuilt from events %v, want %v", what, got, want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// setRows renders a set of view rows as a mirror does.
+func setRows(set *tuple.Set) []string {
+	rows := make([]string, 0, set.Len())
+	for _, t := range set.Slice() {
+		rows = append(rows, strings.Join(wireRow(t), ","))
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+// TestSubscribeResumeAfterShed: a subscriber shed mid-stream
+// reconnects with Last-Event-ID and receives every change after that
+// version exactly once, so the view it rebuilds from events alone
+// equals the primary's; a Last-Event-ID older than the view's retained
+// window gets exactly one resync event, then the live changes.
+func TestSubscribeResumeAfterShed(t *testing.T) {
+	e, srv := newTestServer(t, nil)
+	// Versions that predate NY's feed: the window starts at the first
+	// subscription.
+	if _, err := e.ExecScript("CREATE VIEW SF AS SELECT * FROM EMP WHERE Location = 'SF';"); err != nil {
+		t.Fatal(err)
+	}
+	if err := insertSF(e, 50); err != nil {
+		t.Fatal(err)
+	}
+	m := startMirror(t, srv.URL+"/subscribe/NY")
+
+	plan := faultinject.NewPlan(1).FailNth(faultinject.SiteSubscribeSend, 3, errors.New("shed"))
+	faultinject.Enable(plan)
+	defer faultinject.Disable()
+	for k := 1; k <= 6; k++ {
+		if err := insertKey(e, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []int{2, 5} {
+		body := updateBody{Where: map[string]string{"EmpNo": strconv.Itoa(k)}}
+		cand, _, _, base, err := e.Translate(context.Background(), "NY", nil, e.buildRequest(update.Delete, body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Commit(context.Background(), cand.Translation, false, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set, _, err := e.ReadView("NY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.waitFor(t, "resumed subscriber", setRows(set))
+	if plan.Fired(faultinject.SiteSubscribeSend) != 1 {
+		t.Fatalf("%d sheds injected, want 1", plan.Fired(faultinject.SiteSubscribeSend))
+	}
+	m.mu.Lock()
+	opens := slices.Clone(m.opens)
+	m.mu.Unlock()
+	if !slices.Equal(opens, []string{"hello", "hello"}) {
+		t.Fatalf("connections opened with %v, want a hello and a resumed hello", opens)
+	}
+
+	// Version 0 predates the window: one resync at the live version,
+	// then changes as they commit.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/subscribe/NY", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", eventID(e.subs.run, 0))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	_, live := e.Snapshot()
+	if ev := readSSE(t, br, 1)[0]; ev.name != "resync" || ev.run != e.subs.run || ev.id != live {
+		t.Fatalf("stale Last-Event-ID opened with %+v, want one resync at %d", ev, live)
+	}
+	if err := insertKey(e, 7); err != nil {
+		t.Fatal(err)
+	}
+	if ev := readSSE(t, br, 1)[0]; ev.name != "change" || ev.id != live+1 || !strings.Contains(ev.data, `"added":[["7","NY"]]`) {
+		t.Fatalf("after the resync: %+v, want the change at %d", ev, live+1)
+	}
+}
+
+// eventID renders a Last-Event-ID as the server issues it.
+func eventID(run string, version uint64) string {
+	return run + "." + strconv.FormatUint(version, 10)
+}
+
+// subscribeFrom opens /subscribe/NY with the given Last-Event-ID ("" for
+// none) and returns the stream's reader and a func that ends the stream
+// (which the test's end also does).
+func subscribeFrom(t *testing.T, url, lastID string) (*bufio.Reader, func()) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/subscribe/NY", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastID != "" {
+		req.Header.Set("Last-Event-ID", lastID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	stop := func() {
+		cancel()
+		resp.Body.Close()
+	}
+	t.Cleanup(stop)
+	return bufio.NewReader(resp.Body), stop
+}
+
+// TestSubscribeResumeAcrossRuns: versions restart at 0 on every boot,
+// so a Last-Event-ID from before a restart names a version the new run
+// may have passed with different changes. Such an id, or one without a
+// run, gets one resync at the live version, never a replay of the new
+// run's changes.
+func TestSubscribeResumeAcrossRuns(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, dir, nil)
+	srv := httptest.NewServer(NewHandler(e))
+	br, _ := subscribeFrom(t, srv.URL, "")
+	readSSE(t, br, 1) // hello
+	for k := 1; k <= 3; k++ {
+		if err := insertKey(e, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := readSSE(t, br, 3)[2]
+	srv.CloseClientConnections()
+	srv.Close()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newTestEngine(t, dir, nil)
+	srv2 := httptest.NewServer(NewHandler(e2))
+	t.Cleanup(srv2.Close)
+	if e2.subs.run == old.run {
+		t.Fatal("a restarted engine reuses its predecessor's run tag")
+	}
+	// Hold NY's feed open from the new run's first version on, so the
+	// old id lies inside its window once the new run has passed it.
+	br2, _ := subscribeFrom(t, srv2.URL, "")
+	readSSE(t, br2, 1)
+	for k := 11; k <= 15; k++ {
+		if err := insertKey(e2, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, live := e2.Snapshot()
+	if live <= old.id {
+		t.Fatalf("the new run is at version %d, not past the old id %d", live, old.id)
+	}
+	for _, id := range []string{eventID(old.run, old.id), strconv.FormatUint(old.id, 10)} {
+		br, stop := subscribeFrom(t, srv2.URL, id)
+		ev := readSSE(t, br, 1)[0]
+		stop()
+		if ev.name != "resync" || ev.run != e2.subs.run || ev.id != live {
+			t.Fatalf("Last-Event-ID %s opened with %+v, want one resync at %s.%d", id, ev, e2.subs.run, live)
+		}
+	}
+}
+
+// TestSubscribeFeedLingers: a view's feed outlives its last subscriber
+// for the linger, so a reconnect inside it resumes; the first commit
+// after it drops the feed, and with it the per-commit delta work.
+func TestSubscribeFeedLingers(t *testing.T) {
+	e, srv := newTestServer(t, nil)
+	left := func(what string) {
+		t.Helper()
+		waitUntil(t, 5*time.Second, what, func() bool {
+			fds := e.subs.active()
+			return len(fds) == 1 && fds[0].Tails() == 0
+		})
+	}
+	br, stop := subscribeFrom(t, srv.URL, "")
+	hello := readSSE(t, br, 1)[0]
+	stop()
+	left("the subscriber leaving")
+	if err := insertKey(e, 1); err != nil {
+		t.Fatal(err)
+	}
+	if e.subs.n.Load() != 1 {
+		t.Fatal("feed dropped inside the linger")
+	}
+	br, stop = subscribeFrom(t, srv.URL, eventID(hello.run, hello.id))
+	if evs := readSSE(t, br, 2); evs[0].name != "hello" || evs[0].id != hello.id || evs[1].id != hello.id+1 {
+		t.Fatalf("reconnect inside the linger opened with %+v, want hello at %d and the change after it", evs, hello.id)
+	}
+	stop()
+	left("the reconnected subscriber leaving")
+
+	e.subs.linger = 0
+	if err := insertKey(e, 2); err != nil {
+		t.Fatal(err)
+	}
+	if e.subs.n.Load() != 0 {
+		t.Fatal("feed kept past the linger with no subscriber")
+	}
 }
 
 // TestSubscribeStream: a /subscribe stream opens with a hello frame
@@ -118,8 +529,8 @@ func TestSubscribeErrors(t *testing.T) {
 }
 
 // TestSubscribeSlowConsumerShed: a subscriber that stops draining is
-// shed — its channel closed, the dropped-events counter bumped — and
-// the commit path never blocks.
+// shed — its queue closed after the events already in it, the
+// dropped-events counter bumped — and the commit path never blocks.
 func TestSubscribeSlowConsumerShed(t *testing.T) {
 	sink := metricsSink(t)
 	e := newTestEngine(t, "", nil)
@@ -127,63 +538,62 @@ func TestSubscribeSlowConsumerShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := e.subs.attach("NY", v)
+	fd := e.subs.open("NY", v, 0)
+	tail, _ := fd.Attach(0)
+	defer fd.Detach(tail)
 	row := tuple.MustNew(v.Schema(), value.NewInt(1), value.NewString("NY"))
 	add := []tuple.T{row}
 	for i := 0; i <= subBuffer; i++ {
-		e.subs.publish("NY", v, uint64(i+1), nil, add)
+		fd.publish(uint64(i+1), nil, add)
 	}
-	select {
-	case _, ok := <-sub.ch:
-		if !ok {
-			t.Fatal("first receive: channel already closed with queued events unread")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no event queued")
+	if fd.Tails() != 0 {
+		t.Fatal("overrun subscriber still attached")
 	}
-	// Drain to the close: the overflow publish shed the subscriber.
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case ev, ok := <-sub.ch:
-			if !ok {
-				if got := sink.Metrics().Snapshot().Counters["server.replica.dropped_events"]; got == 0 {
-					t.Fatal("dropped_events counter not bumped")
-				}
-				return
-			}
-			ev.release()
-		case <-deadline:
-			t.Fatal("subscriber never shed")
-		}
+	n := 0
+	for fr := range tail.C {
+		fr.Release()
+		n++
+	}
+	if n != subBuffer {
+		t.Fatalf("shed subscriber drained %d queued events, want %d", n, subBuffer)
+	}
+	if got := sink.Metrics().Snapshot().Counters["server.replica.dropped_events"]; got == 0 {
+		t.Fatal("dropped_events counter not bumped")
 	}
 }
 
 // TestSubscribeFanoutAllocs pins the fan-out hot path: encoding one
-// commit's delta into a pooled, reference-counted event and queueing
-// it on every subscriber allocates nothing in steady state.
+// commit's delta into a pooled, reference-counted frame, retaining it
+// in the view's window and queueing it on every subscriber allocates
+// nothing in steady state — once the window is full, each event
+// recycles the frame it evicts.
 func TestSubscribeFanoutAllocs(t *testing.T) {
 	e := newTestEngine(t, "", nil)
 	v, _, err := e.lookupView("NY", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subs := make([]*subscriber, 3)
-	for i := range subs {
-		subs[i] = e.subs.attach("NY", v)
+	fd := e.subs.open("NY", v, 0)
+	tails := make([]*replica.Tail, 3)
+	for i := range tails {
+		tails[i], _ = fd.Attach(0)
 	}
 	rows := []tuple.T{
 		tuple.MustNew(v.Schema(), value.NewInt(1), value.NewString("NY")),
 		tuple.MustNew(v.Schema(), value.NewInt(2), value.NewString("NY")),
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.subs.publish("NY", v, 42, rows[:1], rows[1:])
-		for _, s := range subs {
-			ev := <-s.ch
-			ev.release()
+	version := uint64(0)
+	event := func() {
+		version++
+		fd.publish(version, rows[:1], rows[1:])
+		for _, tl := range tails {
+			(<-tl.C).Release()
 		}
-	})
-	if allocs > 0 {
+	}
+	for i := 0; i < 2*subBacklogBytes/len(appendChangeEvent(nil, e.subs.run, "NY", 1<<20, rows[:1], rows[1:])); i++ {
+		event()
+	}
+	if allocs := testing.AllocsPerRun(1000, event); allocs > 0 {
 		t.Fatalf("subscription fan-out allocates %.1f per event, want 0", allocs)
 	}
 }

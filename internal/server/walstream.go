@@ -15,13 +15,13 @@ import (
 )
 
 // The primary side of WAL-streaming replication. A durable engine owns
-// a replica.Hub; every durable commit is framed and published to it in
-// commit order, and /wal/stream serves attached followers from the
-// hub's backlog (falling back to a disk scan of the WAL when a
-// follower's resume point has aged off). /wal/snapshot serves the full
-// state for bootstrap. See docs/REPLICATION.md.
+// a replica.Feed keyed by commit seq; every durable commit is framed
+// and published to it in commit order, and /wal/stream serves attached
+// followers from the feed's backlog (falling back to a disk scan of the
+// WAL when a follower's resume point has aged off). /wal/snapshot
+// serves the full state for bootstrap. See docs/REPLICATION.md.
 //
-// The hub is fed through durableStore.SetOnCommit, whatever the store:
+// The feed is fed through durableStore.SetOnCommit, whatever the store:
 //
 //   - persist.Store fires the hook under the store lock, post-fsync, in
 //     commit order.
@@ -45,6 +45,15 @@ const heartbeatInterval = time.Second
 // and let the follower reconnect (or re-bootstrap on 410).
 const walGapFillRetries = 3
 
+// The stream feed's sizes: about walBacklogBytes of recent frames are
+// retained for resuming followers (older resume points gap-fill from
+// the WAL, or past a checkpoint re-bootstrap), and a tail more than
+// walTailBuffer frames behind the commit rate is shed.
+const (
+	walBacklogBytes = 4 << 20
+	walTailBuffer   = 1024
+)
+
 // A feedEntry is one allocated global seq awaiting its durability
 // verdict.
 type feedEntry struct {
@@ -63,7 +72,7 @@ const (
 )
 
 // A walFeed reorders the sharded engine's out-of-order durability
-// notifications back into global sequence order for the hub. Every
+// notifications back into global sequence order for the stream feed. Every
 // allocated seq is registered exactly once (in order — the sequencer
 // holds stateMu across allocation and registration) and resolved
 // exactly once: publish when the commit's durability conditions came
@@ -140,7 +149,7 @@ func (e *Engine) runHeartbeats() {
 		case <-e.hbStop:
 			return
 		case <-t.C:
-			e.repHub.Heartbeat(e.dur.CommittedSeq())
+			replica.Heartbeat(e.stream, e.dur.CommittedSeq())
 		}
 	}
 }
@@ -150,11 +159,11 @@ func (e *Engine) runHeartbeats() {
 // stream and reconnect elsewhere or give up). Called once, after the
 // pipeline drained.
 func (e *Engine) stopReplication() {
-	if e.repHub == nil {
+	if e.stream == nil {
 		return
 	}
 	close(e.hbStop)
-	e.repHub.Close()
+	e.stream.Close()
 }
 
 // handleWalSnapshot serves the full state for follower bootstrap,
@@ -163,7 +172,7 @@ func (e *Engine) stopReplication() {
 // first: the captured state is exactly the durable prefix, never ahead
 // of it.
 func (e *Engine) handleWalSnapshot(w http.ResponseWriter, r *http.Request) {
-	if e.repHub == nil {
+	if e.stream == nil {
 		writeJSON(w, http.StatusNotFound, errorReply{
 			Error: "server: not a replication source (no durable store)", Code: "not_found"})
 		return
@@ -189,7 +198,7 @@ func (e *Engine) handleWalSnapshot(w http.ResponseWriter, r *http.Request) {
 // re-bootstrap); resume points behind the in-memory backlog are served
 // from the WAL on disk first. Exempt from the per-request deadline.
 func (e *Engine) handleWalStream(w http.ResponseWriter, r *http.Request) {
-	if e.repHub == nil {
+	if e.stream == nil {
 		writeJSON(w, http.StatusNotFound, errorReply{
 			Error: "server: not a replication source (no durable store)", Code: "not_found"})
 		return
@@ -220,27 +229,24 @@ func (e *Engine) handleWalStream(w http.ResponseWriter, r *http.Request) {
 	obs.AddGauge("server.walstream.streams", 1)
 	defer obs.AddGauge("server.walstream.streams", -1)
 
+	count := func(n int) {
+		obs.Inc("server.walstream.frames")
+		obs.Add("server.walstream.bytes", int64(n))
+	}
 	send := func(data []byte) bool {
 		if _, err := w.Write(data); err != nil {
 			return false
 		}
-		obs.Inc("server.walstream.frames")
-		obs.Add("server.walstream.bytes", int64(len(data)))
+		count(len(data))
 		return true
 	}
 
 	cursor := from
 	var tail *replica.Tail
 	for attempt := 0; ; attempt++ {
-		backlog, t, covered := e.repHub.Attach(cursor)
+		t, covered := e.stream.Attach(cursor)
 		if covered {
 			tail = t
-			for _, frame := range backlog {
-				if !send(frame) {
-					e.repHub.Detach(t)
-					return
-				}
-			}
 			break
 		}
 		if attempt >= walGapFillRetries {
@@ -269,37 +275,6 @@ func (e *Engine) handleWalStream(w http.ResponseWriter, r *http.Request) {
 		}
 		flush()
 	}
-	defer e.repHub.Detach(tail)
-	flush()
-	ctx := r.Context()
-	for {
-		select {
-		case data, ok := <-tail.C:
-			if !ok {
-				return // shed (slow consumer) or engine shutdown
-			}
-			if !send(data) {
-				return
-			}
-			// Drain whatever is already queued before paying one flush
-			// for the lot.
-			for drained := false; !drained; {
-				select {
-				case more, ok := <-tail.C:
-					if !ok {
-						flush()
-						return
-					}
-					if !send(more) {
-						return
-					}
-				default:
-					drained = true
-				}
-			}
-			flush()
-		case <-ctx.Done():
-			return
-		}
-	}
+	defer e.stream.Detach(tail)
+	pump(r.Context(), w, flush, tail, nil, count)
 }

@@ -21,7 +21,7 @@ import (
 // The replication stream handler calls this when a follower's resume
 // point has fallen off the in-memory backlog. Scanning races the live
 // committers harmlessly: a torn tail or a translation whose commit
-// marker has not reached media yet is simply not served, and the hub
+// marker has not reached media yet is simply not served, and the stream feed
 // covers it once durable. Commits at or below SnapshotSeq may be
 // folded away and cannot be reassembled — callers must refuse those
 // resume points first.
