@@ -53,9 +53,10 @@ race-core:
 # default minimizer would spend the whole window on one corpus entry.
 # FuzzSPJTheorem draws fresh trees and requests for the SPJ theorem's
 # oracle diff (EXPERIMENTS.md, E16) beyond its committed seeds.
-# FuzzDifferential runs the translator ≡ primary ≡ follower ≡
+# FuzzDifferential runs the translator ≡ primaries ≡ followers ≡
 # subscriber harness (docs/REPLICATION.md) on fresh seeds; each input
-# boots an engine, a follower and two subscribers, so two workers.
+# boots a single-store and a 4-shard engine, a follower of each and two
+# subscribers, then kills and reopens both engines, so two workers.
 soak:
 	$(GO) test -race -run 'Crash|Recover|Churn|Torn|Fault|Broken' ./internal/wal/ ./internal/persist/ ./internal/workload/ ./internal/storage/ ./internal/server/
 	$(GO) test -fuzz FuzzScan -fuzztime 5s -run '^$$' ./internal/wal/

@@ -184,35 +184,19 @@ func Open(dir string, opts Options) (*Store, error) {
 		MaxSeq: res.MaxSeq(), SnapshotSeq: snap.Seq,
 	}
 
-	committed, discarded := res.Committed()
-	report.Discarded = discarded
-	var keys []string
+	// Keys of durably committed translations — replayed or already
+	// folded into the snapshot by a checkpoint whose WAL truncation the
+	// crash pre-empted — seed the serving layer's idempotency table;
+	// only the records above the snapshot watermark replay.
+	ra := wal.Reassemble([]*wal.ScanResult{res}, []uint64{snap.Seq})
+	report.Discarded, report.Skipped = ra.Discarded, ra.Skipped
+	if err := Replay(db, ra.Records); err != nil {
+		return nil, err
+	}
+	report.Replayed = len(ra.Records)
 	maxCommitted := snap.Seq
-	for _, rec := range committed {
-		if rec.Seq > maxCommitted {
-			maxCommitted = rec.Seq
-		}
-		if rec.Key != "" {
-			// Keys of durably committed translations — replayed or
-			// already folded into the snapshot — seed the serving
-			// layer's idempotency table.
-			keys = append(keys, rec.Key)
-		}
-		if rec.Seq <= snap.Seq {
-			// Already folded into the snapshot by a checkpoint whose WAL
-			// truncation the crash pre-empted; replaying would apply it
-			// twice.
-			report.Skipped++
-			continue
-		}
-		tr, err := wal.DecodeTranslation(db.Schema(), rec)
-		if err != nil {
-			return nil, fmt.Errorf("persist: replay: %w (%w)", err, vuerr.ErrCorrupt)
-		}
-		if err := db.Apply(tr); err != nil {
-			return nil, fmt.Errorf("persist: replaying seq %d: %w (%w)", rec.Seq, err, vuerr.ErrCorrupt)
-		}
-		report.Replayed++
+	if n := len(ra.Records); n > 0 {
+		maxCommitted = ra.Records[n-1].Seq
 	}
 	if err := db.CheckAllInclusions(); err != nil {
 		return nil, fmt.Errorf("persist: recovered state invalid: %w (%w)", err, vuerr.ErrCorrupt)
@@ -226,7 +210,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		seq = snap.Seq
 	}
 	s := &Store{dir: dir, db: db, opts: opts, seq: seq, committed: maxCommitted,
-		snapSeq: snap.Seq, report: report, recoveredKeys: keys}
+		snapSeq: snap.Seq, report: report, recoveredKeys: ra.Keys}
 	if s.log, err = OpenJournal(dir, opts.Sync, opts.WrapWAL); err != nil {
 		return nil, err
 	}
@@ -524,14 +508,24 @@ func (s *Store) CommittedAfter(cursor uint64) ([]wal.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	committed, _ := res.Committed()
-	out := make([]wal.Record, 0, len(committed))
-	for _, rec := range committed {
-		if rec.Seq > cursor {
-			out = append(out, rec)
+	return wal.Reassemble([]*wal.ScanResult{res}, []uint64{cursor}).Records, nil
+}
+
+// Replay decodes each record against db's schema and applies it, in
+// order: the one replay path of single-store and sharded recovery. A
+// record that does not decode or apply means the log and the snapshot
+// disagree, and recovery fails naming the record's seq.
+func Replay(db *storage.Database, recs []wal.Record) error {
+	for _, rec := range recs {
+		tr, err := wal.DecodeTranslation(db.Schema(), rec)
+		if err != nil {
+			return fmt.Errorf("persist: replay: %w (%w)", err, vuerr.ErrCorrupt)
+		}
+		if err := db.Apply(tr); err != nil {
+			return fmt.Errorf("persist: replaying seq %d: %w (%w)", rec.Seq, err, vuerr.ErrCorrupt)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Close syncs and closes the WAL. The store is unusable afterwards.

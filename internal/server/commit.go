@@ -73,9 +73,10 @@ type commitRes struct {
 // stateMu on the pipeline goroutine; applyScript calls them under
 // stateMu for script DML; nothing else reaches a store.
 //
-// Why two remain (ROADMAP item 7, measured and closed): a single store
-// on one lane is nowhere faster and breaks contracts. sp_small_durable,
-// 4 alternating 25 s pairs, 0 failed ops, medians sync → one lane:
+// Why two remain (ROADMAP's parked note "Merging the two journaling
+// disciplines", measured and closed): a single store on one lane is
+// nowhere faster and breaks contracts. sp_small_durable, 4 alternating
+// 25 s pairs, 0 failed ops, medians sync → one lane:
 //
 //	update_p50_ms         0.747 → 0.827  (+11%, 3 of 4 pairs worse)
 //	update_rps            2,299 → 1,935  (−16%)

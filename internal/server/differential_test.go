@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,26 +26,47 @@ import (
 // The differential harness: one seeded request stream — over an SP
 // view with a selection and a hidden attribute, and a workload.SmallTree
 // join view whose nodes select and hide attributes; inserts, replaces
-// and deletes — runs through four observers of the same commits:
+// and deletes — runs through these observers of the same commits:
 //
 //	(a) core.Translator on the workloads' own databases, every
 //	    translation it applies checked against bruteforce.Search's
 //	    acceptable set for that state, every rejection against an
 //	    empty one;
-//	(b) a durable engine over HTTP;
-//	(d) a follower of (b)'s /wal/stream;
+//	(b) a durable single-store engine over HTTP;
+//	(c) a durable 4-shard engine over HTTP, answering every request
+//	    with (b)'s status;
+//	(d) a follower of (b)'s /wal/stream, and one of (c)'s;
 //	(e) mirrors rebuilding each view from (b)'s /subscribe events
 //	    alone, subscribed before the first commit.
 //
-// After every commit all four hold the same view states: Keller's
+// After every commit all of them hold the same view states: Keller's
 // V(DB′) = U(V(DB)), checked on every path a commit takes. Each seed
-// sheds the follower's stream tail and one subscriber at the feeds'
-// fault sites; both must resume without a gap or a duplicate (the
-// mirrors apply changes strictly). The sharded engine, concurrent
-// clients and kill points are not observed here.
+// sheds both followers' stream tails and one subscriber at the feeds'
+// fault sites; all must resume without a gap or a duplicate (the
+// mirrors apply changes strictly). At the end (b) and (c) are killed
+// and reopened from their directories: recovery — wal.Reassemble and
+// the one replay path — must rebuild the translator's views.
+// Concurrent clients and kill points inside the pipeline are not
+// observed here.
 
 // differentialSteps is the number of requests each seed draws.
 const differentialSteps = 24
+
+// differentialCrossSeed is a committed seed whose stream takes the
+// sharded engine's two-phase route (server.cross.commits > 0); the
+// harness asserts it does, so the 2PC path stays observed.
+const differentialCrossSeed = 1
+
+// A servedEngine is one durable observer, (b) or (c), with its follower
+// and the number of /wal/stream requests it has served.
+type servedEngine struct {
+	name    string
+	cfg     Config
+	e       *Engine
+	url     string
+	fol     *Engine
+	streams atomic.Int32
+}
 
 // FuzzDifferential runs the harness on the seed it is given. The
 // committed seeds run in tier 1; make soak fuzzes fresh ones.
@@ -117,65 +139,109 @@ func checkDifferential(t *testing.T, seed int64) {
 	}
 	ddl, seedRows := differentialScript(sp, tree)
 
-	// (b), then (d) and (e) attached before the first commit.
-	p, err := NewEngine(Config{Dir: t.TempDir(), MaxInFlight: 16, RequestTimeout: 5 * time.Second}, ddl)
-	if err != nil {
-		t.Fatalf("seed %d: primary: %v\n%s", seed, err, ddl)
+	// (b) and (c), each with its follower (d), then (e) — all attached
+	// before the first commit.
+	sink := metricsSink(t)
+	served := []*servedEngine{
+		{name: "single-store", cfg: Config{Dir: t.TempDir()}},
+		{name: "sharded", cfg: Config{Dir: t.TempDir(), Shards: 4}},
 	}
-	t.Cleanup(func() { p.Close() })
-	srv := httptest.NewServer(NewHandler(p))
-	t.Cleanup(srv.Close)
-	fol, err := NewEngine(Config{Follow: srv.URL, RequestTimeout: 5 * time.Second}, ddl)
-	if err != nil {
-		t.Fatalf("seed %d: follower: %v", seed, err)
+	for _, se := range served {
+		se.cfg.MaxInFlight, se.cfg.RequestTimeout = 16, 5*time.Second
+		if se.e, err = NewEngine(se.cfg, ddl); err != nil {
+			t.Fatalf("seed %d: %s primary: %v\n%s", seed, se.name, err, ddl)
+		}
+		t.Cleanup(func() { se.e.Close() })
+		h := NewHandler(se.e)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/wal/stream" {
+				se.streams.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		se.url = srv.URL
+		if se.fol, err = NewEngine(Config{Follow: srv.URL, RequestTimeout: 5 * time.Second}, ddl); err != nil {
+			t.Fatalf("seed %d: %s follower: %v", seed, se.name, err)
+		}
+		t.Cleanup(func() { se.fol.Close() })
+		waitUntil(t, 5*time.Second, se.name+"'s follower stream tail", func() bool { return se.e.stream.Tails() == 1 })
 	}
-	t.Cleanup(func() { fol.Close() })
-	waitUntil(t, 5*time.Second, "the follower's stream tail", func() bool { return p.stream.Tails() == 1 })
+	single, sharded := served[0], served[1]
 	views := []*observedView{
 		{name: "V", v: sp.View, db: sp.DB, next: sp.NextRequest},
 		{name: "TREE", v: tree.View, db: tree.DB, next: tree.RandomRequest},
 	}
 	for _, ov := range views {
-		ov.m = startMirror(t, srv.URL+"/subscribe/"+ov.name)
+		ov.m = startMirror(t, single.url+"/subscribe/"+ov.name)
 	}
 
+	// Each follower's tail is shed at a seeded frame of its primary's
+	// seeding script, one plan per primary, so the hit numbers count
+	// that primary's frames alone.
 	rng := rand.New(rand.NewSource(seed))
 	shed := errors.New("forced shed")
+	seedFrames := strings.Count(seedRows, "INSERT INTO")
+	shardedPlan := faultinject.NewPlan(seed).
+		FailNth(faultinject.SiteStreamSend, 1+rng.Intn(seedFrames), shed)
 	plan := faultinject.NewPlan(seed).
-		FailNth(faultinject.SiteStreamSend, 2+rng.Intn(6), shed).
+		FailNth(faultinject.SiteStreamSend, 1+rng.Intn(seedFrames), shed).
 		FailNth(faultinject.SiteSubscribeSend, 2+rng.Intn(4), shed)
-	faultinject.Enable(plan)
 	defer faultinject.Disable()
 
-	check := func(step string) {
+	// read fetches a view's rows from a primary over HTTP, as a mirror
+	// renders them.
+	read := func(se *servedEngine, step, name string) []string {
+		t.Helper()
+		var reply rowsReply
+		if st := doJSON(t, http.MethodGet, se.url+"/views/"+name, nil, &reply); st != http.StatusOK {
+			t.Fatalf("seed %d, %s: reading %s from the %s engine: status %d", seed, step, name, se.name, st)
+		}
+		got := make([]string, len(reply.Rows))
+		for i, row := range reply.Rows {
+			got[i] = strings.Join(row, ",")
+		}
+		sort.Strings(got)
+		return got
+	}
+	checkServed := func(se *servedEngine, step string) {
 		t.Helper()
 		for _, ov := range views {
 			want := setRows(ov.v.Materialize(ov.db))
-			var reply rowsReply
-			if st := doJSON(t, http.MethodGet, srv.URL+"/views/"+ov.name, nil, &reply); st != http.StatusOK {
-				t.Fatalf("seed %d, %s: reading %s: status %d", seed, step, ov.name, st)
+			if got := read(se, step, ov.name); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %s: the %s engine's %s served %v, the translator holds %v", seed, step, se.name, ov.name, got, want)
 			}
-			got := make([]string, len(reply.Rows))
-			for i, row := range reply.Rows {
-				got[i] = strings.Join(row, ",")
-			}
-			sort.Strings(got)
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d, %s: %s served %v, the translator holds %v", seed, step, ov.name, got, want)
-			}
-			waitUntil(t, 5*time.Second, fmt.Sprintf("seed %d, %s: the follower's %s", seed, step, ov.name), func() bool {
-				set, _, err := fol.ReadView(ov.name)
+			waitUntil(t, 5*time.Second, fmt.Sprintf("seed %d, %s: the %s follower's %s", seed, step, se.name, ov.name), func() bool {
+				set, _, err := se.fol.ReadView(ov.name)
 				return err == nil && slices.Equal(setRows(set), want)
 			})
-			ov.m.waitFor(t, fmt.Sprintf("seed %d, %s: the subscriber's %s", seed, step, ov.name), want)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		for _, se := range served {
+			checkServed(se, step)
+		}
+		for _, ov := range views {
+			ov.m.waitFor(t, fmt.Sprintf("seed %d, %s: the subscriber's %s", seed, step, ov.name), setRows(ov.v.Materialize(ov.db)))
 		}
 	}
 
-	var out execReply
-	if st := doJSON(t, http.MethodPost, srv.URL+"/execz", execBody{Script: seedRows}, &out); st != http.StatusOK || !out.OK {
-		t.Fatalf("seed %d: seeding: %d %+v", seed, st, out)
+	seedEngine := func(se *servedEngine) {
+		var out execReply
+		if st := doJSON(t, http.MethodPost, se.url+"/execz", execBody{Script: seedRows}, &out); st != http.StatusOK || !out.OK {
+			t.Fatalf("seed %d: seeding the %s engine: %d %+v", seed, se.name, st, out)
+		}
 	}
+	faultinject.Enable(shardedPlan)
+	seedEngine(sharded)
+	checkServed(sharded, "seed rows")
+	faultinject.Enable(plan)
+	seedEngine(single)
 	check("seed rows")
+	if shardedPlan.Fired(faultinject.SiteStreamSend) != 1 {
+		t.Fatalf("seed %d: sheds injected on the sharded follower: %d, want 1", seed, shardedPlan.Fired(faultinject.SiteStreamSend))
+	}
 
 	kinds := []update.Kind{update.Insert, update.Replace, update.Delete}
 	used := map[update.Kind]bool{}
@@ -220,9 +286,17 @@ func checkDifferential(t *testing.T, seed int64) {
 			refused++
 		}
 		o := toWire(ov.name, req)
-		var reply updateReply
-		if st := doJSON(t, http.MethodPost, srv.URL+"/views/"+o.view+"/"+o.op, o.body, &reply); (st == http.StatusOK) != (terr == nil) {
-			t.Fatalf("seed %d, %s: served status %d, the translator says %v", seed, step, st, terr)
+		var status []int
+		for _, se := range served {
+			var reply updateReply
+			st := doJSON(t, http.MethodPost, se.url+"/views/"+o.view+"/"+o.op, o.body, &reply)
+			if (st == http.StatusOK) != (terr == nil) {
+				t.Fatalf("seed %d, %s: the %s engine answered %d, the translator says %v", seed, step, se.name, st, terr)
+			}
+			status = append(status, st)
+		}
+		if status[0] != status[1] {
+			t.Fatalf("seed %d, %s: statuses %v differ between the single-store and sharded engines", seed, step, status)
 		}
 		check(step)
 	}
@@ -235,6 +309,16 @@ func checkDifferential(t *testing.T, seed int64) {
 	if plan.Fired(faultinject.SiteStreamSend) != 1 || plan.Fired(faultinject.SiteSubscribeSend) != 1 {
 		t.Fatalf("seed %d: sheds injected: follower %d, subscriber %d; want one each", seed,
 			plan.Fired(faultinject.SiteStreamSend), plan.Fired(faultinject.SiteSubscribeSend))
+	}
+	for _, se := range served {
+		// One stream to attach, one to resume after the shed.
+		if n := se.streams.Load(); n != 2 {
+			t.Fatalf("seed %d: the %s follower opened %d streams, want 2", seed, se.name, n)
+		}
+	}
+	cross := sink.Metrics().Snapshot().Counters["server.cross.commits"]
+	if seed == differentialCrossSeed && cross == 0 {
+		t.Fatalf("seed %d: no commit took the sharded engine's two-phase route", seed)
 	}
 	resumed := 0
 	for _, ov := range views {
@@ -249,5 +333,30 @@ func checkDifferential(t *testing.T, seed int64) {
 	if resumed != 1 {
 		t.Fatalf("seed %d: %d subscriber resumes, want the one forced", seed, resumed)
 	}
-	t.Logf("seed %d: %d requests applied, %d refused", seed, applied, refused)
+
+	// Kill both primaries and reopen them from their directories: the
+	// recovered views are the translator's.
+	faultinject.Disable()
+	for _, ov := range views {
+		ov.m.stop()
+	}
+	for _, se := range served {
+		se.fol.Close()
+		se.e.Kill()
+		re, err := NewEngine(se.cfg, ddl)
+		if err != nil {
+			t.Fatalf("seed %d: reopening the %s engine: %v", seed, se.name, err)
+		}
+		t.Cleanup(func() { re.Close() })
+		for _, ov := range views {
+			set, _, err := re.ReadView(ov.name)
+			if err != nil {
+				t.Fatalf("seed %d: the reopened %s engine's %s: %v", seed, se.name, ov.name, err)
+			}
+			if got, want := setRows(set), setRows(ov.v.Materialize(ov.db)); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: the reopened %s engine's %s holds %v, the translator %v", seed, se.name, ov.name, got, want)
+			}
+		}
+	}
+	t.Logf("seed %d: %d requests applied, %d refused, %d cross-shard commits", seed, applied, refused, cross)
 }

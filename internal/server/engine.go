@@ -120,8 +120,8 @@ type Config struct {
 	// measured, not assumed: one lane over a single store is 11% slower at
 	// the median update, costs 14% more server CPU per op and cannot roll
 	// back an append failure (the table and the six pinning tests are on
-	// the discipline type in commit.go; ROADMAP item 7). See
-	// docs/SHARDING.md.
+	// the discipline type in commit.go; ROADMAP's parked note "Merging
+	// the two journaling disciplines"). See docs/SHARDING.md.
 	Shards int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// engine's handler. Off by default: profiling endpoints expose

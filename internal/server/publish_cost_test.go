@@ -19,7 +19,7 @@ import (
 // one-row commit: an insert of one more NY row, then its delete, so
 // every pair of commits leaves the state as it found it. Only publish
 // is counted; the apply to the live database before it is not (its
-// copy of the touched extension is ROADMAP item 8(a)).
+// copy of the touched extension is ROADMAP item 6).
 func publishAllocs(t *testing.T, rows int) float64 {
 	t.Helper()
 	const commits = 20

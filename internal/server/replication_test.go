@@ -179,6 +179,94 @@ func TestFollowerResumeAndGapFill(t *testing.T) {
 	}
 }
 
+// TestShardedFollowerRecoversAndGapFills is TestFollowerResumeAndGapFill
+// on a 4-shard primary: the commits the stopped follower misses — a
+// cross-shard wire transaction among them — sit in the shard WALs when
+// the primary is killed, and the restarted primary's feed starts above
+// them. The follower resumes from its own watermark without
+// bootstrapping, gap-fills them through wal.Reassemble (the cross-shard
+// prepares folded into one record), streams a live commit on top, and
+// ends equal to the primary.
+func TestShardedFollowerRecoversAndGapFills(t *testing.T) {
+	sink := metricsSink(t)
+	dirP, dirF := t.TempDir(), t.TempDir()
+	var cur atomic.Pointer[Engine]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		NewHandler(cur.Load()).ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	sharded := func(c *Config) { c.Shards = 4 }
+
+	p1 := newTestEngine(t, dirP, sharded)
+	cur.Store(p1)
+	for k := 1; k <= 3; k++ {
+		if err := insertKey(p1, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f1 := newFollowerEngine(t, dirF, srv.URL, nil)
+	waitUntil(t, 5*time.Second, "first catch-up", func() bool { return followerRows(t, f1) == 3 })
+	if err := f1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Missed: two single-shard commits, then a wire transaction over
+	// two root keys — seqs 4, 5 and 6.
+	for k := 4; k <= 5; k++ {
+		if err := insertKey(p1, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cross := sink.Metrics().Snapshot().Counters["server.cross.commits"]
+	var tx txReply
+	if code := doJSON(t, "POST", srv.URL+"/tx/begin", nil, &tx); code != http.StatusOK {
+		t.Fatalf("tx begin = %d", code)
+	}
+	for _, k := range []string{"101", "102"} {
+		var up updateReply
+		if code := doJSON(t, "POST", fmt.Sprintf("%s/tx/%s/views/NY/insert", srv.URL, tx.Token),
+			map[string]any{"values": []string{k, "NY"}}, &up); code != http.StatusOK {
+			t.Fatalf("tx insert %s = %d", k, code)
+		}
+	}
+	if code := doJSON(t, "POST", fmt.Sprintf("%s/tx/%s/commit", srv.URL, tx.Token), nil, &tx); code != http.StatusOK {
+		t.Fatalf("tx commit = %d", code)
+	}
+	if sink.Metrics().Snapshot().Counters["server.cross.commits"] == cross {
+		t.Fatal("the missed transaction did not take the two-phase route")
+	}
+	p1.Kill()
+	p2 := newTestEngine(t, dirP, sharded)
+	cur.Store(p2)
+
+	bootstraps := sink.Metrics().Snapshot().Counters["replica.bootstrap"]
+	f2 := newFollowerEngine(t, dirF, srv.URL, nil)
+	if rep := f2.fol.Store().Report(); max(rep.SnapshotSeq, rep.MaxSeq) != 3 {
+		t.Fatalf("recovered watermark = %d (%s), want 3", max(rep.SnapshotSeq, rep.MaxSeq), rep)
+	}
+	if got := sink.Metrics().Snapshot().Counters["replica.bootstrap"]; got != bootstraps {
+		t.Fatalf("the restarted follower bootstrapped from a snapshot (replica.bootstrap %d -> %d)", bootstraps, got)
+	}
+	if err := insertKey(p2, 6); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "resume catch-up", func() bool { return followerRows(t, f2) == 8 })
+	if got := f2.Health().Replica.AppliedSeq; got != 7 {
+		t.Fatalf("final applied seq = %d, want 7", got)
+	}
+	pset, _, err := p2.ReadView("NY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset, _, err := f2.ReadView("NY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pset.Equal(fset) {
+		t.Fatalf("follower view diverged:\nprimary  %v\nfollower %v", pset.Slice(), fset.Slice())
+	}
+}
+
 // TestShardedPrimaryFollower: a follower of a sharded primary sees the
 // same view state — single-shard commits and a cross-shard transaction
 // (whose prepare records must be reassembled into one streamed commit)

@@ -61,10 +61,17 @@ type crossCommit struct {
 	err     error // 2PC failure (prepare append failure, injected fault)
 }
 
-// A pendingAck is a commit waiting for its durability conditions.
+// A pendingAck is a commit waiting for its durability conditions, then
+// for every earlier seq's verdict: sr.acks is the one seq-ordered list
+// the acker answers waiters from and releases the stream from.
 type pendingAck struct {
-	r       *commitReq
-	seq     uint64
+	r   *commitReq // nil once answered: the waiter recycles it
+	seq uint64
+	// key and tr are copied from r at settle, so the stream can frame
+	// the commit after r is recycled.
+	key     string
+	tr      *update.Translation
+	durable bool   // answered with success: published, not burned
 	version uint64 // version assigned at apply; reported on ack
 	parts   []int
 	fence   []int
@@ -136,20 +143,23 @@ type shardRuntime struct {
 	st *shard.Store
 	n  int
 
-	// feed restores global sequence order on the replication stream
-	// (see walstream.go).
-	feed *walFeed
-
 	queues []*shardQueue
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	applied     []uint64 // highest global seq applied to each shard's memory
-	durable     []uint64 // highest global seq durably journaled per shard
-	failed      []error  // journaling failure per shard (mirrors store broken state)
-	outstanding int      // enqueued jobs not yet durable (or failed)
-	acks        []*pendingAck
-	seqClosed   bool // the pipeline has drained; no more commits will register
+	applied     []uint64      // highest global seq applied to each shard's memory
+	durable     []uint64      // highest global seq durably journaled per shard
+	failed      []error       // journaling failure per shard (mirrors store broken state)
+	outstanding int           // enqueued jobs not yet durable (or failed)
+	acks        []*pendingAck // in seq order (settle appends under stateMu)
+	seqClosed   bool          // the pipeline has drained; no more commits will register
+
+	// out receives each commit's translation record once it and every
+	// earlier seq have their verdict; published is the last seq offered
+	// to it (the boot watermark at start) — the fleet's durable
+	// replication watermark. Both guarded by mu.
+	out       func(recs []wal.Record)
+	published uint64
 
 	ackerDone chan struct{}
 	wg        sync.WaitGroup
@@ -165,7 +175,7 @@ type shardRuntime struct {
 func newShardRuntime(e *Engine, st *shard.Store) *shardRuntime {
 	n := st.N()
 	sr := &shardRuntime{
-		e: e, st: st, n: n, feed: &walFeed{},
+		e: e, st: st, n: n, published: st.Seq(),
 		queues:    make([]*shardQueue, n),
 		applied:   make([]uint64, n),
 		durable:   make([]uint64, n),
@@ -254,17 +264,13 @@ func (sr *shardRuntime) settle(landed []*commitReq, base uint64, stats persist.A
 	for i, r := range landed {
 		route := r.route
 		seq := sr.st.NextSeq()
-		// Register with the replication feed in allocation order (stateMu
-		// is held); the acker resolves publish-or-skip once the commit's
-		// durability verdict is in.
-		sr.feed.register(seq, r.key, r.tr)
 		r.traceBatch(stats, publishNS)
-		// Everything the job loop below needs from the pooled request
-		// must be copied out before the ack is published: once it is in
-		// sr.acks the acker may answer it (e.g. a shard already failed)
-		// and the waiter recycles r immediately.
+		// Everything the job loop below and the stream need from the
+		// pooled request must be copied out before the ack is published:
+		// once it is in sr.acks the acker may answer it (e.g. a shard
+		// already failed) and the waiter recycles r immediately.
 		key := r.key
-		ack := &pendingAck{r: r, seq: seq, version: base + uint64(i) + 1,
+		ack := &pendingAck{r: r, seq: seq, key: key, tr: r.tr, version: base + uint64(i) + 1,
 			parts: route.Participants, fence: route.Fence}
 		if timed {
 			ack.start = time.Now()
@@ -430,39 +436,53 @@ func (sr *shardRuntime) failShard(i int, err error, jobs []*shardJob) {
 // runAcker answers waiters as their durability conditions come true:
 // participants durable past the commit's seq, decision durable for
 // cross-shard commits, fence shards durable past the applied watermark
-// observed at validation.
+// observed at validation. Commits become durable out of seq order
+// (each shard fsyncs independently), so an answered ack stays in
+// sr.acks until every earlier seq is answered too; then the answered
+// prefix is popped onto the replication stream in seq order — a
+// durable commit is published, a failed one burns its seq (followers
+// never see it, exactly like recovery).
 func (sr *shardRuntime) runAcker() {
 	defer close(sr.ackerDone)
 	e := sr.e
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	for {
-		kept := sr.acks[:0]
 		for _, a := range sr.acks {
+			if a.r == nil {
+				continue // answered; waits for the prefix
+			}
 			switch sr.ackStateLocked(a) {
 			case ackReady:
-				if a.r.key != "" {
-					e.idem.fulfill(a.r.key, a.version)
+				if a.key != "" {
+					e.idem.fulfill(a.key, a.version)
 				}
 				if a.r.trace != nil {
 					a.r.trace.Stage("fsync", time.Since(a.start))
 				}
 				obs.Inc(sr.cCommit[a.parts[0]])
-				// Durable everywhere it matters: release the commit to the
-				// replication stream (the feed restores seq order).
-				sr.feed.resolve(a.seq, true)
+				a.durable = true
 				a.r.done <- commitRes{version: a.version}
+				a.r = nil
 			case ackFailed:
 				err := sr.ackErrLocked(a)
 				e.releaseKey(a.r)
-				// The seq is burned; unblock the feed without publishing.
-				sr.feed.resolve(a.seq, false)
 				a.r.done <- commitRes{err: classifyApplyError(err)}
-			default:
-				kept = append(kept, a)
+				a.r = nil
 			}
 		}
-		sr.acks = kept
+		n := 0
+		for ; n < len(sr.acks) && sr.acks[n].r == nil; n++ {
+			if a := sr.acks[n]; a.durable {
+				// Encoding happens here, off the pipeline's critical path,
+				// and only for commits that actually publish.
+				sr.published = a.seq
+				if sr.out != nil {
+					sr.out([]wal.Record{wal.EncodeTranslationKeyed(a.seq, a.key, a.tr)})
+				}
+			}
+		}
+		sr.acks = append(sr.acks[:0], sr.acks[n:]...)
 		if sr.seqClosed && len(sr.acks) == 0 && sr.outstanding == 0 {
 			return
 		}
@@ -546,17 +566,26 @@ func (sr *shardRuntime) health(h *Healthz) {
 }
 
 // shardedStore is the durableStore of a sharded engine: the shard store
-// plus the replication feed, which knows how far the fleet is durable
-// in global sequence order.
+// plus the acker, which knows how far the fleet is durable in global
+// sequence order.
 type shardedStore struct {
 	*shard.Store
-	feed *walFeed
+	sr *shardRuntime
 }
 
-func (s shardedStore) CommittedSeq() uint64 { return s.feed.publishedSeq() }
-func (s shardedStore) Err() error           { return s.BrokenAny() }
+func (s shardedStore) CommittedSeq() uint64 {
+	s.sr.mu.Lock()
+	defer s.sr.mu.Unlock()
+	return s.sr.published
+}
 
-func (s shardedStore) SetOnCommit(fn func(recs []wal.Record)) { s.feed.open(s.Seq(), fn) }
+func (s shardedStore) Err() error { return s.BrokenAny() }
+
+func (s shardedStore) SetOnCommit(fn func(recs []wal.Record)) {
+	s.sr.mu.Lock()
+	s.sr.out = fn
+	s.sr.mu.Unlock()
+}
 
 // openSharded opens (or creates) the shard store at cfg.Dir and attaches
 // it under the pipelined discipline.
@@ -580,7 +609,7 @@ func (e *Engine) openSharded() error {
 		return err
 	}
 	sr := newShardRuntime(e, st)
-	e.shst, e.disc, e.dur = st, sr, shardedStore{Store: st, feed: sr.feed}
+	e.shst, e.disc, e.dur = st, sr, shardedStore{Store: st, sr: sr}
 	return nil
 }
 

@@ -324,6 +324,66 @@ func crossPairs(e *Engine, n int) [][2]int {
 	return out
 }
 
+// TestShardedStreamWaitsForEarlierSeqs: the acker answers a commit as
+// soon as it is durable, but releases it to the replication stream only
+// once every earlier seq has its verdict. A cross-shard commit is held
+// inside its prepare window while a later single-shard commit on a
+// third shard becomes durable and is acked; the stream watermark stays
+// put until the held commit is released, then both reach the stream in
+// seq order.
+func TestShardedStreamWaitsForEarlierSeqs(t *testing.T) {
+	e := newShardEngine(t, t.TempDir(), 4, nil)
+	pair := crossPairs(e, 1)[0]
+	m, sch := e.ShardStore().Map(), e.db.Schema()
+	dept := func(dno int) tuple.T {
+		return tuple.MustNew(sch.Relation("DEPT"), value.NewInt(int64(dno)), value.NewInt(7))
+	}
+	busy := map[int]bool{
+		m.Of(tuple.MustNew(sch.Relation("EMP"), value.NewInt(int64(pair[0])), value.NewInt(int64(pair[1])))): true,
+		m.Of(dept(pair[1])): true,
+	}
+	dno := 50000
+	for busy[m.Of(dept(dno))] {
+		dno++
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	faultinject.Enable(faultinject.NewPlan(1).CallNth(faultinject.SiteShardPrepare, 1, func() {
+		close(held)
+		<-release
+	}))
+	defer faultinject.Disable()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // a failed check must not leave the engine's drain hanging
+	before := e.dur.CommittedSeq()
+	tail, _ := e.stream.Attach(before)
+	defer e.stream.Detach(tail)
+	crossDone := make(chan error, 1)
+	go func() { crossDone <- insertED(e, pair[0], pair[1], "") }()
+	<-held
+	if err := insertDept(e, dno); err != nil {
+		t.Fatalf("the later single-shard commit: %v", err)
+	}
+	if got := e.dur.CommittedSeq(); got != before {
+		t.Fatalf("stream watermark %d while seq %d is in its prepare window, want %d", got, before+1, before)
+	}
+	unblock()
+	if err := <-crossDone; err != nil {
+		t.Fatalf("the held cross-shard commit: %v", err)
+	}
+	for want := before + 1; want <= before+2; want++ {
+		select {
+		case fr := <-tail.C:
+			if fr.Key != want {
+				t.Fatalf("stream carried seq %d, want %d", fr.Key, want)
+			}
+			fr.Release()
+		case <-time.After(5 * time.Second):
+			t.Fatalf("seq %d never reached the stream", want)
+		}
+	}
+}
+
 // TestShardedCrossCommitOnDeadMedia: a two-phase commit whose prepare
 // cannot be journaled is a durability failure (503), never an
 // optimistic conflict (409) — from the update routes and from a script

@@ -593,7 +593,9 @@ func TestSubscribeFanoutAllocs(t *testing.T) {
 	for i := 0; i < 2*subBacklogBytes/len(appendChangeEvent(nil, e.subs.run, "NY", 1<<20, rows[:1], rows[1:])); i++ {
 		event()
 	}
-	if allocs := testing.AllocsPerRun(1000, event); allocs > 0 {
+	// Under -race, sync.Pool drops Put items at random, so the fan-out
+	// still runs but only the uninstrumented build holds the ceiling.
+	if allocs := testing.AllocsPerRun(1000, event); allocs > 0 && !raceEnabled {
 		t.Fatalf("subscription fan-out allocates %.1f per event, want 0", allocs)
 	}
 }

@@ -4,22 +4,21 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"viewupdate/internal/obs"
 	"viewupdate/internal/persist"
 	"viewupdate/internal/replica"
-	"viewupdate/internal/update"
 	"viewupdate/internal/wal"
 )
 
 // The primary side of WAL-streaming replication. A durable engine owns
 // a replica.Feed keyed by commit seq; every durable commit is framed
 // and published to it in commit order, and /wal/stream serves attached
-// followers from the feed's backlog (falling back to a disk scan of the
-// WAL when a follower's resume point has aged off). /wal/snapshot
-// serves the full state for bootstrap. See docs/REPLICATION.md.
+// followers from the feed's backlog (falling back to the committed
+// records on disk, reassembled by wal.Reassemble, when a follower's
+// resume point has aged off). /wal/snapshot serves the full state for
+// bootstrap. See docs/REPLICATION.md.
 //
 // The feed is fed through durableStore.SetOnCommit, whatever the store:
 //
@@ -29,10 +28,11 @@ import (
 //     independently), but the stream must carry them in sequence
 //     order, and only once durable (the sharded engine publishes
 //     snapshots before durability; streaming at publish time would
-//     replicate state a crash could still lose). The walFeed below
-//     registers every allocated seq in order (under stateMu) and the
-//     acker resolves each to publish-or-skip; the feed drains the
-//     resolved prefix to the hook, restoring order.
+//     replicate state a crash could still lose). The acker keeps one
+//     seq-ordered list of pending acks (settle appends under stateMu):
+//     it answers each waiter as soon as its verdict is in, then pops
+//     the answered prefix onto the hook — durable commits published,
+//     failed ones burned (shard.go).
 
 // heartbeatInterval is how often an otherwise idle source streams its
 // watermark + wall clock, so followers can measure staleness and
@@ -53,91 +53,6 @@ const (
 	walBacklogBytes = 4 << 20
 	walTailBuffer   = 1024
 )
-
-// A feedEntry is one allocated global seq awaiting its durability
-// verdict.
-type feedEntry struct {
-	seq   uint64
-	key   string
-	tr    *update.Translation
-	state feedState
-}
-
-type feedState uint8
-
-const (
-	feedPending feedState = iota
-	feedPublish
-	feedSkip
-)
-
-// A walFeed reorders the sharded engine's out-of-order durability
-// notifications back into global sequence order for the stream feed. Every
-// allocated seq is registered exactly once (in order — the sequencer
-// holds stateMu across allocation and registration) and resolved
-// exactly once: publish when the commit's durability conditions came
-// true, skip when it failed (the seq is burned; followers never see
-// it, exactly like recovery).
-type walFeed struct {
-	mu        sync.Mutex
-	out       func(recs []wal.Record)
-	pending   []feedEntry
-	published uint64 // last seq offered to out (boot watermark at start)
-}
-
-// open points the feed at its consumer, starting from the boot
-// watermark. Called once, before the first register.
-func (f *walFeed) open(boot uint64, out func(recs []wal.Record)) {
-	f.mu.Lock()
-	f.out, f.published = out, boot
-	f.mu.Unlock()
-}
-
-// register appends seq to the feed. Callers serialize in sequence
-// order: settle runs under stateMu, for pipeline batches and script
-// statements alike.
-func (f *walFeed) register(seq uint64, key string, tr *update.Translation) {
-	f.mu.Lock()
-	f.pending = append(f.pending, feedEntry{seq: seq, key: key, tr: tr})
-	f.mu.Unlock()
-}
-
-// resolve delivers seq's verdict and drains the resolved prefix to the
-// consumer. Encoding happens here, off the pipeline's critical path,
-// and only for commits that actually publish.
-func (f *walFeed) resolve(seq uint64, publish bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i := range f.pending {
-		if f.pending[i].seq == seq {
-			if publish {
-				f.pending[i].state = feedPublish
-			} else {
-				f.pending[i].state = feedSkip
-			}
-			break
-		}
-	}
-	for len(f.pending) > 0 && f.pending[0].state != feedPending {
-		ent := f.pending[0]
-		f.pending = f.pending[1:]
-		if ent.state == feedPublish {
-			f.out([]wal.Record{wal.EncodeTranslationKeyed(ent.seq, ent.key, ent.tr)})
-			f.published = ent.seq
-		}
-	}
-	if len(f.pending) == 0 {
-		f.pending = nil
-	}
-}
-
-// publishedSeq is the highest seq the feed has offered its consumer —
-// the sharded engine's durable replication watermark.
-func (f *walFeed) publishedSeq() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.published
-}
 
 // runHeartbeats periodically streams the durable watermark to attached
 // tails until the engine shuts down.

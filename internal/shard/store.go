@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -206,9 +205,18 @@ func Open(dir string, want int, opts Options) (*Store, error) {
 	}
 	sch := s.db.Schema()
 
-	// Phase 2: scan every shard's WAL, truncate torn tails, union the
-	// decision records, and resolve each shard's committed prefix.
-	results := make([]*wal.ScanResult, n)
+	// Phase 2: scan every shard's WAL, truncating torn tails, and
+	// replay the committed records above each shard's snapshot
+	// watermark in global sequence order. Per-shard log order can
+	// diverge from the order memory applied in (each shard fsyncs
+	// independently), but global seqs — allocated under the engine's
+	// state lock — recover the true total order, for the replay and for
+	// the recovered idempotency keys alike. Inclusions are not
+	// registered yet, so replay never trips a dependency check that the
+	// original (globally validated) commit order satisfied.
+	logs := make([]*wal.ScanResult, n)
+	floors := make([]uint64, n)
+	maxSeq := uint64(0)
 	for i := 0; i < n; i++ {
 		res, truncated, err := persist.ScanJournal(shardDir(dir, i))
 		if err != nil {
@@ -217,70 +225,16 @@ func Open(dir string, want int, opts Options) (*Store, error) {
 		if truncated > 0 {
 			s.report.TornShards++
 		}
-		results[i] = res
+		logs[i], floors[i] = res, snaps[i].Seq
+		maxSeq = max(maxSeq, res.MaxSeq(), snaps[i].Seq)
 	}
-	decisions := map[uint64]bool{}
-	for _, res := range results {
-		for seq := range res.Decisions() {
-			decisions[seq] = true
-		}
+	ra := wal.Reassemble(logs, floors)
+	if err := persist.Replay(s.db, ra.Records); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
-	type shardRec struct {
-		shard int
-		rec   wal.Record
-	}
-	var all, keyed []shardRec
-	maxSeq := uint64(0)
-	for i, res := range results {
-		committed, discarded, inDoubt := res.CommittedWith(decisions)
-		s.report.Discarded += discarded
-		s.report.PreparesAborted += inDoubt
-		if res.MaxSeq() > maxSeq {
-			maxSeq = res.MaxSeq()
-		}
-		if snaps[i].Seq > maxSeq {
-			maxSeq = snaps[i].Seq
-		}
-		for _, rec := range committed {
-			if rec.Kind == wal.KindPrepare {
-				s.report.PreparesCommitted++
-			}
-			if rec.Key != "" {
-				keyed = append(keyed, shardRec{shard: i, rec: rec})
-			}
-			if rec.Seq <= snaps[i].Seq {
-				s.report.Skipped++
-				continue
-			}
-			all = append(all, shardRec{shard: i, rec: rec})
-		}
-	}
-
-	// Phase 3: replay in global sequence order. Per-shard log order can
-	// diverge from the order memory applied in (each shard fsyncs
-	// independently), but global seqs — allocated under the engine's
-	// state lock — recover the true total order, for the replay and for
-	// the recovered idempotency keys alike. Inclusions are not
-	// registered yet, so replay never trips a dependency check that the
-	// original (globally validated) commit order satisfied.
-	bySeq := func(recs []shardRec) {
-		sort.SliceStable(recs, func(a, b int) bool { return recs[a].rec.Seq < recs[b].rec.Seq })
-	}
-	bySeq(keyed)
-	for _, sr := range keyed {
-		s.keys = append(s.keys, sr.rec.Key)
-	}
-	bySeq(all)
-	for _, sr := range all {
-		tr, err := wal.DecodeTranslation(sch, sr.rec)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", sr.shard, err)
-		}
-		if err := s.db.Apply(tr); err != nil {
-			return nil, fmt.Errorf("shard %d: replaying seq %d: %w", sr.shard, sr.rec.Seq, err)
-		}
-		s.report.Replayed++
-	}
+	s.keys = ra.Keys
+	s.report.Replayed, s.report.Skipped, s.report.Discarded = ra.Parts, ra.Skipped, ra.Discarded
+	s.report.PreparesCommitted, s.report.PreparesAborted = ra.PreparesCommitted, ra.InDoubt
 
 	// Phase 4: prune orphans, then register inclusions. A crash between
 	// shard fsyncs can persist a child while its (applied but unsynced)

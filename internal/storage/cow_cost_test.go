@@ -14,7 +14,7 @@ import (
 // and the touched parent's referencer set, not the referencer sets of
 // the other 199 parents. Allocations stand in for work, as in
 // TestVerifyCostIndependentOfViewSize. The touched relation's extension
-// is still cloned whole (ROADMAP item 8(a)), and a map's allocation
+// is still cloned whole (ROADMAP item 6), and a map's allocation
 // count grows with its size, so that clone is measured by itself and
 // taken out of both sides. (The race detector inflates allocation
 // counts: the file is built without it.)

@@ -40,7 +40,7 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 	if res.Torn() {
 		t.Fatalf("batch image torn at %d: %s", res.TornAt, res.Reason)
 	}
-	committed, discarded := res.Committed()
+	committed, discarded := reassembleOne(res)
 	if len(committed) != 3 || discarded != 0 {
 		t.Fatalf("committed=%d discarded=%d, want 3 and 0", len(committed), discarded)
 	}
@@ -116,7 +116,7 @@ func TestAppendBatchTornEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: %v", c, err)
 		}
-		committed, _ := res.Committed()
+		committed, _ := reassembleOne(res)
 		// Commit markers are frames 2,4,6 …: the committed prefix is
 		// contiguous from seq 1.
 		for i, rec := range committed {
@@ -156,7 +156,7 @@ func TestAppendBatchRepairsFailedWrite(t *testing.T) {
 	if res.Torn() {
 		t.Fatalf("repaired log torn at %d: %s", res.TornAt, res.Reason)
 	}
-	committed, _ := res.Committed()
+	committed, _ := reassembleOne(res)
 	if len(committed) != 3 {
 		t.Fatalf("committed %d translations, want 3 (1 + 2, none from the failed batch)", len(committed))
 	}

@@ -28,7 +28,7 @@
 // (internal/shard): a prepare record journals one participant's slice
 // of a cross-shard commit, a decision record on the coordinator shard
 // marks it committed, and a resolve marker lazily settles a prepare in
-// place. See CommittedWith for how recovery resolves them.
+// place. See Reassemble for how recovery resolves them.
 //
 // # Torn tails
 //
@@ -608,84 +608,111 @@ func ScanFile(path string) (*ScanResult, error) {
 	return Scan(f)
 }
 
-// Committed returns the translation records that have a matching commit
-// marker later in the scanned prefix, in commit order, plus the number
-// of uncommitted translation records discarded.
-func (r *ScanResult) Committed() (committed []Record, discarded int) {
-	pending := make(map[uint64]Record)
-	for _, rec := range r.Records {
-		switch rec.Kind {
-		case KindTranslation:
-			pending[rec.Seq] = rec
-		case KindCommit:
-			if tr, ok := pending[rec.Seq]; ok {
-				committed = append(committed, tr)
-				delete(pending, rec.Seq)
+// A Reassembly is the committed history of one or more logs in global
+// sequence order — what recovery replays and what gap-fill serves.
+type Reassembly struct {
+	// Records are the committed translations above their log's floor,
+	// one KindTranslation record per seq, ascending. The prepare parts
+	// of a cross-shard commit are folded into one record, ops in log
+	// (shard) order, carrying the home part's idempotency key.
+	Records []Record
+	// Parts counts the log records folded into Records.
+	Parts int
+	// Keys are the idempotency keys of every committed record, those
+	// at or below the floors too, in seq order.
+	Keys []string
+	// Skipped counts committed records at or below their log's floor;
+	// Discarded, translation records without a commit marker; InDoubt,
+	// prepares with neither a resolve marker on their log nor a decision
+	// on any (presumed aborted); PreparesCommitted, the other prepares.
+	Skipped, Discarded, InDoubt, PreparesCommitted int
+}
+
+// Reassemble works out the commit order of logs, the one place it is
+// worked out: a recovering store replays Records, a replication source
+// gap-fills from them. floors[i] is log i's watermark — its snapshot's
+// applied seq at recovery, the follower's cursor at gap-fill — and
+// records at or below it are dropped before folding, so a shard left
+// at a mixed checkpoint still replays only its missing part.
+//
+// A translation record commits when a commit marker with its seq
+// follows it on its log. A prepare commits when a resolve marker
+// follows it on its log, or when any log holds a decision record for
+// its seq; otherwise it is in doubt and, under presumed abort,
+// discarded. Seqs are global (one counter spans the logs), so seq
+// order is the order memory applied the commits in.
+func Reassemble(logs []*ScanResult, floors []uint64) *Reassembly {
+	decided := map[uint64]bool{}
+	for _, log := range logs {
+		for _, rec := range log.Records {
+			if rec.Kind == KindDecision {
+				decided[rec.Seq] = true
 			}
 		}
 	}
-	return committed, len(pending)
-}
-
-// Decisions returns the set of sequence numbers with a KindDecision
-// record in the scanned prefix. A cross-shard recovery unions the
-// decision sets of every shard's log before resolving prepares.
-func (r *ScanResult) Decisions() map[uint64]bool {
-	var out map[uint64]bool
-	for _, rec := range r.Records {
-		if rec.Kind == KindDecision {
-			if out == nil {
-				out = make(map[uint64]bool)
+	type part struct {
+		rec   Record
+		below bool // at or below its log's floor
+	}
+	var parts []part
+	out := &Reassembly{}
+	for i, log := range logs {
+		pending := map[uint64]Record{}
+		prepared := map[uint64]Record{}
+		settle := func(rec Record) { parts = append(parts, part{rec: rec, below: rec.Seq <= floors[i]}) }
+		for _, rec := range log.Records {
+			switch rec.Kind {
+			case KindTranslation:
+				pending[rec.Seq] = rec
+			case KindCommit:
+				if tr, ok := pending[rec.Seq]; ok {
+					settle(tr)
+					delete(pending, rec.Seq)
+				}
+			case KindPrepare:
+				prepared[rec.Seq] = rec
+			case KindResolve:
+				if p, ok := prepared[rec.Seq]; ok {
+					settle(p)
+					delete(prepared, rec.Seq)
+				}
 			}
-			out[rec.Seq] = true
 		}
+		for seq, p := range prepared {
+			if decided[seq] {
+				settle(p)
+				delete(prepared, seq)
+			}
+		}
+		out.Discarded += len(pending)
+		out.InDoubt += len(prepared)
+	}
+	// Stable: the parts of one seq stay in log order.
+	sort.SliceStable(parts, func(a, b int) bool { return parts[a].rec.Seq < parts[b].rec.Seq })
+	for _, p := range parts {
+		rec := p.rec
+		if rec.Key != "" {
+			out.Keys = append(out.Keys, rec.Key)
+		}
+		if rec.Kind == KindPrepare {
+			out.PreparesCommitted++
+		}
+		if p.below {
+			out.Skipped++
+			continue
+		}
+		out.Parts++
+		if n := len(out.Records); n > 0 && out.Records[n-1].Seq == rec.Seq {
+			last := &out.Records[n-1]
+			last.Ops = append(last.Ops[:len(last.Ops):len(last.Ops)], rec.Ops...)
+			if last.Key == "" {
+				last.Key = rec.Key
+			}
+			continue
+		}
+		out.Records = append(out.Records, Record{Seq: rec.Seq, Kind: KindTranslation, Ops: rec.Ops, Key: rec.Key})
 	}
 	return out
-}
-
-// CommittedWith is Committed extended with cross-shard prepares: a
-// prepare record commits if a KindResolve marker with the same Seq
-// follows it in this log, or if decisions — the union of KindDecision
-// seqs across every shard — contains its Seq. Prepares satisfying
-// neither are in-doubt and, under presumed abort, discarded; inDoubt
-// counts them separately from ordinary uncommitted translations.
-// Records are returned in log order (the caller merges shards and
-// orders globally by Seq).
-func (r *ScanResult) CommittedWith(decisions map[uint64]bool) (committed []Record, discarded, inDoubt int) {
-	pending := make(map[uint64]Record)
-	prepared := make(map[uint64]Record)
-	var order []Record
-	settle := func(rec Record) { order = append(order, rec) }
-	for _, rec := range r.Records {
-		switch rec.Kind {
-		case KindTranslation:
-			pending[rec.Seq] = rec
-		case KindCommit:
-			if tr, ok := pending[rec.Seq]; ok {
-				settle(tr)
-				delete(pending, rec.Seq)
-			}
-		case KindPrepare:
-			prepared[rec.Seq] = rec
-		case KindResolve:
-			if p, ok := prepared[rec.Seq]; ok {
-				settle(p)
-				delete(prepared, rec.Seq)
-			}
-		}
-	}
-	for seq, p := range prepared {
-		if decisions[seq] {
-			settle(p)
-			delete(prepared, seq)
-		}
-	}
-	// settle appended resolve-time and decision-time commits out of log
-	// order for the decision stragglers; restore record order by Seq
-	// within this log (seqs are globally monotone, so Seq order is log
-	// order for one shard's committed set).
-	sort.Slice(order, func(i, j int) bool { return order[i].Seq < order[j].Seq })
-	return order, len(pending), len(prepared)
 }
 
 // MaxSeq returns the highest sequence number in the scanned prefix (0

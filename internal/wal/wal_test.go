@@ -43,6 +43,14 @@ func pt(t *testing.T, p *schema.Relation, k int64, v string) tuple.T {
 	return tp
 }
 
+// reassembleOne reassembles a single log with no floor: its committed
+// records in seq order, and how many translation records lacked a
+// commit marker.
+func reassembleOne(res *ScanResult) ([]Record, int) {
+	ra := Reassemble([]*ScanResult{res}, []uint64{0})
+	return ra.Records, ra.Discarded
+}
+
 // appendWorkload appends n committed translations (each inserting tuple
 // k=i) plus one trailing uncommitted translation, returning the raw log
 // image.
@@ -81,7 +89,7 @@ func TestRoundTrip(t *testing.T) {
 	if len(res.Records) != 7 { // 3 × (tr + commit) + 1 uncommitted
 		t.Fatalf("scanned %d records, want 7", len(res.Records))
 	}
-	committed, discarded := res.Committed()
+	committed, discarded := reassembleOne(res)
 	if len(committed) != 3 || discarded != 1 {
 		t.Fatalf("committed=%d discarded=%d, want 3 and 1", len(committed), discarded)
 	}
@@ -417,7 +425,7 @@ func TestOpenFileAppendAndRescan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed, discarded := res.Committed()
+	committed, discarded := reassembleOne(res)
 	if len(committed) != 2 || discarded != 0 {
 		t.Fatalf("committed=%d discarded=%d, want 2 and 0", len(committed), discarded)
 	}
